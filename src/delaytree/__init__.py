@@ -58,6 +58,6 @@ from .patterns import (
     pattern_frequencies,
 )
 from .report import export_tree, factor_summary, hourly_distribution, import_tree
-from .synth import PlantedRule, SynthConfig, brute_force_best_split, generate
+from .synth import PlantedRule, SynthConfig, generate
 
 __version__ = "0.1.0"

@@ -325,10 +325,6 @@ def _grow(rows, schema: FeatureSchema, cfg: TrainConfig, depth: int) -> TreeNode
     )
 
 
-def _node_total(node: TreeNode) -> int:
-    return node.distribution.total
-
-
 def predict(tree: DecisionTree, features) -> str:
     """Route a feature vector to a leaf and return its label.
 
@@ -339,20 +335,21 @@ def predict(tree: DecisionTree, features) -> str:
     while isinstance(node, Split):
         side = node.rule.goes_left(features[node.rule.feature])
         if side is None:
-            side = _node_total(node.left) >= _node_total(node.right)
+            side = node.left.distribution.total >= node.right.distribution.total
         node = node.left if side else node.right
     return node.label
 
 
+def bfs_nodes(root: TreeNode) -> list[TreeNode]:
+    """Every node under root, breadth-first, left child before right."""
+    nodes = [root]
+    for node in nodes:
+        if isinstance(node, Split):
+            nodes.append(node.left)
+            nodes.append(node.right)
+    return nodes
+
+
 def internal_features(tree: DecisionTree) -> list[str]:
     """Distinct split features in breadth-first first-appearance order."""
-    seen: list[str] = []
-    queue: list[TreeNode] = [tree.root]
-    while queue:
-        node = queue.pop(0)
-        if isinstance(node, Split):
-            if node.rule.feature not in seen:
-                seen.append(node.rule.feature)
-            queue.append(node.left)
-            queue.append(node.right)
-    return seen
+    return list(dict.fromkeys(node.rule.feature for node in bfs_nodes(tree.root) if isinstance(node, Split)))

@@ -2,9 +2,10 @@
 
 Subcommands: synth, ingest, train, render, report (pattern-freq,
 hourly-dist, factors), pipeline. Exit codes: 0 success, 1 usage error,
-2 data error. An INI config file (sections named after subcommands) can
-supply any value; flags override it. DELAYTREE_LOG={error,info,debug}
-controls verbosity.
+2 data error. Every setting is a flag `--name` and a key `name` in the
+subcommand's section of the INI `--config` file: the flag beats the config,
+which beats the default. DELAYTREE_LOG={error,info,debug} controls
+verbosity.
 """
 
 from __future__ import annotations
@@ -17,27 +18,13 @@ import re
 import sys
 from datetime import date
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from . import cart, report, synth
 from .errors import DataError, UsageError
 from .features import CATEGORICAL, FEATURE_SCHEMA, label_hours, parse_holidays
-from .ingest import (
-    Bridge,
-    Direction,
-    Vehicle,
-    aggregate_hourly,
-    join_weather,
-    parse_wait_times,
-    parse_weather,
-)
-from .patterns import (
-    COMBOS,
-    DelayPattern,
-    assemble_rows,
-    pattern_frequencies,
-    read_observations,
-    write_observations,
-)
+from .ingest import Bridge, Direction, Vehicle, aggregate_hourly, join_weather, parse_wait_times, parse_weather
+from .patterns import COMBOS, DelayPattern, assemble_rows, pattern_frequencies, read_observations, write_observations
 
 logger = logging.getLogger("delaytree")
 
@@ -58,69 +45,97 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _Config:
-    """INI config: `key = value` under a section per subcommand."""
-
-    def __init__(self, path=None):
-        self._cp = configparser.ConfigParser()
-        if path is not None:
-            text = Path(path).read_text(encoding="utf-8")
-            try:
-                self._cp.read_string(text)
-            except configparser.Error as exc:
-                raise UsageError(f"bad config file {path}: {exc}") from None
-
-    def get(self, section: str, key: str):
-        return self._cp.get(section, key, fallback=None)
-
-    def has_section(self, section: str) -> bool:
-        return self._cp.has_section(section)
-
-    def section(self, name: str) -> dict:
-        return dict(self._cp[name]) if self._cp.has_section(name) else {}
+REQUIRED = object()  # default of a setting that must be given
 
 
-def _resolve(flag_value, cfg: _Config, section: str, key: str, default=None, convert=None):
-    """Flag beats config beats default."""
-    if flag_value is not None:
-        return flag_value
-    raw = cfg.get(section, key)
-    if raw is None:
-        return default
-    if convert is None:
-        return raw
+class Setting(NamedTuple):
+    """Flag `--name` and config key `name`. `convert` turns the text of
+    either into the value, raising ValueError or UsageError; `flag` holds
+    extra argparse keywords, or is None for a key that has no flag."""
+
+    name: str
+    convert: Callable = str
+    default: object = REQUIRED
+    flag: Optional[dict] = {}
+
+
+def _config(path) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser(interpolation=None)
+    if path is not None:
+        try:
+            cp.read_string(Path(path).read_text(encoding="utf-8"))
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise UsageError(f"bad config file {path}: {exc}") from None
+    return cp
+
+
+def _convert(setting: Setting, raw, where: str):
     try:
-        return convert(raw)
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"bad config value [{section}] {key} = {raw!r}: {exc}") from None
+        return setting.convert(raw)
+    except ValueError as exc:
+        raise UsageError(f"bad {where} {raw!r}: {exc}") from None
 
 
-def _parse_date(raw: str) -> date:
-    try:
-        return date.fromisoformat(raw.strip())
-    except ValueError:
-        raise UsageError(f"bad date {raw!r}; want YYYY-MM-DD") from None
+def _resolve(settings, cp: configparser.ConfigParser, sections: list, flags: Optional[dict] = None) -> dict:
+    """Each setting's value: its flag, else its key in the first of
+    `sections` that has it, else its default.
+
+    A repeatable flag (`--rule`) adds to the config's `rule` and `rule.*`
+    keys instead of replacing them. Without flags (the pipeline), a missing
+    value is named by its config key.
+    """
+    values = {}
+    for setting in settings:
+        name = setting.name
+        given = None if flags is None else flags.get(name)
+        if setting.flag and setting.flag.get("action") == "append":
+            found = [(f"--{name}", text) for text in given or ()] + [
+                (f"config value [{section}] {key} =", text)
+                for section in sections if cp.has_section(section)
+                for key, text in sorted(cp[section].items()) if key == name or key.startswith(f"{name}.")
+            ]
+            values[name] = tuple(_convert(setting, text, where) for where, text in found)
+        elif given is not None:
+            values[name] = _convert(setting, given, f"--{name}")
+        else:
+            section = next((s for s in sections if cp.has_option(s, name)), None)
+            if section is not None:
+                values[name] = _convert(setting, cp.get(section, name), f"config value [{section}] {name} =")
+            elif setting.default is REQUIRED:
+                raise UsageError(f"missing --{name}" if flags is not None else f"missing [{sections[-1]}] {name}")
+            else:
+                values[name] = setting.default
+    return values
 
 
-def _vehicle(raw: str) -> Vehicle:
-    try:
-        return Vehicle[raw.strip().upper()]
-    except KeyError:
-        raise UsageError(f"unknown vehicle {raw!r}; want passenger or commercial") from None
+def _date(raw: str) -> date:
+    return date.fromisoformat(raw.strip())
 
 
-def _direction(raw: str) -> Direction:
-    try:
-        return Direction[raw.strip().upper()]
-    except KeyError:
-        raise UsageError(f"unknown direction {raw!r}; want to_us or to_can") from None
+def _dates(raw: str) -> frozenset:
+    return frozenset(_date(tok) for tok in raw.replace(",", " ").split())
 
 
-def _bridge(raw: str) -> Bridge:
-    try:
-        return Bridge[raw.strip().upper()]
-    except KeyError:
-        raise UsageError(f"unknown bridge {raw!r}; want PB, RB or LQ") from None
+def _member(enum_cls) -> Callable:
+    """Converter to a member of enum_cls, by name in any case."""
+    names = [getattr(member, "label", member.name) for member in enum_cls]
+    want = f"want {', '.join(names[:-1])} or {names[-1]}"
+
+    def convert(raw: str):
+        try:
+            return enum_cls[raw.strip().upper()]
+        except KeyError:
+            raise ValueError(want) from None
+
+    return convert
+
+
+def _words(raw) -> list:
+    """A list flag's values as given, or a config value split on whitespace."""
+    words = raw if isinstance(raw, list) else raw.split()
+    if not words:
+        raise ValueError("want one or more paths")
+    return words
 
 
 _RULE_SHIFT = re.compile(r"(PB|RB|LQ)\s*([+-]\d+(?:\.\d+)?)", re.IGNORECASE)
@@ -165,100 +180,36 @@ def parse_rule(text: str) -> synth.PlantedRule:
     return synth.PlantedRule(condition, target, shifts)
 
 
-def _parse_holiday_dates(raw: str) -> frozenset:
-    return frozenset(_parse_date(tok) for tok in raw.replace(",", " ").split())
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="delaytree", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate synthetic input files")
-    p.add_argument("--config")
-    p.add_argument("--out-dir")
-    p.add_argument("--start")
-    p.add_argument("--end")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--vehicle")
-    p.add_argument("--direction")
-    p.add_argument("--base-pb", type=float)
-    p.add_argument("--base-rb", type=float)
-    p.add_argument("--base-lq", type=float)
-    p.add_argument("--jitter", type=float)
-    p.add_argument("--label-flip", type=float)
-    p.add_argument("--rule", action="append", dest="rules")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="raw feeds -> observations.csv")
-    p.add_argument("--config")
-    p.add_argument("--wait-times")
-    p.add_argument("--weather")
-    p.add_argument("--holidays")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("train", help="observations.csv -> tree json")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--vehicle")
-    p.add_argument("--direction")
-    p.add_argument("--min-samples", type=int)
-    p.add_argument("--min-gain", type=float)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("render", help="tree json -> dot/text")
-    p.add_argument("--config")
-    p.add_argument("--tree")
-    p.add_argument("--format", choices=report.TREE_FORMATS)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("report", help="summary artifacts")
-    rsub = p.add_subparsers(dest="report_kind", required=True)
-
-    rp = rsub.add_parser("pattern-freq", help="pattern frequency histogram")
-    rp.add_argument("--config")
-    rp.add_argument("--data")
-    rp.add_argument("--vehicle")
-    rp.add_argument("--direction")
-    rp.add_argument("--out")
-    rp.set_defaults(func=cmd_report_pattern_freq)
-
-    rp = rsub.add_parser("hourly-dist", help="hourly delay-type distribution")
-    rp.add_argument("--config")
-    rp.add_argument("--wait-times")
-    rp.add_argument("--bridge")
-    rp.add_argument("--vehicle")
-    rp.add_argument("--direction")
-    rp.add_argument("--out")
-    rp.set_defaults(func=cmd_report_hourly_dist)
-
-    rp = rsub.add_parser("factors", help="influential-factor summary across trees")
-    rp.add_argument("--config")
-    rp.add_argument("--trees", nargs="+")
-    rp.add_argument("--out")
-    rp.set_defaults(func=cmd_report_factors)
-
-    p = sub.add_parser("pipeline", help="run synth/ingest/train/render/report from one config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_pipeline)
-
-    return parser
-
-
-def _require(value, what: str):
-    if value is None:
-        raise UsageError(f"missing {what}")
-    return value
+_STREAM = (Setting("vehicle", _member(Vehicle)), Setting("direction", _member(Direction)))
+_SYNTH = (
+    Setting("start", _date),
+    Setting("end", _date),
+    Setting("seed", int),
+    *_STREAM,
+    Setting("base-pb", float, None),
+    Setting("base-rb", float, None),
+    Setting("base-lq", float, None),
+    Setting("jitter", float, 0.0),
+    Setting("label-flip", float, 0.0),
+    Setting("rule", parse_rule, (), {"action": "append"}),
+    Setting("us-holidays", _dates, frozenset(), None),
+    Setting("ca-holidays", _dates, frozenset(), None),
+)
+_INPUTS = (Setting("wait-times"), Setting("weather"), Setting("holidays"))
+_STDOUT = Setting("out", str, None)  # no --out: write to stdout
+# Tree settings resolve per dataset: [train.<vehicle>.<direction>] before [train].
+_TREE = (Setting("min-samples", int, 100), Setting("min-gain", float, 0.005), Setting("max-depth", int, None))
 
 
 def _parse_file(parser, path):
     """Parse a file's text, prefixing any data error with the path."""
     try:
-        return parser(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text") from None
+    try:
+        return parser(text)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -272,37 +223,17 @@ def _emit(text: str, out_path) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _synth_config(args, cfg: _Config) -> synth.SynthConfig:
-    section = "synth"
-    vehicle = _require(_resolve(args.vehicle and _vehicle(args.vehicle), cfg, section, "vehicle", convert=_vehicle), "--vehicle")
-    base = {}
-    for bridge, flag in ((Bridge.PB, args.base_pb), (Bridge.RB, args.base_rb), (Bridge.LQ, args.base_lq)):
-        value = _resolve(flag, cfg, section, f"base-{bridge.name.lower()}", convert=float)
-        if value is not None:
-            base[bridge] = value
-    rule_texts = list(args.rules or [])
-    for key, value in sorted(cfg.section(section).items()):
-        if key == "rule" or key.startswith("rule."):
-            rule_texts.append(value)
+def _synth_config(o: dict) -> synth.SynthConfig:
+    base = {b: o[f"base-{b.name.lower()}"] for b in Bridge if o[f"base-{b.name.lower()}"] is not None}
     return synth.SynthConfig(
-        start=_require(_resolve(args.start and _parse_date(args.start), cfg, section, "start", convert=_parse_date), "--start"),
-        end=_require(_resolve(args.end and _parse_date(args.end), cfg, section, "end", convert=_parse_date), "--end"),
-        seed=_require(_resolve(args.seed, cfg, section, "seed", convert=int), "--seed"),
-        direction=_require(_resolve(args.direction and _direction(args.direction), cfg, section, "direction", convert=_direction), "--direction"),
-        vehicle=vehicle,
-        base_waits=base,
-        rules=tuple(parse_rule(t) for t in rule_texts),
-        label_flip=_resolve(args.label_flip, cfg, section, "label-flip", default=0.0, convert=float),
-        jitter=_resolve(args.jitter, cfg, section, "jitter", default=0.0, convert=float),
-        us_holidays=_resolve(None, cfg, section, "us-holidays", default=frozenset(), convert=_parse_holiday_dates),
-        ca_holidays=_resolve(None, cfg, section, "ca-holidays", default=frozenset(), convert=_parse_holiday_dates),
+        start=o["start"], end=o["end"], seed=o["seed"], direction=o["direction"], vehicle=o["vehicle"],
+        base_waits=base, rules=o["rule"], label_flip=o["label-flip"], jitter=o["jitter"],
+        us_holidays=o["us-holidays"], ca_holidays=o["ca-holidays"],
     )
 
 
-def cmd_synth(args) -> int:
-    cfg = _Config(args.config)
-    out_dir = _require(_resolve(args.out_dir, cfg, "synth", "out-dir"), "--out-dir")
-    files = synth.generate(_synth_config(args, cfg), out_dir)
+def cmd_synth(o, cp, flags) -> int:
+    files = synth.generate(_synth_config(o), o["out-dir"])
     logger.info("wrote %s, %s, %s, %s", files.wait_times, files.weather, files.holidays, files.emission_log)
     return 0
 
@@ -327,32 +258,16 @@ def _ingest_datasets(wait_times_path, weather_path, holidays_path):
     return datasets, hours
 
 
-def cmd_ingest(args) -> int:
-    cfg = _Config(args.config)
-    wait_times = _require(_resolve(args.wait_times, cfg, "ingest", "wait-times"), "--wait-times")
-    weather = _require(_resolve(args.weather, cfg, "ingest", "weather"), "--weather")
-    holidays = _require(_resolve(args.holidays, cfg, "ingest", "holidays"), "--holidays")
-    out = _require(_resolve(args.out, cfg, "ingest", "out"), "--out")
-    datasets, _ = _ingest_datasets(wait_times, weather, holidays)
-    _emit(write_observations(list(datasets.values())), out)
+def cmd_ingest(o, cp, flags) -> int:
+    datasets, _ = _ingest_datasets(o["wait-times"], o["weather"], o["holidays"])
+    _emit(write_observations(list(datasets.values())), o["out"])
     return 0
 
 
-def _train_config(args, cfg: _Config, vehicle: Vehicle, direction: Direction) -> cart.TrainConfig:
-    override = f"train.{vehicle.label}.{direction.label}"
-
-    def setting(flag, key, default, convert):
-        value = _resolve(flag, cfg, override, key, convert=convert)
-        if value is None:
-            value = _resolve(None, cfg, "train", key, default=default, convert=convert)
-        return value
-
+def _train_config(cp, vehicle: Vehicle, direction: Direction, flags=None) -> cart.TrainConfig:
+    o = _resolve(_TREE, cp, [f"train.{vehicle.label}.{direction.label}", "train"], flags)
     try:
-        return cart.TrainConfig(
-            min_samples=setting(args.min_samples, "min-samples", 100, int),
-            min_gain=setting(args.min_gain, "min-gain", 0.005, float),
-            max_depth=setting(args.max_depth, "max-depth", None, int),
-        )
+        return cart.TrainConfig(o["min-samples"], o["min-gain"], o["max-depth"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -365,126 +280,133 @@ def _load_dataset(data_path, vehicle: Vehicle, direction: Direction):
     return ds
 
 
-def cmd_train(args) -> int:
-    cfg = _Config(args.config)
-    data = _require(_resolve(args.data, cfg, "train", "data"), "--data")
-    vehicle = _require(_resolve(args.vehicle and _vehicle(args.vehicle), cfg, "train", "vehicle", convert=_vehicle), "--vehicle")
-    direction = _require(_resolve(args.direction and _direction(args.direction), cfg, "train", "direction", convert=_direction), "--direction")
-    out = _require(_resolve(args.out, cfg, "train", "out"), "--out")
-    ds = _load_dataset(data, vehicle, direction)
-    tree = cart.grow_tree(ds, _train_config(args, cfg, vehicle, direction))
-    _emit(report.export_tree(tree, "json"), out)
+def cmd_train(o, cp, flags) -> int:
+    ds = _load_dataset(o["data"], o["vehicle"], o["direction"])
+    tree = cart.grow_tree(ds, _train_config(cp, o["vehicle"], o["direction"], flags))
+    _emit(report.export_tree(tree, "json"), o["out"])
     return 0
 
 
-def cmd_render(args) -> int:
-    cfg = _Config(args.config)
-    tree_path = _require(_resolve(args.tree, cfg, "render", "tree"), "--tree")
-    format = _require(_resolve(args.format, cfg, "render", "format"), "--format")
-    if format not in report.TREE_FORMATS:
-        raise UsageError(f"unknown tree format {format!r}; expected one of {report.TREE_FORMATS}")
-    tree = _parse_file(report.import_tree, tree_path)
-    _emit(report.export_tree(tree, format), _resolve(args.out, cfg, "render", "out"))
+def cmd_render(o, cp, flags) -> int:
+    tree = _parse_file(report.import_tree, o["tree"])
+    _emit(report.export_tree(tree, o["format"]), o["out"])
     return 0
 
 
-def cmd_report_pattern_freq(args) -> int:
-    cfg = _Config(args.config)
-    section = "report"
-    data = _require(_resolve(args.data, cfg, section, "data"), "--data")
-    vehicle = _require(_resolve(args.vehicle and _vehicle(args.vehicle), cfg, section, "vehicle", convert=_vehicle), "--vehicle")
-    direction = _require(_resolve(args.direction and _direction(args.direction), cfg, section, "direction", convert=_direction), "--direction")
-    ds = _load_dataset(data, vehicle, direction)
-    _emit(report.pattern_frequencies_csv(pattern_frequencies(ds)), _resolve(args.out, cfg, section, "out"))
+def cmd_report_pattern_freq(o, cp, flags) -> int:
+    ds = _load_dataset(o["data"], o["vehicle"], o["direction"])
+    _emit(report.pattern_frequencies_csv(pattern_frequencies(ds)), o["out"])
     return 0
 
 
-def cmd_report_hourly_dist(args) -> int:
-    cfg = _Config(args.config)
-    section = "report"
-    wait_times = _require(_resolve(args.wait_times, cfg, section, "wait-times"), "--wait-times")
-    bridge = _require(_resolve(args.bridge and _bridge(args.bridge), cfg, section, "bridge", convert=_bridge), "--bridge")
-    vehicle = _require(_resolve(args.vehicle and _vehicle(args.vehicle), cfg, section, "vehicle", convert=_vehicle), "--vehicle")
-    direction = _require(_resolve(args.direction and _direction(args.direction), cfg, section, "direction", convert=_direction), "--direction")
-    hours = aggregate_hourly(_parse_file(parse_wait_times, wait_times))
-    dist = report.hourly_distribution(hours, bridge, direction, vehicle)
-    _emit(report.hourly_distribution_csv(dist), _resolve(args.out, cfg, section, "out"))
+def cmd_report_hourly_dist(o, cp, flags) -> int:
+    hours = aggregate_hourly(_parse_file(parse_wait_times, o["wait-times"]))
+    dist = report.hourly_distribution(hours, o["bridge"], o["direction"], o["vehicle"])
+    _emit(report.hourly_distribution_csv(dist), o["out"])
     return 0
 
 
-def cmd_report_factors(args) -> int:
-    cfg = _Config(args.config)
-    paths = args.trees or (cfg.get("report", "trees") or "").split() or None
-    _require(paths, "--trees")
+def cmd_report_factors(o, cp, flags) -> int:
     trees = {}
-    for path in paths:
+    for path in o["trees"]:
         tree = _parse_file(report.import_tree, path)
         if tree.vehicle is None or tree.direction is None:
             raise UsageError(f"{path}: tree json lacks vehicle/direction tags")
         trees[(tree.vehicle, tree.direction)] = tree
-    _emit(report.factor_summary_csv(report.factor_summary(trees)), _resolve(args.out, cfg, "report", "out"))
+    _emit(report.factor_summary_csv(report.factor_summary(trees)), o["out"])
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    cfg = _Config(args.config)
-    out_dir = Path(_resolve(args.out_dir, cfg, "pipeline", "out-dir", default="out"))
+def cmd_pipeline(o, cp, flags) -> int:
+    out_dir = Path(o["out-dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.has_section("synth"):
-        synth_args = argparse.Namespace(
-            out_dir=None, start=None, end=None, seed=None, vehicle=None, direction=None,
-            base_pb=None, base_rb=None, base_lq=None, jitter=None, label_flip=None, rules=None,
-        )
-        files = synth.generate(_synth_config(synth_args, cfg), out_dir / "data")
-        wait_times, weather, holidays = files.wait_times, files.weather, files.holidays
+    if cp.has_section("synth"):
+        files = synth.generate(_synth_config(_resolve(_SYNTH, cp, ["synth"])), out_dir / "data")
+        inputs = (files.wait_times, files.weather, files.holidays)
     else:
-        wait_times = _require(cfg.get("ingest", "wait-times"), "[ingest] wait-times")
-        weather = _require(cfg.get("ingest", "weather"), "[ingest] weather")
-        holidays = _require(cfg.get("ingest", "holidays"), "[ingest] holidays")
+        paths = _resolve(_INPUTS, cp, ["ingest"])
+        inputs = (paths["wait-times"], paths["weather"], paths["holidays"])
 
-    datasets, hours = _ingest_datasets(wait_times, weather, holidays)
+    datasets, hours = _ingest_datasets(*inputs)
     if not datasets:
         raise DataError("no observations survived ingestion; nothing to train on")
     _emit(write_observations(list(datasets.values())), out_dir / "observations.csv")
 
-    flagless = argparse.Namespace(min_samples=None, min_gain=None, max_depth=None)
     trained = {}
     for (vehicle, direction), ds in datasets.items():
-        tree = cart.grow_tree(ds, _train_config(flagless, cfg, vehicle, direction))
+        tree = cart.grow_tree(ds, _train_config(cp, vehicle, direction))
         trained[(vehicle, direction)] = tree
         stem = f"{vehicle.label}_{direction.label}"
         _emit(report.export_tree(tree, "json"), out_dir / "trees" / f"tree_{stem}.json")
         _emit(report.export_tree(tree, "dot"), out_dir / "trees" / f"tree_{stem}.dot")
         _emit(report.export_tree(tree, "text"), out_dir / "trees" / f"tree_{stem}.txt")
-        _emit(
-            report.pattern_frequencies_csv(pattern_frequencies(ds)),
-            out_dir / "reports" / f"pattern_freq_{stem}.csv",
-        )
+        _emit(report.pattern_frequencies_csv(pattern_frequencies(ds)), out_dir / "reports" / f"pattern_freq_{stem}.csv")
         for bridge in ds.bridges:
             dist = report.hourly_distribution(hours, bridge, direction, vehicle)
-            _emit(
-                report.hourly_distribution_csv(dist),
-                out_dir / "reports" / f"hourly_dist_{bridge.name}_{stem}.csv",
-            )
+            _emit(report.hourly_distribution_csv(dist), out_dir / "reports" / f"hourly_dist_{bridge.name}_{stem}.csv")
     _emit(report.factor_summary_csv(report.factor_summary(trained)), out_dir / "reports" / "factors.csv")
     logger.info("pipeline artifacts under %s", out_dir)
     return 0
 
 
+# Subcommand -> (help, config section, settings, handler). The handler gets
+# the resolved settings, the config and the raw flags.
+COMMANDS = {
+    "synth": ("generate synthetic input files", "synth", (Setting("out-dir"), *_SYNTH), cmd_synth),
+    "ingest": ("raw feeds -> observations.csv", "ingest", (*_INPUTS, Setting("out")), cmd_ingest),
+    "train": ("observations.csv -> tree json", "train", (Setting("data"), *_STREAM, *_TREE, Setting("out")), cmd_train),
+    "render": (
+        "tree json -> dot/text", "render", (Setting("tree"), Setting("format", report.tree_format), _STDOUT), cmd_render,
+    ),
+    "report pattern-freq": (
+        "pattern frequency histogram", "report", (Setting("data"), *_STREAM, _STDOUT), cmd_report_pattern_freq,
+    ),
+    "report hourly-dist": (
+        "hourly delay-type distribution", "report",
+        (Setting("wait-times"), Setting("bridge", _member(Bridge)), *_STREAM, _STDOUT), cmd_report_hourly_dist,
+    ),
+    "report factors": (
+        "influential-factor summary across trees", "report",
+        (Setting("trees", _words, REQUIRED, {"nargs": "+"}), _STDOUT), cmd_report_factors,
+    ),
+    "pipeline": (
+        "run synth/ingest/train/render/report from one config", "pipeline",
+        (Setting("out-dir", str, "out"),), cmd_pipeline,
+    ),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="delaytree", description=__doc__)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, (summary, section, settings, handler) in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group, help="summary artifacts").add_subparsers(
+                dest="report_kind", required=True
+            )
+        p = groups[group].add_parser(name, help=summary)
+        p.add_argument("--config", required=command == "pipeline")
+        for setting in settings:
+            if setting.flag is not None:
+                p.add_argument(f"--{setting.name}", dest=setting.name, **setting.flag)
+        p.set_defaults(spec=(section, settings, handler))
+    return parser
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        section, settings, handler = args.spec
+        flags = vars(args)
+        cp = _config(args.config)
+        return handler(_resolve(settings, cp, [section], flags), cp, flags)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -10,16 +10,9 @@ raise plain ValueError.
 class DataError(Exception):
     """Raised when an input file or record violates the data contract."""
 
-    def __init__(self, message, *, file=None, line=None):
-        self.file = file
+    def __init__(self, message, *, line=None):
         self.line = line
-        parts = []
-        if file is not None:
-            parts.append(str(file))
-        if line is not None:
-            parts.append(f"line {line}")
-        prefix = ": ".join(parts)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class UsageError(Exception):

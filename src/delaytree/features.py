@@ -5,14 +5,12 @@ weather fields, and the fixed schema the tree learner splits on.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import IntEnum
 
 from .errors import DataError
-from .ingest import HourlyWait, WeatherRecord
+from .ingest import HourlyWait, WeatherRecord, csv_rows
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -60,17 +58,8 @@ class HolidayCalendar:
 
 def parse_holidays(text: str) -> tuple[HolidayCalendar, HolidayCalendar]:
     """Parse holidays.csv (`date,country`) into the (US, CA) calendars."""
-    reader = csv.reader(io.StringIO(text))
-    rows = iter(reader)
-    header = next(rows, None)
-    if header is None or [c.strip() for c in header] != HOLIDAYS_HEADER:
-        raise DataError(f"expected header {','.join(HOLIDAYS_HEADER)!r}", line=1)
     dates: dict[Country, set[date]] = {Country.US: set(), Country.CA: set()}
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"expected 2 fields, got {len(row)}", line=line)
+    for line, row in csv_rows(text, HOLIDAYS_HEADER):
         try:
             day = date.fromisoformat(row[0].strip())
         except ValueError:

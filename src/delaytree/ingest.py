@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import IntEnum
+from typing import Iterator
 
 from .errors import DataError
 
@@ -126,9 +127,20 @@ def _parse_float(raw: str, what: str, line: int) -> float:
     return value
 
 
-def _check_header(row: list[str] | None, expected: list[str]) -> None:
-    if row is None or [c.strip() for c in row] != expected:
-        raise DataError(f"expected header {','.join(expected)!r}", line=1)
+def csv_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, fields) for each data row of CSV text whose first row
+    is `header`. Blank lines are skipped; every other row must have exactly
+    len(header) fields."""
+    rows = csv.reader(io.StringIO(text))
+    first = next(rows, None)
+    if first is None or [c.strip() for c in first] != header:
+        raise DataError(f"expected header {','.join(header)!r}", line=1)
+    for line, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"expected {len(header)} fields, got {len(row)}", line=line)
+        yield line, row
 
 
 def parse_wait_times(text: str) -> list[RawWaitTimeRecord]:
@@ -138,15 +150,8 @@ def parse_wait_times(text: str) -> list[RawWaitTimeRecord]:
     RB+commercial rows (trucks are not allowed on RB); errors carry the
     1-based line number.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = iter(reader)
-    _check_header(next(rows, None), WAIT_TIMES_HEADER)
     records = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise DataError(f"expected 5 fields, got {len(row)}", line=line)
+    for line, row in csv_rows(text, WAIT_TIMES_HEADER):
         ts = _parse_timestamp(row[0], line)
         bridge = _parse_enum(Bridge, row[1], "bridge", line)
         direction = _parse_enum(Direction, row[2], "direction", line)
@@ -166,15 +171,8 @@ def parse_weather(text: str) -> list[WeatherRecord]:
     Visibility must be an integer in 1..10 and precipitation non-negative.
     Temperatures below 0 degF are accepted (the frontier sees them).
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = iter(reader)
-    _check_header(next(rows, None), WEATHER_HEADER)
     records = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise DataError(f"expected 5 fields, got {len(row)}", line=line)
+    for line, row in csv_rows(text, WEATHER_HEADER):
         ts = _parse_timestamp(row[0], line)
         temp = _parse_float(row[1], "temperature_f", line)
         try:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import DataError
 from .features import FEATURE_SCHEMA, FeatureSchema, FeatureVector, HourObservation
-from .ingest import Bridge, Direction, Vehicle, bridges_for
+from .ingest import Bridge, Direction, Vehicle, bridges_for, csv_rows
 
 SLIGHT_MAX = 15.0
 DELAY_MAX = 30.0
@@ -239,17 +239,8 @@ def _fmt_wait(value) -> str:
 
 def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDataset]:
     """Parse observations.csv back into per-combo datasets."""
-    reader = csv.reader(io.StringIO(text))
-    rows = iter(reader)
-    header = next(rows, None)
-    if header is None or [c.strip() for c in header] != OBSERVATIONS_HEADER:
-        raise DataError("unrecognized observations.csv header", line=1)
     datasets: dict[tuple[Vehicle, Direction], PatternDataset] = {}
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(OBSERVATIONS_HEADER):
-            raise DataError(f"expected {len(OBSERVATIONS_HEADER)} fields, got {len(row)}", line=line)
+    for line, row in csv_rows(text, OBSERVATIONS_HEADER):
         try:
             hour_start = datetime.fromisoformat(row[0])
             direction = Direction[row[1].upper()]

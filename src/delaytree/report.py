@@ -22,6 +22,7 @@ from .cart import (
     SubsetRule,
     ThresholdRule,
     TreeNode,
+    bfs_nodes,
     internal_features,
 )
 from .errors import DataError, UsageError
@@ -30,18 +31,6 @@ from .ingest import Bridge, Direction, HourlyWait, Vehicle
 from .patterns import DelayCategory4, categorize
 
 TREE_FORMATS = ("json", "dot", "text")
-
-
-def _bfs_nodes(root: TreeNode) -> list[TreeNode]:
-    nodes = [root]
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if isinstance(node, Split):
-            nodes.append(node.left)
-            nodes.append(node.right)
-        i += 1
-    return nodes
 
 
 def _rule_doc(rule) -> dict:
@@ -55,6 +44,13 @@ def _rule_doc(rule) -> dict:
     }
 
 
+def tree_format(format: str) -> str:
+    """format itself if export_tree supports it; otherwise a UsageError."""
+    if format not in TREE_FORMATS:
+        raise UsageError(f"unknown tree format {format!r}; expected one of {TREE_FORMATS}")
+    return format
+
+
 def export_tree(tree: DecisionTree, format: str) -> str:
     """Serialize a tree to the requested format.
 
@@ -63,9 +59,7 @@ def export_tree(tree: DecisionTree, format: str) -> str:
     the exact prediction function. dot: Graphviz digraph, left edge "yes".
     text: indented outline.
     """
-    if format not in TREE_FORMATS:
-        raise UsageError(f"unknown tree format {format!r}; expected one of {TREE_FORMATS}")
-    if format == "json":
+    if tree_format(format) == "json":
         return _to_json(tree)
     if format == "dot":
         return _to_dot(tree)
@@ -73,7 +67,7 @@ def export_tree(tree: DecisionTree, format: str) -> str:
 
 
 def _to_json(tree: DecisionTree) -> str:
-    nodes = _bfs_nodes(tree.root)
+    nodes = bfs_nodes(tree.root)
     ids = {id(node): i for i, node in enumerate(nodes)}
     docs = []
     for i, node in enumerate(nodes):
@@ -142,7 +136,7 @@ def _dot_escape(text: str) -> str:
 
 
 def _to_dot(tree: DecisionTree) -> str:
-    nodes = _bfs_nodes(tree.root)
+    nodes = bfs_nodes(tree.root)
     ids = {id(node): i for i, node in enumerate(nodes)}
     lines = ["digraph delay_tree {", "  node [shape=box];"]
     for i, node in enumerate(nodes):
@@ -243,7 +237,7 @@ def factor_summary(trees: Mapping) -> list[FactorSummary]:
     for vehicle, direction in sorted(trees, key=lambda k: (k[0], k[1])):
         tree = trees[(vehicle, direction)]
         counts: dict[str, int] = {}
-        for node in _bfs_nodes(tree.root):
+        for node in bfs_nodes(tree.root):
             if isinstance(node, Leaf):
                 counts[node.label] = counts.get(node.label, 0) + node.distribution.total
         patterns = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))

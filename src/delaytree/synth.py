@@ -1,5 +1,4 @@
-"""Seeded synthetic feeds with planted feature-to-pattern rules, plus the
-exhaustive split-search oracle the test suite checks the learner against.
+"""Seeded synthetic feeds with planted feature-to-pattern rules.
 
 Generation is a pure function of the config: one random.Random(seed)
 (Mersenne Twister, documented and stable across platforms) drives weather,
@@ -13,20 +12,15 @@ import csv
 import io
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
-from . import cart
 from .errors import UsageError
-from .features import FeatureSchema, FeatureVector, HolidayCalendar, Country, build_feature_vector
-from .ingest import Bridge, Condition, Direction, Vehicle, WeatherRecord, bridges_for
+from .features import HOLIDAYS_HEADER, Country, FeatureVector, HolidayCalendar, build_feature_vector
+from .ingest import WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, Vehicle, WeatherRecord, bridges_for
 from .patterns import DelayPattern
-
-BRUTE_FORCE_MAX_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -143,8 +137,8 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     wait_csv = csv.writer(wait_buf, lineterminator="\n")
     weather_csv = csv.writer(weather_buf, lineterminator="\n")
     log_csv = csv.writer(log_buf, lineterminator="\n")
-    wait_csv.writerow(["timestamp", "bridge", "direction", "vehicle_type", "wait_minutes"])
-    weather_csv.writerow(["timestamp", "temperature_f", "visibility", "precipitation_in", "condition"])
+    wait_csv.writerow(WAIT_TIMES_HEADER)
+    weather_csv.writerow(WEATHER_HEADER)
     log_csv.writerow(["hour_start", "intended_pattern", "flipped"])
 
     day = cfg.start
@@ -198,7 +192,7 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     )
     holiday_buf = io.StringIO()
     holiday_csv = csv.writer(holiday_buf, lineterminator="\n")
-    holiday_csv.writerow(["date", "country"])
+    holiday_csv.writerow(HOLIDAYS_HEADER)
     holiday_csv.writerows(holiday_rows)
 
     out = SynthOutput(
@@ -212,50 +206,3 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     out.holidays.write_text(holiday_buf.getvalue(), encoding="utf-8")
     out.emission_log.write_text(log_buf.getvalue(), encoding="utf-8")
     return out
-
-
-def _gini_fraction(labels: Sequence[str]) -> Fraction:
-    n = len(labels)
-    return 1 - sum(Fraction(c, n) ** 2 for c in Counter(labels).values())
-
-
-def brute_force_best_split(rows, schema: FeatureSchema) -> Optional[cart.SplitCandidate]:
-    """Reference split search: score every candidate rule by materializing
-    its partition and evaluating the impurity formulas in exact rational
-    arithmetic, rounding to float only at the end.
-
-    Same candidate space and tie-break order as the learner; serves as the
-    independent oracle for cart.best_split.
-    """
-    if len(rows) > BRUTE_FORCE_MAX_ROWS:
-        raise UsageError(f"brute force capped at {BRUTE_FORCE_MAX_ROWS} rows")
-    all_labels = [str(row[1]) for row in rows]
-    parent_gini = _gini_fraction(all_labels) if rows else None
-    n = len(rows)
-    best: Optional[cart.SplitCandidate] = None
-    for spec in schema:
-        for cand in cart.enumerate_splits(rows, spec.name, schema):
-            rule = cand.rule
-            left_labels = []
-            right_labels = []
-            for row in rows:
-                if rule.goes_left(row[0][rule.feature]):
-                    left_labels.append(str(row[1]))
-                else:
-                    right_labels.append(str(row[1]))
-            gain_exact = (
-                parent_gini
-                - Fraction(len(left_labels), n) * _gini_fraction(left_labels)
-                - Fraction(len(right_labels), n) * _gini_fraction(right_labels)
-            )
-            gain = float(gain_exact)
-            if best is None or gain > best.gain:
-                best = cart.SplitCandidate(
-                    rule,
-                    gain,
-                    cart.ClassDistribution.from_labels(left_labels),
-                    cart.ClassDistribution.from_labels(right_labels),
-                )
-    if best is None or not best.gain > 0.0:
-        return None
-    return best

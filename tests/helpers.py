@@ -1,5 +1,6 @@
 """Shared test builders: canned feature vectors, random training sets for
-oracle-equivalence checks, and the engineered stopping-rule datasets.
+oracle-equivalence checks, the engineered stopping-rule datasets, and the
+brute-force split-search oracle the learner is checked against.
 
 Everything here is deterministic given its seed; no use of hash(), whose
 salt changes per process.
@@ -8,9 +9,13 @@ salt changes per process.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from typing import Optional, Sequence
 
+from delaytree import cart
 from delaytree.cart import TrainingSet
+from delaytree.errors import UsageError
 from delaytree.features import (
     CATEGORICAL,
     CONTINUOUS,
@@ -120,3 +125,53 @@ def exact_binary_gain(left_counts: dict, right_counts: dict) -> Fraction:
 # exactly 1/250 = 0.004 and 3/500 = 0.006 respectively.
 GAIN_0004_SIDES = ({PATTERN_A: 0, PATTERN_B: 80}, {PATTERN_A: 9, PATTERN_B: 91})
 GAIN_0006_SIDES = ({PATTERN_A: 4, PATTERN_B: 96}, {PATTERN_A: 18, PATTERN_B: 102})
+
+
+BRUTE_FORCE_MAX_ROWS = 10_000
+
+
+def _gini_fraction(labels: Sequence[str]) -> Fraction:
+    n = len(labels)
+    return 1 - sum(Fraction(c, n) ** 2 for c in Counter(labels).values())
+
+
+def brute_force_best_split(rows, schema: FeatureSchema) -> Optional[cart.SplitCandidate]:
+    """Reference split search: score every candidate rule by materializing
+    its partition and evaluating the impurity formulas in exact rational
+    arithmetic, rounding to float only at the end.
+
+    Same candidate space and tie-break order as the learner; serves as the
+    independent oracle for cart.best_split.
+    """
+    if len(rows) > BRUTE_FORCE_MAX_ROWS:
+        raise UsageError(f"brute force capped at {BRUTE_FORCE_MAX_ROWS} rows")
+    all_labels = [str(row[1]) for row in rows]
+    parent_gini = _gini_fraction(all_labels) if rows else None
+    n = len(rows)
+    best: Optional[cart.SplitCandidate] = None
+    for spec in schema:
+        for cand in cart.enumerate_splits(rows, spec.name, schema):
+            rule = cand.rule
+            left_labels = []
+            right_labels = []
+            for row in rows:
+                if rule.goes_left(row[0][rule.feature]):
+                    left_labels.append(str(row[1]))
+                else:
+                    right_labels.append(str(row[1]))
+            gain_exact = (
+                parent_gini
+                - Fraction(len(left_labels), n) * _gini_fraction(left_labels)
+                - Fraction(len(right_labels), n) * _gini_fraction(right_labels)
+            )
+            gain = float(gain_exact)
+            if best is None or gain > best.gain:
+                best = cart.SplitCandidate(
+                    rule,
+                    gain,
+                    cart.ClassDistribution.from_labels(left_labels),
+                    cart.ClassDistribution.from_labels(right_labels),
+                )
+    if best is None or not best.gain > 0.0:
+        return None
+    return best

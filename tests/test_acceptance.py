@@ -28,6 +28,7 @@ from delaytree.patterns import DelayCategory4, DelayPattern, all_patterns, assem
 from helpers import (
     GAIN_0004_SIDES,
     GAIN_0006_SIDES,
+    brute_force_best_split,
     random_training_set,
     weekend_split_set,
 )
@@ -97,7 +98,7 @@ def test_criterion_2_oracle_equivalence():
                 node, rows = stack.pop()
                 if isinstance(node, Leaf):
                     continue
-                oracle = synth.brute_force_best_split(rows, ts.schema)
+                oracle = brute_force_best_split(rows, ts.schema)
                 assert oracle is not None
                 assert node.rule == oracle.rule, f"seed {seed}: {node.rule} != {oracle.rule}"
                 assert abs(node.gain - oracle.gain) <= 1e-12

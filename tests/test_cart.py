@@ -1,6 +1,6 @@
 """Learner tests. Expected values for the derived cases are computed by
 independent means: exact-rational evaluation of the impurity formulas, and
-the exhaustive brute-force split search in delaytree.synth."""
+the exhaustive brute-force split search in tests/helpers.py."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaytree import cart, synth
+from delaytree import cart
 from delaytree.cart import ClassDistribution, Leaf, Split, TrainConfig, TrainingSet
 from delaytree.features import CATEGORICAL, CONTINUOUS, FeatureSchema, FeatureSpec
 from delaytree.report import export_tree
@@ -17,6 +17,7 @@ from delaytree.report import export_tree
 from helpers import (
     GAIN_0004_SIDES,
     GAIN_0006_SIDES,
+    brute_force_best_split,
     exact_binary_gain,
     make_fv,
     random_training_set,
@@ -195,7 +196,7 @@ def test_best_split_matches_oracle_seed7():
         feats = {"f0": float(rng.randint(0, 8)), "f1": rng.choice("abcd"), "f2": rng.randint(0, 1)}
         rows.append((feats, rng.choice(["c0", "c1", "c2"])))
     fast = cart.best_split(rows, schema)
-    slow = synth.brute_force_best_split(rows, schema)
+    slow = brute_force_best_split(rows, schema)
     assert fast.rule == slow.rule
     assert abs(fast.gain - slow.gain) <= 1e-12
 
@@ -228,7 +229,7 @@ def test_best_split_lexicographic_subset_tie_break():
     gains = {c.rule.left_levels: c.gain for c in cart.enumerate_splits(rows, "k", schema)}
     assert gains[("a",)] == gains[("a", "b")] == 0.25
     best = cart.best_split(rows, schema)
-    oracle = synth.brute_force_best_split(rows, schema)
+    oracle = brute_force_best_split(rows, schema)
     assert best.rule == oracle.rule
     assert best.rule.left_levels == ("a",)
 
@@ -344,7 +345,7 @@ def test_grow_every_split_matches_oracle():
         def verify(node, rows):
             if isinstance(node, Leaf):
                 return
-            oracle = synth.brute_force_best_split(rows, ts.schema)
+            oracle = brute_force_best_split(rows, ts.schema)
             assert oracle is not None
             assert node.rule == oracle.rule
             assert abs(node.gain - oracle.gain) <= 1e-12

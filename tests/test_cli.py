@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from delaytree import cli
 from delaytree.cli import main, parse_rule
 from delaytree.errors import UsageError
 from delaytree.ingest import Bridge
@@ -215,6 +216,13 @@ def test_config_supplies_values_and_flags_override(corpus, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["nodes"][0]["kind"] == "split"
 
+    # A [train.<vehicle>.<direction>] section beats [train] for that dataset.
+    with cfg.open("a") as fh:
+        fh.write("[train.passenger.to_us]\nmin-samples = 100\n")
+    out = tmp_path / "per_stream.json"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "overridden.json").read_bytes()
+
 
 def test_pipeline_smoke(tmp_path):
     cfg = tmp_path / "pipe.cfg"
@@ -239,12 +247,16 @@ def test_train_rerun_is_byte_identical(corpus, tmp_path):
 
 def test_data_error_names_file_and_line(corpus, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("timestamp,bridge,direction,vehicle_type,wait_minutes\nnope,PB,to_us,passenger,1\n")
-    rc = main(["ingest", "--wait-times", str(bad), "--weather", str(corpus / "data" / "weather.csv"),
-               "--holidays", str(corpus / "data" / "holidays.csv"), "--out", str(tmp_path / "o.csv")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "bad.csv" in err and "line 2" in err
+    for content in (
+        b"timestamp,bridge,direction,vehicle_type,wait_minutes\nnope,PB,to_us,passenger,1\n",
+        b"timestamp,bridge,direction,vehicle_type,wait_minutes\n\xff\n",  # not UTF-8
+    ):
+        bad.write_bytes(content)
+        rc = main(["ingest", "--wait-times", str(bad), "--weather", str(corpus / "data" / "weather.csv"),
+                   "--holidays", str(corpus / "data" / "holidays.csv"), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "line 2" in err
 
 
 def test_invalid_log_env_warns_but_runs(corpus, tmp_path, capsys, monkeypatch):
@@ -275,3 +287,92 @@ def test_parse_rule():
 def test_parse_rule_rejects(text):
     with pytest.raises(UsageError):
         parse_rule(text)
+
+
+@pytest.mark.parametrize(
+    "content, code, named",
+    [
+        ("[train]\ndata = {tmp}/a%b.csv\nvehicle = passenger\ndirection = to_us\nout = t.json\n", 2, "a%b.csv"),
+        ("[train]\ndata = caf\u00e9.csv\n", 1, "bad.cfg"),  # written as Latin-1, not UTF-8
+    ],
+)
+def test_config_file_text_is_taken_literally(tmp_path, capsys, content, code, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(content.format(tmp=tmp_path).encode("latin-1"))
+    assert main(["train", "--config", str(cfg)]) == code
+    assert named in capsys.readouterr().err
+
+
+RULE_A = "weekend=1 => PB+17 => delay-slight delay-slight delay"
+RULE_B = "weekend=0 => LQ+17 => slight delay-slight delay-delay"
+
+# Per setting: a valid text, another valid text, and a bad text (None when
+# any text is valid). An empty flag text means the flag with no argument.
+VALUES = {
+    "start": ("2016-09-05", "2016-09-12", "2016-13-01"),
+    "end": ("2016-10-16", "2016-10-23", "16/10/2016"),
+    "seed": ("7", "8", "seven"),
+    "vehicle": ("passenger", "commercial", "bike"),
+    "direction": ("to_us", "to_can", "north"),
+    "bridge": ("PB", "LQ", "ZZ"),
+    "base-pb": ("5", "6.5", "five"),
+    "base-rb": ("5", "6.5", "five"),
+    "base-lq": ("5", "6.5", "five"),
+    "jitter": ("1.0", "0.5", "some"),
+    "label-flip": ("0.05", "0.1", "few"),
+    "rule": (RULE_A, RULE_B, "weekend=1 => PB+17"),
+    "us-holidays": ("2016-09-05", "2016-09-05 2016-11-24", "2016-02-30"),
+    "ca-holidays": ("2016-10-10", "2016-07-01, 2016-10-10", "Thanksgiving"),
+    "min-samples": ("100", "5", "many"),
+    "min-gain": ("0.005", "0", "tiny"),
+    "max-depth": ("3", "4", "deep"),
+    "trees": ("a.json", "b.json", ""),
+    "format": ("dot", "text", "gif"),
+}
+PATHS = ("a%b.csv", "c d.csv", None)  # every other setting is a path
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_option_table(command, tmp_path, monkeypatch, capsys):
+    """Flag beats config beats default, for every setting of every subcommand."""
+    summary, section, settings, _ = cli.COMMANDS[command]
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, command, (summary, section, settings, lambda o, cp, flags: seen.append(o) or 0))
+    cfg = tmp_path / "c.cfg"
+
+    def run(flags, config):
+        cfg.write_text(f"[{section}]\n" + "".join(f"{key} = {text}\n" for key, text in config.items()))
+        argv = command.split() + ["--config", str(cfg)]
+        for name, text in flags.items():
+            argv += [f"--{name}"] + ([text] if text else [])
+        seen.clear()
+        code = main(argv)
+        return code, capsys.readouterr().err, seen[0] if seen else None
+
+    def value(setting, text):
+        """The resolved value of one flag or config text."""
+        kind = setting.flag or {}
+        if kind.get("action") == "append":
+            return (setting.convert(text),)
+        return setting.convert([text] if "nargs" in kind else text)
+
+    required = {s.name: VALUES.get(s.name, PATHS)[0] for s in settings if s.default is cli.REQUIRED}
+    for s in settings:
+        a, b, bad = VALUES.get(s.name, PATHS)
+        others = {name: text for name, text in required.items() if name != s.name}
+        if s.default is cli.REQUIRED:
+            assert run(others, {})[:2] == (1, f"error: missing --{s.name}\n")
+        else:
+            assert run(others, {})[2][s.name] == s.default
+        assert run(others, {s.name: a})[2][s.name] == value(s, a)
+        if s.flag is not None:
+            flagged = run({**others, s.name: b}, {s.name: a})[2][s.name]
+            if s.flag.get("action") == "append":  # --rule adds to the config's rules
+                assert flagged == value(s, b) + value(s, a)
+            else:
+                assert flagged == value(s, b)
+        if bad is not None:
+            sources = [({}, {s.name: bad})] + ([({s.name: bad}, {})] if s.flag is not None else [])
+            for flags, config in sources:
+                code, err, _ = run({**others, **flags}, config)
+                assert code == 1 and s.name in err, (flags, config, err)

@@ -24,7 +24,7 @@ from delaytree.ingest import (
 )
 from delaytree.patterns import DelayPattern, assemble_rows
 
-from helpers import random_training_set, weekend_split_set
+from helpers import brute_force_best_split, random_training_set, weekend_split_set
 
 P_BASE = "slight delay-slight delay-slight delay"
 P_RULE = "delay-slight delay-slight delay"
@@ -183,12 +183,12 @@ def test_holidays_file_written(tmp_path):
 
 def test_brute_force_pure_rows_none():
     ts = weekend_split_set({"A": 5}, {"A": 6})
-    assert synth.brute_force_best_split(ts.rows, ts.schema) is None
+    assert brute_force_best_split(ts.rows, ts.schema) is None
 
 
 def test_brute_force_single_binary_feature():
     ts = weekend_split_set({"A": 7}, {"B": 9})
-    best = synth.brute_force_best_split(ts.rows, ts.schema)
+    best = brute_force_best_split(ts.rows, ts.schema)
     assert best.rule.feature == "weekend"
     assert best.gain == gini(ClassDistribution({"A": 7, "B": 9}, 16))
 
@@ -196,7 +196,7 @@ def test_brute_force_single_binary_feature():
 def test_brute_force_row_guard():
     ts = weekend_split_set({"A": 6000}, {"B": 6000})
     with pytest.raises(UsageError, match="capped"):
-        synth.brute_force_best_split(ts.rows, ts.schema)
+        brute_force_best_split(ts.rows, ts.schema)
 
 
 def test_brute_force_agrees_with_learner_on_random_sets():
@@ -205,7 +205,7 @@ def test_brute_force_agrees_with_learner_on_random_sets():
     for seed in range(60):
         ts = random_training_set(seed + 5000, max_rows=80)
         fast = cart.best_split(ts.rows, ts.schema)
-        slow = synth.brute_force_best_split(ts.rows, ts.schema)
+        slow = brute_force_best_split(ts.rows, ts.schema)
         if fast is None:
             assert slow is None
         else:
