@@ -5,9 +5,17 @@ categorical features enumerate every canonical level subset. A node stops
 splitting when it is pure, holds fewer than min_samples rows, sits at
 max_depth, or no candidate reaches min_gain.
 
-Class labels are kept as their rendered string form (delay patterns render
-to their hyphenated labels), which makes the lexicographic tie-breaks and
-the JSON export unambiguous.
+Training encodes the rows once, on entry: each class label (its rendered
+string form, e.g. a delay pattern's hyphenated label) becomes its index in
+the sorted distinct labels, so index order is the lexicographic tie-break
+order; each categorical feature becomes a column of declared-level indexes
+and each continuous feature a column of floats. A node is a list of row
+indexes plus a per-class count list. Thresholds are scanned over the
+node's rows sorted by value, with running sums of squared class counts;
+level subsets are scanned in lexicographic order, each subset's counts
+built from its prefix subset's plus one level's. Rules and class
+distributions (keyed by the rendered labels) are built only for the
+chosen split and for the leaves.
 
 Impurities are evaluated as exact integer ratios rounded once to float:
 gini = 1 - sum(counts^2)/N^2 and the gain's closed form over a common
@@ -19,11 +27,12 @@ subset) is deterministic and matches the brute-force oracle bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .features import CONTINUOUS, FeatureSchema
+from .features import CATEGORICAL, CONTINUOUS, FeatureSchema
 
 
 @dataclass(frozen=True)
@@ -168,10 +177,118 @@ class TrainingSet(NamedTuple):
     rows: list
 
 
-def _values_labels(rows, feature: str):
-    values = [row[0][feature] for row in rows]
+class _Encoded(NamedTuple):
+    """Rows encoded once for training.
+
+    classes: the distinct rendered labels, sorted; y: each row's index into
+    classes; columns: per spec, the rows' declared-level indexes
+    (categorical) or floats (continuous).
+    """
+
+    specs: tuple
+    classes: list
+    y: list
+    columns: list
+
+
+def _encode(rows, specs) -> _Encoded:
+    specs = tuple(specs)
     labels = [str(row[1]) for row in rows]
-    return values, labels
+    classes = sorted(set(labels))
+    code = {label: i for i, label in enumerate(classes)}
+    columns = [_encode_column(spec, [row[0][spec.name] for row in rows]) for spec in specs]
+    return _Encoded(specs, classes, [code[label] for label in labels], columns)
+
+
+def _encode_column(spec, values) -> list:
+    if spec.kind == CONTINUOUS:
+        column = [float(value) for value in values]
+        for value in column:
+            if not math.isfinite(value):
+                raise ValueError(f"value {value!r} of {spec.name!r} is not finite")
+        return column
+    level_index = {level: i for i, level in enumerate(spec.levels)}
+    for value in values:
+        if value not in level_index:
+            raise ValueError(f"value {value!r} is not a declared level of {spec.name!r}")
+    return [level_index[value] for value in values]
+
+
+def _class_counts(y, idx, k: int) -> list:
+    counts = [0] * k
+    for i in idx:
+        counts[y[i]] += 1
+    return counts
+
+
+def _distribution(classes, counts) -> ClassDistribution:
+    return ClassDistribution({classes[c]: n for c, n in enumerate(counts) if n}, sum(counts))
+
+
+def _threshold_scan(column, y, idx, counts):
+    """(gain, threshold, left counts) at every midpoint between consecutive
+    distinct values of the node's rows, ascending. The sums of squared
+    counts on each side are kept as running totals."""
+    order = sorted(idx, key=column.__getitem__)
+    values = [column[i] for i in order]
+    n = len(order)
+    sp = sum(c * c for c in counts)
+    left = [0] * len(counts)
+    right = list(counts)
+    sl, sr = 0, sp
+    for nl, c, here, after in zip(range(1, n), [y[i] for i in order], values, values[1:]):
+        sl += 2 * left[c] + 1
+        left[c] += 1
+        right[c] -= 1
+        sr -= 2 * right[c] + 1
+        if here != after:
+            yield _gain_from_squares(sp, sl, sr, n, nl, n - nl), (here + after) / 2.0, left
+
+
+def _subset_scan(column, y, idx, counts):
+    """(gain, level-index subset, left counts) for every canonical subset of
+    the levels present at the node, in lexicographic order. A subset's left
+    counts are those of its prefix subset[:-1], which sorts earlier, plus
+    one level's."""
+    k = len(counts)
+    per_level: dict[int, list] = {}
+    for i in idx:
+        level_counts = per_level.get(column[i])
+        if level_counts is None:
+            level_counts = per_level[column[i]] = [0] * k
+        level_counts[y[i]] += 1
+    head = sorted(per_level)[:-1]
+    subsets = sorted(
+        itertools.chain.from_iterable(
+            itertools.combinations(head, size) for size in range(1, len(head) + 1)
+        )
+    )
+    n = sum(counts)
+    sp = sum(c * c for c in counts)
+    sizes = {level: sum(level_counts) for level, level_counts in per_level.items()}
+    lefts = {(): ([0] * k, 0)}
+    for subset in subsets:
+        prefix, nl = lefts[subset[:-1]]
+        left = [a + b for a, b in zip(prefix, per_level[subset[-1]])]
+        nl += sizes[subset[-1]]
+        lefts[subset] = (left, nl)
+        sl = sum(c * c for c in left)
+        sr = sum((p - c) * (p - c) for p, c in zip(counts, left))
+        yield _gain_from_squares(sp, sl, sr, n, nl, n - nl), subset, left
+
+
+_SCANS = {CONTINUOUS: _threshold_scan, CATEGORICAL: _subset_scan}
+
+
+def _rule(spec, key, present) -> SplitRule:
+    """The rule for a scanned candidate; present: the node's level indexes."""
+    if spec.kind == CONTINUOUS:
+        return ThresholdRule(spec.name, key)
+    return SubsetRule(
+        spec.name,
+        tuple(spec.levels[i] for i in key),
+        tuple(spec.levels[i] for i in present if i not in key),
+    )
 
 
 def enumerate_splits(rows, feature: str, schema: FeatureSchema) -> list[SplitCandidate]:
@@ -184,144 +301,129 @@ def enumerate_splits(rows, feature: str, schema: FeatureSchema) -> list[SplitCan
     of declared level indexes. A constant feature yields no candidates.
     """
     spec = schema.spec(feature)
-    values, labels = _values_labels(rows, feature)
-    parent = ClassDistribution.from_labels(labels)
-    if spec.kind == CONTINUOUS:
-        return list(_continuous_candidates(feature, values, labels, parent))
-    return list(_subset_candidates(spec, values, labels, parent))
-
-
-def _continuous_candidates(
-    feature: str, values, labels, parent: ClassDistribution
-) -> Iterator[SplitCandidate]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    left_counts: Counter = Counter()
-    n = len(values)
-    for pos, idx in enumerate(order):
-        left_counts[labels[idx]] += 1
-        if pos + 1 == n:
-            break
-        here, after = values[idx], values[order[pos + 1]]
-        if here == after:
-            continue
-        threshold = (here + after) / 2.0
-        left = ClassDistribution(dict(left_counts), pos + 1)
-        right = _remainder(parent, left)
-        yield SplitCandidate(
-            ThresholdRule(feature, threshold),
-            information_gain(parent, left, right),
-            left,
-            right,
+    data = _encode(rows, [spec])
+    column = data.columns[0]
+    idx = range(len(column))
+    counts = _class_counts(data.y, idx, len(data.classes))
+    present = sorted(set(column))
+    return [
+        SplitCandidate(
+            _rule(spec, key, present),
+            gain,
+            _distribution(data.classes, left),
+            _distribution(data.classes, [p - c for p, c in zip(counts, left)]),
         )
+        for gain, key, left in _SCANS[spec.kind](column, data.y, idx, counts)
+    ]
 
 
-def _subset_candidates(spec, values, labels, parent: ClassDistribution) -> Iterator[SplitCandidate]:
-    level_index = {level: i for i, level in enumerate(spec.levels)}
-    per_level: dict[int, Counter] = {}
-    for value, label in zip(values, labels):
-        if value not in level_index:
-            raise ValueError(f"value {value!r} is not a declared level of {spec.name!r}")
-        per_level.setdefault(level_index[value], Counter())[label] += 1
-    present = sorted(per_level)
-    if len(present) < 2:
-        return
-    head = present[:-1]
-    subsets = sorted(
-        itertools.chain.from_iterable(
-            itertools.combinations(head, size) for size in range(1, len(head) + 1)
-        )
-    )
-    for subset in subsets:
-        left_counts: Counter = Counter()
-        for level_idx in subset:
-            left_counts.update(per_level[level_idx])
-        left = ClassDistribution(dict(left_counts), sum(left_counts.values()))
-        right = _remainder(parent, left)
-        left_levels = tuple(spec.levels[i] for i in subset)
-        right_levels = tuple(
-            spec.levels[i] for i in present if i not in subset
-        )
-        yield SplitCandidate(
-            SubsetRule(spec.name, left_levels, right_levels),
-            information_gain(parent, left, right),
-            left,
-            right,
-        )
-
-
-def _remainder(parent: ClassDistribution, left: ClassDistribution) -> ClassDistribution:
-    counts = {}
-    for label, count in parent.counts.items():
-        rest = count - left.counts.get(label, 0)
-        if rest:
-            counts[label] = rest
-    return ClassDistribution(counts, parent.total - left.total)
-
-
-def best_split(rows, schema: FeatureSchema) -> Optional[SplitCandidate]:
-    """The maximum-gain candidate across all features, or None if no
-    candidate has strictly positive gain.
+def _best_candidate(data: _Encoded, idx, counts):
+    """(gain, feature position, key) of the node's best candidate, or None
+    if no candidate has strictly positive gain.
 
     Candidates are scanned in tie-break order (schema feature order, then
     ascending threshold / lexicographic subset), and only a strictly
     greater gain displaces the incumbent, so the first of any equal-gain
     group wins.
     """
-    best: Optional[SplitCandidate] = None
-    for spec in schema:
-        for cand in enumerate_splits(rows, spec.name, schema):
-            if best is None or cand.gain > best.gain:
-                best = cand
-    if best is None or not best.gain > 0.0:
-        return None
+    best = None
+    top = 0.0
+    for f, spec in enumerate(data.specs):
+        for gain, key, _ in _SCANS[spec.kind](data.columns[f], data.y, idx, counts):
+            if gain > top:
+                top = gain
+                best = (gain, f, key)
     return best
 
 
+def _apply(data: _Encoded, f: int, key, idx):
+    """The rule of a scanned candidate and the node's row indexes on its
+    left and right side."""
+    spec = data.specs[f]
+    column = data.columns[f]
+    if spec.kind == CONTINUOUS:
+        left = [i for i in idx if column[i] <= key]
+        right = [i for i in idx if column[i] > key]
+        return _rule(spec, key, None), left, right
+    chosen = frozenset(key)
+    left = [i for i in idx if column[i] in chosen]
+    right = [i for i in idx if column[i] not in chosen]
+    return _rule(spec, key, sorted({column[i] for i in idx})), left, right
+
+
+def best_split(rows, schema: FeatureSchema) -> Optional[SplitCandidate]:
+    """The maximum-gain candidate across all features, or None if no
+    candidate has strictly positive gain; ties go to the first candidate in
+    tie-break order (schema feature order, then ascending threshold /
+    lexicographic subset)."""
+    data = _encode(rows, schema)
+    k = len(data.classes)
+    idx = range(len(data.y))
+    found = _best_candidate(data, idx, _class_counts(data.y, idx, k))
+    if found is None:
+        return None
+    gain, f, key = found
+    rule, left, right = _apply(data, f, key, idx)
+    return SplitCandidate(
+        rule,
+        gain,
+        _distribution(data.classes, _class_counts(data.y, left, k)),
+        _distribution(data.classes, _class_counts(data.y, right, k)),
+    )
+
+
 def grow_tree(ds, cfg: TrainConfig = TrainConfig()) -> DecisionTree:
-    """Recursively grow a tree on ds (anything with .schema and .rows).
+    """Grow a tree on ds (anything with .schema and .rows).
 
     A node becomes a leaf when it is pure, has fewer than cfg.min_samples
     rows, sits at cfg.max_depth, or its best split gains less than
     cfg.min_gain. Leaf labels are the majority class, ties resolved to the
     lexicographically smallest label.
+
+    Growth uses an explicit stack, so depth is not bounded by the
+    interpreter's recursion limit: a node's children are grown left then
+    right, and its Split is built once both are on `done`.
     """
     rows = list(ds.rows)
     if not rows:
         raise ValueError("cannot grow a tree on an empty dataset")
     schema = ds.schema
-    root = _grow(rows, schema, cfg, 0)
+    data = _encode(rows, schema)
+    k = len(data.classes)
+    done: list[TreeNode] = []
+    # (row indexes, depth) of a node to grow, or (rule, gain, distribution)
+    # of a split whose two children are the last two entries of `done`.
+    work: list[tuple] = [(list(range(len(rows))), 0)]
+    while work:
+        item = work.pop()
+        if len(item) == 3:
+            right = done.pop()
+            left = done.pop()
+            done.append(Split(*item, left, right))
+            continue
+        idx, depth = item
+        counts = _class_counts(data.y, idx, k)
+        dist = _distribution(data.classes, counts)
+        found = None
+        if (
+            len(dist.counts) > 1
+            and len(idx) >= cfg.min_samples
+            and (cfg.max_depth is None or depth < cfg.max_depth)
+        ):
+            found = _best_candidate(data, idx, counts)
+        if found is None or found[0] < cfg.min_gain:
+            done.append(Leaf(dist.majority_label(), dist))
+            continue
+        gain, f, key = found
+        rule, left, right = _apply(data, f, key, idx)
+        work.append((rule, gain, dist))
+        work.append((right, depth + 1))
+        work.append((left, depth + 1))
     return DecisionTree(
-        root,
+        done.pop(),
         schema,
         vehicle=getattr(ds, "vehicle", None),
         direction=getattr(ds, "direction", None),
-    )
-
-
-def _grow(rows, schema: FeatureSchema, cfg: TrainConfig, depth: int) -> TreeNode:
-    dist = ClassDistribution.from_labels([str(row[1]) for row in rows])
-    if (
-        len(dist.counts) == 1
-        or len(rows) < cfg.min_samples
-        or (cfg.max_depth is not None and depth >= cfg.max_depth)
-    ):
-        return Leaf(dist.majority_label(), dist)
-    cand = best_split(rows, schema)
-    if cand is None or cand.gain < cfg.min_gain:
-        return Leaf(dist.majority_label(), dist)
-    left_rows = []
-    right_rows = []
-    for row in rows:
-        if cand.rule.goes_left(row[0][cand.rule.feature]):
-            left_rows.append(row)
-        else:
-            right_rows.append(row)
-    return Split(
-        cand.rule,
-        cand.gain,
-        dist,
-        _grow(left_rows, schema, cfg, depth + 1),
-        _grow(right_rows, schema, cfg, depth + 1),
     )
 
 

@@ -198,7 +198,9 @@ def aggregate_hourly(records: list[RawWaitTimeRecord]) -> list[HourlyWait]:
 
     Hours outside 7..21 are dropped. Output is sorted by the group key and
     independent of input order: sums use math.fsum, which is exact, so
-    shuffling the input cannot change any mean.
+    shuffling the input cannot change any mean. The rounded sum and the
+    division are two roundings, which can put a mean just outside its
+    samples' range, so it is clamped into [min, max].
     """
     groups: dict[tuple, list[float]] = {}
     for rec in records:
@@ -210,7 +212,7 @@ def aggregate_hourly(records: list[RawWaitTimeRecord]) -> list[HourlyWait]:
     for key in sorted(groups):
         values = groups[key]
         hour, bridge, direction, vehicle = key
-        mean = math.fsum(values) / len(values)
+        mean = min(max(math.fsum(values) / len(values), min(values)), max(values))
         out.append(HourlyWait(hour, bridge, direction, vehicle, mean, len(values)))
     return out
 

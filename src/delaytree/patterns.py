@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import IntEnum
 from typing import NamedTuple
 
 from .errors import DataError
-from .features import FEATURE_SCHEMA, FeatureSchema, FeatureVector, HourObservation
+from .features import CONTINUOUS, FEATURE_SCHEMA, FeatureSchema, FeatureVector, HourObservation
 from .ingest import Bridge, Direction, Vehicle, bridges_for, csv_rows
 
 SLIGHT_MAX = 15.0
@@ -238,7 +239,11 @@ def _fmt_wait(value) -> str:
 
 
 def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDataset]:
-    """Parse observations.csv back into per-combo datasets."""
+    """Parse observations.csv back into per-combo datasets.
+
+    Every feature value must be a declared level of FEATURE_SCHEMA or, for
+    a continuous feature, a finite number; waits must be finite too.
+    """
     datasets: dict[tuple[Vehicle, Direction], PatternDataset] = {}
     for line, row in csv_rows(text, OBSERVATIONS_HEADER):
         try:
@@ -263,6 +268,15 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
             waits = tuple(float(wait_cols[b]) for b in bridges)
         except (ValueError, KeyError) as exc:
             raise DataError(f"bad observation row: {exc}", line=line) from None
+        for spec in FEATURE_SCHEMA:
+            value = fv[spec.name]
+            if spec.kind == CONTINUOUS:
+                if not math.isfinite(value):
+                    raise DataError(f"{spec.name} {value!r} is not a finite number", line=line)
+            elif value not in spec.levels:
+                raise DataError(f"{spec.name} {value!r} is not a declared level", line=line)
+        if not all(map(math.isfinite, waits)):
+            raise DataError(f"waits {waits!r} are not all finite numbers", line=line)
         key = (vehicle, direction)
         if key not in datasets:
             datasets[key] = PatternDataset(FEATURE_SCHEMA, [], direction, vehicle)

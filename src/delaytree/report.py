@@ -21,7 +21,6 @@ from .cart import (
     Split,
     SubsetRule,
     ThresholdRule,
-    TreeNode,
     bfs_nodes,
     internal_features,
 )
@@ -110,23 +109,39 @@ def import_tree(text: str) -> DecisionTree:
             ]
         )
         by_id = {node["id"]: node for node in doc["nodes"]}
-
-        def build(node_id: int) -> TreeNode:
+        # Breadth-first from the root, so every node is listed after its
+        # parent; each id may be reached once, which rules out cycles and
+        # shared subtrees.
+        order = [0]
+        reached = {0}
+        for node_id in order:
+            node = by_id[node_id]
+            if node["kind"] != "leaf":
+                for child in node["children"]:
+                    if child in reached:
+                        raise DataError(f"malformed tree json: node {child!r} is reached twice")
+                    if child not in by_id:
+                        raise DataError(f"malformed tree json: no node has id {child!r}")
+                    reached.add(child)
+                    order.append(child)
+        built: dict = {}
+        for node_id in reversed(order):
             node = by_id[node_id]
             dist = ClassDistribution(dict(node["counts"]), node["n"])
             if node["kind"] == "leaf":
-                return Leaf(node["label"], dist)
+                built[node_id] = Leaf(node["label"], dist)
+                continue
             rule_doc = node["rule"]
             if rule_doc["kind"] == "threshold":
                 rule = ThresholdRule(rule_doc["feature"], rule_doc["threshold"])
             else:
                 rule = SubsetRule(rule_doc["feature"], tuple(rule_doc["left"]), tuple(rule_doc["right"]))
             left, right = node["children"]
-            return Split(rule, node["gain"], dist, build(left), build(right))
+            built[node_id] = Split(rule, node["gain"], dist, built.pop(left), built.pop(right))
 
         vehicle = Vehicle[doc["vehicle"].upper()] if doc.get("vehicle") else None
         direction = Direction[doc["direction"].upper()] if doc.get("direction") else None
-        return DecisionTree(build(0), schema, vehicle=vehicle, direction=direction)
+        return DecisionTree(built[0], schema, vehicle=vehicle, direction=direction)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed tree json: {exc}") from None
 
@@ -155,20 +170,19 @@ def _to_dot(tree: DecisionTree) -> str:
 
 def _to_text(tree: DecisionTree) -> str:
     lines: list[str] = []
-
-    def walk(node: TreeNode, indent: int, prefix: str) -> None:
+    stack = [(tree.root, 0, "")]
+    while stack:
+        node, indent, prefix = stack.pop()
         pad = "  " * indent
         if isinstance(node, Leaf):
             lines.append(f"{pad}{prefix}leaf {node.label!r} [n={node.distribution.total}]")
-            return
+            continue
         lines.append(
             f"{pad}{prefix}split {node.rule.describe()} "
             f"[gain={node.gain!r}, n={node.distribution.total}]"
         )
-        walk(node.left, indent + 1, "yes: ")
-        walk(node.right, indent + 1, "no: ")
-
-    walk(tree.root, 0, "")
+        stack.append((node.right, indent + 1, "no: "))
+        stack.append((node.left, indent + 1, "yes: "))
     return "\n".join(lines) + "\n"
 
 

@@ -57,9 +57,14 @@ def random_training_set(
     max_features: int = 4,
     max_levels: int = 6,
     distinct_continuous: int = 10,
+    min_levels: int = 2,
+    n_classes: tuple = (2, 4),
 ) -> TrainingSet:
     """A random mixed-feature dataset whose labels partially follow one
-    anchor feature, so grown trees have real structure to verify."""
+    anchor feature, so grown trees have real structure to verify.
+
+    Categorical features get min_levels..max_levels (at most 12) levels;
+    the class count is drawn from the inclusive range n_classes."""
     rng = random.Random(seed)
     n_features = rng.randint(1, max_features)
     specs = []
@@ -67,10 +72,10 @@ def random_training_set(
         if rng.random() < 0.5:
             specs.append(FeatureSpec(f"f{i}", CONTINUOUS))
         else:
-            k = rng.randint(2, max_levels)
-            specs.append(FeatureSpec(f"f{i}", CATEGORICAL, tuple("abcdef"[:k])))
+            k = rng.randint(min_levels, max_levels)
+            specs.append(FeatureSpec(f"f{i}", CATEGORICAL, tuple("abcdefghijkl"[:k])))
     schema = FeatureSchema(specs)
-    classes = [f"c{j}" for j in range(rng.randint(2, 4))]
+    classes = [f"c{j}" for j in range(rng.randint(*n_classes))]
     anchor = specs[rng.randrange(n_features)]
     noise = rng.uniform(0.1, 0.6)
     rows = []
@@ -87,6 +92,14 @@ def random_training_set(
             label = classes[_bucket(feats[anchor.name], len(classes))]
         rows.append((feats, label))
     return TrainingSet(schema, rows)
+
+
+def alternating_chain_set(n: int = 3000) -> TrainingSet:
+    """One continuous feature x = 0..n-1 with labels alternating A/B. Grown
+    with min_samples=1 and min_gain=0, every split peels a single row off
+    one end, so the tree is n - 1 splits deep."""
+    schema = FeatureSchema([FeatureSpec("x", CONTINUOUS)])
+    return TrainingSet(schema, [({"x": float(i)}, "AB"[i % 2]) for i in range(n)])
 
 
 def weekend_split_set(left_counts: dict, right_counts: dict) -> TrainingSet:

@@ -3,6 +3,7 @@ independent means: exact-rational evaluation of the impurity formulas, and
 the exhaustive brute-force split search in tests/helpers.py."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,51 @@ def test_grow_every_split_matches_oracle():
             verify(node.right, _node_rows(rows, node.rule, False))
 
         verify(tree.root, ts.rows)
+
+
+def test_grow_full_growth_every_split_matches_oracle():
+    # min_samples=1 reaches the small deep nodes, where a level subset
+    # scored from the wrong prefix would show first; with ten or more
+    # classes "c10" sorts before "c2".
+    cfg = TrainConfig(min_samples=1, min_gain=0.0)
+    checked = 0
+    for seed in range(10):
+        ts = random_training_set(
+            seed + 3000, max_rows=60, max_features=3, min_levels=12, max_levels=12, n_classes=(5, 11)
+        )
+        if all(spec.kind == CONTINUOUS for spec in ts.schema):
+            continue
+        checked += 1
+        stack = [(cart.grow_tree(ts, cfg).root, ts.rows)]
+        while stack:
+            node, rows = stack.pop()
+            if isinstance(node, Leaf):
+                continue
+            oracle = brute_force_best_split(rows, ts.schema)
+            assert oracle is not None
+            assert node.rule == oracle.rule
+            assert node.gain == oracle.gain
+            assert (node.left.distribution, node.right.distribution) == (oracle.left, oracle.right)
+            stack.append((node.left, _node_rows(rows, node.rule, True)))
+            stack.append((node.right, _node_rows(rows, node.rule, False)))
+    assert checked >= 5
+
+
+def test_grow_deeper_than_the_recursion_limit(chain_tree):
+    depth, node = 0, chain_tree.root
+    while isinstance(node, Split):
+        assert isinstance(node.left, Leaf) or isinstance(node.right, Leaf)
+        node = node.right if isinstance(node.left, Leaf) else node.left
+        depth += 1
+    assert depth == 2999 > sys.getrecursionlimit()
+
+
+def test_grow_rejects_undeclared_level_and_non_finite_value():
+    schema = _schema_xk()
+    with pytest.raises(ValueError, match="'z' is not a declared level of 'k'"):
+        cart.grow_tree(TrainingSet(schema, [({"x": 0.0, "k": "z"}, "A")]), TrainConfig())
+    with pytest.raises(ValueError, match="nan of 'x' is not finite"):
+        cart.grow_tree(TrainingSet(schema, [({"x": float("nan"), "k": "a"}, "A")]), TrainConfig())
 
 
 # ------------------------------------------------------------ predict

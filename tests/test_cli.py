@@ -259,6 +259,38 @@ def test_data_error_names_file_and_line(corpus, tmp_path, capsys):
         assert "bad.csv" in err and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (8, "Monsoon", "season 'Monsoon' is not a declared level"),
+        (13, "nan", "temperature_f nan is not a finite number"),
+    ],
+)
+def test_train_rejects_undeclared_level_and_non_finite_value(corpus, tmp_path, capsys, column, value, message):
+    lines = (corpus / "observations.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[column] = value
+    lines[3] = ",".join(fields)
+    bad = tmp_path / "bad_obs.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--data", str(bad), "--vehicle", "passenger", "--direction", "to_us",
+               "--out", str(tmp_path / "t.json")])
+    assert rc == 2
+    assert f"{bad}: line 4: {message}" in capsys.readouterr().err
+
+
+def test_render_cyclic_tree_exits_2(tmp_path, capsys):
+    tree = tmp_path / "cyclic.json"
+    tree.write_text(json.dumps({
+        "schema": [{"name": "x", "kind": "continuous", "levels": None}],
+        "nodes": [{"id": 0, "kind": "split", "rule": {"feature": "x", "kind": "threshold", "threshold": 0.5},
+                   "gain": 0.5, "n": 2, "counts": {"A": 1, "B": 1}, "label": None, "children": [0, 0]}],
+    }))
+    rc = main(["render", "--tree", str(tree), "--format", "text"])
+    assert rc == 2
+    assert f"{tree}: malformed tree json: node 0 is reached twice" in capsys.readouterr().err
+
+
 def test_invalid_log_env_warns_but_runs(corpus, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DELAYTREE_LOG", "chatty")
     out = tmp_path / "tree.json"

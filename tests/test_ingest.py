@@ -117,6 +117,13 @@ def test_aggregate_arithmetic_mean():
     assert out[0].sample_count == 12
 
 
+def test_aggregate_mean_stays_within_its_samples():
+    # fsum(3 * w) / 3 rounds to just below w for this w
+    wait = 5.39761367449573e-28
+    out = aggregate_hourly([rec(ts=f"2016-08-22T08:{m:02d}", wait=wait) for m in (0, 20, 40)])
+    assert out[0].mean_wait_minutes == wait
+
+
 def test_aggregate_drops_out_of_window_hours():
     records = [rec(ts="2016-08-22T06:55"), rec(ts="2016-08-22T22:00"), rec(ts="2016-08-22T07:00")]
     out = aggregate_hourly(records)

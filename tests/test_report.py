@@ -10,7 +10,7 @@ import pytest
 
 from delaytree import cart, report
 from delaytree.cart import TrainConfig
-from delaytree.errors import UsageError
+from delaytree.errors import DataError, UsageError
 from delaytree.features import CATEGORICAL, CONTINUOUS, FeatureSchema, FeatureSpec
 from delaytree.ingest import Bridge, Direction, HourlyWait, Vehicle
 from delaytree.patterns import DelayCategory4
@@ -122,6 +122,26 @@ def test_import_rejects_junk():
         report.import_tree("{not json")
     with pytest.raises(Exception):
         report.import_tree('{"schema": [], "nodes": []}')
+
+
+@pytest.mark.parametrize(
+    "children, message",
+    [([0, 0], "node 0 is reached twice"), ([1, 1], "node 1 is reached twice"), ([1, 7], "no node has id 7")],
+)
+def test_import_rejects_cyclic_shared_or_missing_children(children, message):
+    doc = json.loads(report.export_tree(weekend_tree(), "json"))
+    doc["nodes"][0]["children"] = children
+    with pytest.raises(DataError, match=f"malformed tree json: {message}"):
+        report.import_tree(json.dumps(doc))
+
+
+def test_render_and_import_deeper_than_the_recursion_limit(chain_tree):
+    text = report.export_tree(chain_tree, "json")
+    assert report.export_tree(report.import_tree(text), "json") == text
+    outline = report.export_tree(chain_tree, "text").splitlines()
+    assert len(outline) == len(cart.bfs_nodes(chain_tree.root)) == 5999
+    assert outline[0].startswith("split x <= ")
+    assert outline[-1].startswith("  " * 2999 + "no: leaf ")
 
 
 # ------------------------------------------------- hourly distribution
