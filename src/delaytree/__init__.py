@@ -41,6 +41,7 @@ from .ingest import (
     Vehicle,
     WeatherRecord,
     aggregate_hourly,
+    hourly_waits,
     join_weather,
     parse_wait_times,
     parse_weather,

@@ -2,9 +2,9 @@
 
 Subcommands: synth, ingest, train, render, report (pattern-freq,
 hourly-dist, factors), pipeline. Exit codes: 0 success, 1 usage error,
-2 data error. Every setting is a flag `--name` and a key `name` in the
-subcommand's section of the INI `--config` file: the flag beats the config,
-which beats the default. DELAYTREE_LOG={error,info,debug} controls
+2 data error, 3 internal error (any other exception: a bug). Every setting
+is a flag `--name` and a key `name` in the subcommand's section of the INI
+`--config` file: the flag beats the config, which beats the default. DELAYTREE_LOG={error,info,debug} controls
 verbosity.
 """
 
@@ -23,7 +23,9 @@ from typing import Callable, NamedTuple, Optional
 from . import cart, report, synth
 from .errors import DataError, UsageError
 from .features import CATEGORICAL, FEATURE_SCHEMA, label_hours, parse_holidays
-from .ingest import Bridge, Direction, Vehicle, aggregate_hourly, join_weather, parse_wait_times, parse_weather
+from .ingest import Bridge, Direction, Vehicle, hourly_waits, join_weather, parse_weather
+# Not called here, but perfbench/tracer.py wraps them under these names.
+from .ingest import aggregate_hourly, parse_wait_times  # noqa: F401
 from .patterns import COMBOS, DelayPattern, assemble_rows, pattern_frequencies, read_observations, write_observations
 
 logger = logging.getLogger("delaytree")
@@ -239,11 +241,10 @@ def cmd_synth(o, cp, flags) -> int:
 
 
 def _ingest_datasets(wait_times_path, weather_path, holidays_path):
-    """Parse + aggregate + join + label + assemble all four combos."""
-    waits = _parse_file(parse_wait_times, wait_times_path)
+    """Parse and aggregate + join + label + assemble all four combos."""
+    hours = _parse_file(hourly_waits, wait_times_path)
     weather = _parse_file(parse_weather, weather_path)
     us_cal, ca_cal = _parse_file(parse_holidays, holidays_path)
-    hours = aggregate_hourly(waits)
     observations = label_hours(join_weather(hours, weather), us_cal, ca_cal)
     datasets = {}
     for vehicle, direction in COMBOS:
@@ -300,7 +301,7 @@ def cmd_report_pattern_freq(o, cp, flags) -> int:
 
 
 def cmd_report_hourly_dist(o, cp, flags) -> int:
-    hours = aggregate_hourly(_parse_file(parse_wait_times, o["wait-times"]))
+    hours = _parse_file(hourly_waits, o["wait-times"])
     dist = report.hourly_distribution(hours, o["bridge"], o["direction"], o["vehicle"])
     _emit(report.hourly_distribution_csv(dist), o["out"])
     return 0
@@ -411,6 +412,9 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

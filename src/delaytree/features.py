@@ -200,7 +200,14 @@ def label_hours(
     us: HolidayCalendar,
     ca: HolidayCalendar,
 ) -> list[HourObservation]:
-    return [
-        HourObservation(hw, build_feature_vector(hw.hour_start, weather, us, ca))
-        for hw, weather in pairs
-    ]
+    """Attach its feature vector to each joined hour. The groups of one
+    hour share one weather record, so they share one vector too."""
+    vectors: dict[tuple[datetime, WeatherRecord], FeatureVector] = {}
+    out = []
+    for hw, weather in pairs:
+        key = (hw.hour_start, weather)
+        fv = vectors.get(key)
+        if fv is None:
+            vectors[key] = fv = build_feature_vector(hw.hour_start, weather, us, ca)
+        out.append(HourObservation(hw, fv))
+    return out

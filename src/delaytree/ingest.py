@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import IntEnum
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import DataError
 
@@ -127,42 +127,78 @@ def _parse_float(raw: str, what: str, line: int) -> float:
     return value
 
 
+def _lines(text: str, piece: int = 1 << 20) -> Iterator[str]:
+    """The lines of `text`, each with its "\\n", as iterating
+    io.StringIO(text) gives them. io.StringIO copies its text at four bytes
+    per character, so it gets whole lines of about `piece` characters at a
+    time rather than the whole text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + piece) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 def csv_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, fields) for each data row of CSV text whose first row
     is `header`. Blank lines are skipped; every other row must have exactly
-    len(header) fields."""
-    rows = csv.reader(io.StringIO(text))
-    first = next(rows, None)
-    if first is None or [c.strip() for c in first] != header:
-        raise DataError(f"expected header {','.join(header)!r}", line=1)
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"expected {len(header)} fields, got {len(row)}", line=line)
-        yield line, row
+    len(header) fields. Text the csv module cannot read is a data error."""
+    rows = csv.reader(_lines(text))
+    try:
+        first = next(rows, None)
+        if first is None or [c.strip() for c in first] != header:
+            raise DataError(f"expected header {','.join(header)!r}", line=1)
+        width = len(header)
+        for line, row in enumerate(rows, start=2):
+            if len(row) != width:
+                if not row:
+                    continue
+                raise DataError(f"expected {width} fields, got {len(row)}", line=line)
+            yield line, row
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV: {exc}", line=rows.line_num) from None
+
+
+def _wait_rows(text: str) -> Iterator[tuple[int, datetime, Optional[datetime], tuple, float]]:
+    """Yield (line, timestamp, hour, stream, wait) for each row of
+    wait_times.csv text, in file order.
+
+    `hour` is the timestamp's calendar hour, or None outside
+    HOUR_MIN..HOUR_MAX; `stream` is (bridge, direction, vehicle). Enum
+    fields match case-insensitively. Each row is checked in field order:
+    timestamp, bridge, direction, vehicle_type, wait_minutes (finite, not
+    negative), then the RB+commercial rule (trucks are not allowed on RB);
+    errors carry the 1-based line number. Each distinct timestamp text and
+    each distinct (bridge, direction, vehicle_type) text is parsed once.
+    """
+    stamps: dict[str, tuple[datetime, Optional[datetime]]] = {}
+    streams: dict[tuple[str, str, str], tuple[tuple, bool]] = {}
+    for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(text, WAIT_TIMES_HEADER):
+        stamp = stamps.get(raw_ts)
+        if stamp is None:
+            ts = _parse_timestamp(raw_ts, line)
+            stamps[raw_ts] = stamp = (ts, _window_hour(ts))
+        raw_stream = (raw_bridge, raw_direction, raw_vehicle)
+        stream = streams.get(raw_stream)
+        if stream is None:
+            bridge = _parse_enum(Bridge, raw_bridge, "bridge", line)
+            direction = _parse_enum(Direction, raw_direction, "direction", line)
+            vehicle = _parse_enum(Vehicle, raw_vehicle, "vehicle_type", line)
+            no_trucks = bridge is Bridge.RB and vehicle is Vehicle.COMMERCIAL
+            streams[raw_stream] = stream = ((bridge, direction, vehicle), no_trucks)
+        wait = _parse_float(raw_wait, "wait_minutes", line)
+        if not wait >= 0:
+            raise DataError(f"negative wait_minutes {raw_wait!r}", line=line)
+        if stream[1]:
+            raise DataError("RB carries no commercial vehicles", line=line)
+        yield line, stamp[0], stamp[1], stream[0], wait
 
 
 def parse_wait_times(text: str) -> list[RawWaitTimeRecord]:
-    """Parse wait_times.csv content into records, in file order.
-
-    Enum fields match case-insensitively. Rejects negative waits and
-    RB+commercial rows (trucks are not allowed on RB); errors carry the
-    1-based line number.
-    """
-    records = []
-    for line, row in csv_rows(text, WAIT_TIMES_HEADER):
-        ts = _parse_timestamp(row[0], line)
-        bridge = _parse_enum(Bridge, row[1], "bridge", line)
-        direction = _parse_enum(Direction, row[2], "direction", line)
-        vehicle = _parse_enum(Vehicle, row[3], "vehicle_type", line)
-        wait = _parse_float(row[4], "wait_minutes", line)
-        if not wait >= 0:
-            raise DataError(f"negative wait_minutes {row[4]!r}", line=line)
-        if bridge is Bridge.RB and vehicle is Vehicle.COMMERCIAL:
-            raise DataError("RB carries no commercial vehicles", line=line)
-        records.append(RawWaitTimeRecord(ts, bridge, direction, vehicle, wait))
-    return records
+    """Parse wait_times.csv content into records, in file order, with the
+    row checks of `_wait_rows`. The pipeline uses `hourly_waits` instead,
+    which builds no per-row record."""
+    return [RawWaitTimeRecord(ts, *stream, wait) for _, ts, _, stream, wait in _wait_rows(text)]
 
 
 def parse_weather(text: str) -> list[WeatherRecord]:
@@ -193,26 +229,65 @@ def floor_hour(ts: datetime) -> datetime:
     return ts.replace(minute=0, second=0, microsecond=0)
 
 
+def _window_hour(ts: datetime) -> Optional[datetime]:
+    """The calendar hour of `ts`, or None if it lies outside HOUR_MIN..HOUR_MAX."""
+    return floor_hour(ts) if HOUR_MIN <= ts.hour <= HOUR_MAX else None
+
+
+def hourly_waits(text: str) -> list[HourlyWait]:
+    """wait_times.csv content straight to its hourly means, in one pass:
+    equal to aggregate_hourly(parse_wait_times(text)), with the same errors,
+    but each row is grouped as it is read and no per-row record is kept."""
+    groups: dict[tuple, list[float]] = {}
+    first_lines: dict[tuple, int] = {}
+    for line, _, hour, stream, wait in _wait_rows(text):
+        if hour is None:
+            continue
+        key = (hour, stream)
+        values = groups.get(key)
+        if values is None:
+            groups[key] = [wait]
+            first_lines[key] = line
+        else:
+            values.append(wait)
+    return _hourly_means(groups, first_lines)
+
+
 def aggregate_hourly(records: list[RawWaitTimeRecord]) -> list[HourlyWait]:
     """Average wait samples per (calendar hour, bridge, direction, vehicle).
 
     Hours outside 7..21 are dropped. Output is sorted by the group key and
-    independent of input order: sums use math.fsum, which is exact, so
-    shuffling the input cannot change any mean. The rounded sum and the
-    division are two roundings, which can put a mean just outside its
-    samples' range, so it is clamped into [min, max].
+    independent of input order (see `_hourly_means`).
     """
     groups: dict[tuple, list[float]] = {}
     for rec in records:
-        hour = floor_hour(rec.timestamp)
-        if not HOUR_MIN <= hour.hour <= HOUR_MAX:
-            continue
-        groups.setdefault((hour, rec.bridge, rec.direction, rec.vehicle), []).append(rec.wait_minutes)
+        hour = _window_hour(rec.timestamp)
+        if hour is not None:
+            groups.setdefault((hour, (rec.bridge, rec.direction, rec.vehicle)), []).append(rec.wait_minutes)
+    return _hourly_means(groups)
+
+
+def _hourly_means(groups: dict[tuple, list[float]], first_lines: Optional[dict] = None) -> list[HourlyWait]:
+    """One HourlyWait per (hour, (bridge, direction, vehicle)) key, sorted by
+    key. Sums use math.fsum, which is exact, so the order of the samples
+    cannot change any mean. The rounded sum and the division are two
+    roundings, which can put a mean just outside its samples' range, so it
+    is clamped into [min, max]. A sum past the float range is a data error
+    at the line of the group's first sample, when `first_lines` knows it.
+    """
     out = []
     for key in sorted(groups):
         values = groups[key]
-        hour, bridge, direction, vehicle = key
-        mean = min(max(math.fsum(values) / len(values), min(values)), max(values))
+        hour, (bridge, direction, vehicle) = key
+        try:
+            total = math.fsum(values)
+        except OverflowError:
+            raise DataError(
+                f"the {len(values)} wait_minutes of {bridge.name} {direction.label} {vehicle.label} "
+                f"in hour {hour.isoformat(timespec='minutes')} overflow their sum",
+                line=first_lines.get(key) if first_lines else None,
+            ) from None
+        mean = min(max(total / len(values), min(values)), max(values))
         out.append(HourlyWait(hour, bridge, direction, vehicle, mean, len(values)))
     return out
 
@@ -228,13 +303,14 @@ def join_weather(
     """
     recs = sorted(weather, key=lambda w: w.timestamp)
     stamps = [w.timestamp for w in recs]
+    chosen: dict[datetime, WeatherRecord] = {}  # many groups share an hour
     pairs = []
     for hw in hours:
-        idx = bisect_right(stamps, hw.hour_start + timedelta(hours=1) - timedelta(microseconds=1))
-        if idx == 0:
-            raise DataError(f"no weather within {WEATHER_JOIN_WINDOW} of {hw.hour_start.isoformat()}")
-        rec = recs[idx - 1]
-        if hw.hour_start - rec.timestamp > WEATHER_JOIN_WINDOW:
-            raise DataError(f"no weather within {WEATHER_JOIN_WINDOW} of {hw.hour_start.isoformat()}")
+        rec = chosen.get(hw.hour_start)
+        if rec is None:
+            idx = bisect_right(stamps, hw.hour_start + timedelta(hours=1) - timedelta(microseconds=1))
+            if idx == 0 or hw.hour_start - recs[idx - 1].timestamp > WEATHER_JOIN_WINDOW:
+                raise DataError(f"no weather within {WEATHER_JOIN_WINDOW} of {hw.hour_start.isoformat()}")
+            chosen[hw.hour_start] = rec = recs[idx - 1]
         pairs.append((hw, rec))
     return pairs

@@ -242,7 +242,8 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
     """Parse observations.csv back into per-combo datasets.
 
     Every feature value must be a declared level of FEATURE_SCHEMA or, for
-    a continuous feature, a finite number; waits must be finite too.
+    a continuous feature, a finite number; waits must be finite too, and the
+    pattern must have one part per bridge of the row's vehicle.
     """
     datasets: dict[tuple[Vehicle, Direction], PatternDataset] = {}
     for line, row in csv_rows(text, OBSERVATIONS_HEADER):
@@ -268,6 +269,8 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
             waits = tuple(float(wait_cols[b]) for b in bridges)
         except (ValueError, KeyError) as exc:
             raise DataError(f"bad observation row: {exc}", line=line) from None
+        if pattern.bridges != bridges:
+            raise DataError(f"pattern {row[6]!r} does not fit {vehicle.label}", line=line)
         for spec in FEATURE_SCHEMA:
             value = fv[spec.name]
             if spec.kind == CONTINUOUS:

@@ -250,6 +250,8 @@ def test_data_error_names_file_and_line(corpus, tmp_path, capsys):
     for content in (
         b"timestamp,bridge,direction,vehicle_type,wait_minutes\nnope,PB,to_us,passenger,1\n",
         b"timestamp,bridge,direction,vehicle_type,wait_minutes\n\xff\n",  # not UTF-8
+        b"timestamp,bridge,direction,vehicle_type,wait_minutes\n"  # the hour's sum overflows
+        b"2016-09-05T08:00,PB,to_us,passenger,1e308\n2016-09-05T08:05,PB,to_us,passenger,1e308\n",
     ):
         bad.write_bytes(content)
         rc = main(["ingest", "--wait-times", str(bad), "--weather", str(corpus / "data" / "weather.csv"),
@@ -264,6 +266,7 @@ def test_data_error_names_file_and_line(corpus, tmp_path, capsys):
     [
         (8, "Monsoon", "season 'Monsoon' is not a declared level"),
         (13, "nan", "temperature_f nan is not a finite number"),
+        (6, "delay-slight delay", "pattern 'delay-slight delay' does not fit passenger"),
     ],
 )
 def test_train_rejects_undeclared_level_and_non_finite_value(corpus, tmp_path, capsys, column, value, message):
@@ -277,6 +280,16 @@ def test_train_rejects_undeclared_level_and_non_finite_value(corpus, tmp_path, c
                "--out", str(tmp_path / "t.json")])
     assert rc == 2
     assert f"{bad}: line 4: {message}" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(o, cp, flags):
+        raise RuntimeError("something broke")
+
+    summary, section, settings, _ = cli.COMMANDS["render"]
+    monkeypatch.setitem(cli.COMMANDS, "render", (summary, section, settings, broken))
+    assert main(["render", "--tree", "t.json", "--format", "text"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: something broke\n"
 
 
 def test_render_cyclic_tree_exits_2(tmp_path, capsys):

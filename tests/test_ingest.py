@@ -1,6 +1,7 @@
 """Parsing, hourly aggregation, and the weather join. The join's
 nearest-predecessor behavior is checked against a linear-scan oracle."""
 
+import io
 import math
 from datetime import datetime, timedelta
 
@@ -17,10 +18,12 @@ from delaytree.ingest import (
     Vehicle,
     WeatherRecord,
     aggregate_hourly,
+    hourly_waits,
     join_weather,
     parse_wait_times,
     parse_weather,
     RawWaitTimeRecord,
+    _lines,
 )
 
 HEADER = "timestamp,bridge,direction,vehicle_type,wait_minutes\n"
@@ -180,6 +183,149 @@ def test_aggregate_permutation_invariant_and_conserving(records, rnd):
         ]
         assert min(group) <= h.mean_wait_minutes <= max(group)
         assert math.isclose(h.mean_wait_minutes, math.fsum(group) / len(group))
+
+
+def test_overflowing_hour_is_a_data_error():
+    text = HEADER + "2016-08-22T07:05,PB,to_us,passenger,1\n" + "".join(
+        f"2016-08-22T08:{m:02d},PB,to_us,passenger,1e308\n" for m in (5, 10)
+    )
+    message = "the 2 wait_minutes of PB to_us passenger in hour 2016-08-22T08:00 overflow their sum"
+    with pytest.raises(DataError) as one_pass:
+        hourly_waits(text)
+    assert str(one_pass.value) == f"line 3: {message}"  # the hour's first sample
+    with pytest.raises(DataError) as two_step:
+        aggregate_hourly(parse_wait_times(text))
+    assert str(two_step.value) == message  # records carry no line
+
+
+@given(st.text(alphabet="ab,\"\r\n\x0c\u2028"), st.integers(1, 8))
+def test_lines_split_as_stringio_does(text, piece):
+    assert list(_lines(text, piece)) == list(io.StringIO(text))
+
+
+def test_unreadable_csv_is_a_data_error():
+    for text, message in (
+        (HEADER + "2016-08-22T07:05,PB\rx,to_us,passenger,1\n", "line 2: malformed CSV: new-line character"),
+        (HEADER + "1,2,3,4," + "9" * 200_000 + "\n", "line 2: malformed CSV: field larger than field limit"),
+    ):
+        with pytest.raises(DataError, match=message):
+            hourly_waits(text)
+
+
+# ------------------------------------------------ one-pass hourly ingest
+
+_ROW_FIELDS = ("timestamp", "bridge", "direction", "vehicle_type", "wait_minutes")
+_GOOD = {
+    "timestamp": ["2016-08-22T07:05", "2016-08-22T07:40", " 2016-08-22T07:05", "2016-08-22T06:59",
+                  "2016-08-22T21:59:59", "2016-08-22T22:00", "2016-08-23T12:30", "2016-08-23 13:00"],
+    "bridge": ["PB", "pb", "Rb", "RB", " lq", "LQ"],
+    "direction": ["to_us", "TO_US", "To_Can"],
+    "vehicle_type": ["passenger", "PASSENGER ", "commercial", "Commercial"],
+    "wait_minutes": ["0", "0.0", "12", " 7.5", "1e2", "33.25"],
+}
+_BAD = {
+    "timestamp": ["not-a-date", "2016-08-22T07:05+00:00", ""],
+    "bridge": ["XX", "P B", ""],
+    "direction": ["north", "to us"],
+    "vehicle_type": ["bus", ""],
+    "wait_minutes": ["nan", "inf", "-1", "abc", ""],
+}
+
+
+def _csv_field(draw, text):
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+def _trucks_on_rb(fields):
+    return fields["bridge"].strip().upper() == "RB" and fields["vehicle_type"].strip().upper() == "COMMERCIAL"
+
+
+@st.composite
+def _wait_row(draw, bad=False):
+    """One wait_times.csv row; with bad=True one or more of its fields are
+    bad, or it puts trucks on RB, or both."""
+    faults = draw(st.sets(st.sampled_from(_ROW_FIELDS + ("trucks on RB",)), min_size=1)) if bad else set()
+    fields = {name: draw(st.sampled_from((_BAD if name in faults else _GOOD)[name])) for name in _ROW_FIELDS}
+    if "wait_minutes" not in faults and draw(st.booleans()):
+        fields["wait_minutes"] = repr(draw(st.floats(0, 1e6)))
+    if "trucks on RB" in faults:
+        if "bridge" not in faults:
+            fields["bridge"] = "rb"
+        if "vehicle_type" not in faults:
+            fields["vehicle_type"] = "Commercial"
+    elif _trucks_on_rb(fields):
+        fields["vehicle_type"] = "passenger"
+    return ",".join(_csv_field(draw, fields[name]) for name in _ROW_FIELDS)
+
+
+@st.composite
+def _wait_times_text(draw, bad_row=False):
+    """wait_times.csv text: mixed-case and quoted fields, timestamps that
+    repeat, hours outside 7..21, blank lines; with bad_row=True one
+    malformed row sits at a random line."""
+    lines = draw(st.lists(st.one_of(_wait_row(), st.just("")), max_size=40))
+    if bad_row:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_wait_row(bad=True)))
+    return HEADER + "".join(line + "\n" for line in lines)
+
+
+@given(_wait_times_text())
+def test_hourly_waits_equals_parse_then_aggregate(text):
+    assert hourly_waits(text) == aggregate_hourly(parse_wait_times(text))
+
+
+@given(_wait_times_text(bad_row=True))
+def test_hourly_waits_reports_the_same_error(text):
+    with pytest.raises(DataError) as one_pass:
+        hourly_waits(text)
+    with pytest.raises(DataError) as two_step:
+        aggregate_hourly(parse_wait_times(text))
+    assert str(one_pass.value) == str(two_step.value)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("nope,XX,north,bus,-1", "malformed timestamp 'nope'"),
+        ("2016-08-22T07:05,XX,north,bus,-1", "unknown bridge 'XX'"),
+        ("2016-08-22T07:05,RB,north,bus,-1", "unknown direction 'north'"),
+        ("2016-08-22T07:05,RB,to_us,bus,-1", "unknown vehicle_type 'bus'"),
+        ("2016-08-22T07:05,RB,to_us,commercial,nan", "non-finite wait_minutes 'nan'"),
+        ("2016-08-22T07:05,RB,to_us,commercial,-1", "negative wait_minutes '-1'"),
+        ("2016-08-22T07:05,RB,to_us,commercial,1", "RB carries no commercial vehicles"),
+        ("2016-08-22T05:05,RB,to_us,commercial,1", "RB carries no commercial vehicles"),  # outside 7..21
+    ],
+)
+def test_row_errors_follow_field_order(row, message):
+    # The first row makes every good field of the second one already seen.
+    text = HEADER + "2016-08-22T07:05,RB,to_us,passenger,1\n" + row + "\n"
+    with pytest.raises(DataError) as exc:
+        hourly_waits(text)
+    assert str(exc.value) == f"line 3: {message}"
+
+
+@st.composite
+def _spliced_row(draw):
+    """A good row with a line break, a quote, a NUL, a comma or a huge wait
+    put in at a random place."""
+    row = draw(_wait_row())
+    at = draw(st.integers(0, len(row)))
+    return row[:at] + draw(st.sampled_from(["\r", '"', "\x00", ",", "x", "1e308"])) + row[at:]
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(st.one_of(_wait_row(), _wait_row(bad=True), _spliced_row(), st.text(max_size=12)))
+        .map(lambda lines: HEADER + "\n".join(lines)),
+    )
+)
+def test_any_text_gives_hours_or_a_data_error(text):
+    for parse in (hourly_waits, lambda t: aggregate_hourly(parse_wait_times(t))):
+        try:
+            assert isinstance(parse(text), list)
+        except DataError:
+            pass
 
 
 # --------------------------------------------------------------- join

@@ -295,6 +295,21 @@ def test_observations_rejects_bad_header():
         read_observations("a,b,c\n1,2,3\n")
 
 
+@pytest.mark.parametrize(
+    "vehicle, label",
+    [("passenger", "delay-slight delay"), ("commercial", "delay-slight delay-heavy delay")],
+)
+def test_observations_rejects_pattern_that_does_not_fit_the_vehicle(vehicle, label):
+    lines = write_observations(list(_assembled_pair())).splitlines()
+    i = next(i for i, text in enumerate(lines) if f",{vehicle}," in text)
+    fields = lines[i].split(",")
+    fields[6] = label
+    lines[i] = ",".join(fields)
+    with pytest.raises(DataError) as exc:
+        read_observations("\n".join(lines) + "\n")
+    assert str(exc.value) == f"line {i + 1}: pattern {label!r} does not fit {vehicle}"
+
+
 def test_observations_write_is_deterministic():
     ds_pass, ds_truck = _assembled_pair()
     assert write_observations([ds_pass, ds_truck]) == write_observations([ds_truck, ds_pass])
