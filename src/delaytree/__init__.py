@@ -26,7 +26,6 @@ from .features import (
     FeatureSchema,
     FeatureSpec,
     FeatureVector,
-    HolidayCalendar,
     calendar_flags,
     hour_interval_of,
     parse_holidays,

@@ -80,7 +80,8 @@ def _convert(setting: Setting, raw, where: str):
 
 def _resolve(settings, cp: configparser.ConfigParser, sections: list, flags: Optional[dict] = None) -> dict:
     """Each setting's value: its flag, else its key in the first of
-    `sections` that has it, else its default.
+    `sections` that has it, else its default. A tree setting that follows
+    the vehicle and direction looks in `_tree_sections` instead.
 
     A repeatable flag (`--rule`) adds to the config's `rule` and `rule.*`
     keys instead of replacing them. Without flags (the pipeline), a missing
@@ -100,7 +101,10 @@ def _resolve(settings, cp: configparser.ConfigParser, sections: list, flags: Opt
         elif given is not None:
             values[name] = _convert(setting, given, f"--{name}")
         else:
-            section = next((s for s in sections if cp.has_option(s, name)), None)
+            lookup = sections
+            if setting in _TREE and "direction" in values:
+                lookup = _tree_sections(values["vehicle"], values["direction"])
+            section = next((s for s in lookup if cp.has_option(s, name)), None)
             if section is not None:
                 values[name] = _convert(setting, cp.get(section, name), f"config value [{section}] {name} =")
             elif setting.default is REQUIRED:
@@ -199,8 +203,12 @@ _SYNTH = (
 )
 _INPUTS = (Setting("wait-times"), Setting("weather"), Setting("holidays"))
 _STDOUT = Setting("out", str, None)  # no --out: write to stdout
-# Tree settings resolve per dataset: [train.<vehicle>.<direction>] before [train].
 _TREE = (Setting("min-samples", int, 100), Setting("min-gain", float, 0.005), Setting("max-depth", int, None))
+
+
+def _tree_sections(vehicle: Vehicle, direction: Direction) -> list:
+    """Tree settings resolve per dataset: [train.<vehicle>.<direction>] before [train]."""
+    return [f"train.{vehicle.label}.{direction.label}", "train"]
 
 
 def _parse_file(parser, path):
@@ -244,11 +252,11 @@ def _ingest_datasets(wait_times_path, weather_path, holidays_path):
     """Parse and aggregate + join + label + assemble all four combos."""
     hours = _parse_file(hourly_waits, wait_times_path)
     weather = _parse_file(parse_weather, weather_path)
-    us_cal, ca_cal = _parse_file(parse_holidays, holidays_path)
-    observations = label_hours(join_weather(hours, weather), us_cal, ca_cal)
+    us, ca = _parse_file(parse_holidays, holidays_path)
+    features = label_hours(join_weather(hours, weather), us, ca)
     datasets = {}
     for vehicle, direction in COMBOS:
-        ds = assemble_rows(observations, direction, vehicle)
+        ds = assemble_rows(hours, features, direction, vehicle)
         if ds.rows or ds.skipped_incomplete or ds.dropped_all_zero:
             logger.info(
                 "%s %s: %d rows, %d incomplete hours skipped, %d all-zero hours dropped",
@@ -265,8 +273,7 @@ def cmd_ingest(o, cp, flags) -> int:
     return 0
 
 
-def _train_config(cp, vehicle: Vehicle, direction: Direction, flags=None) -> cart.TrainConfig:
-    o = _resolve(_TREE, cp, [f"train.{vehicle.label}.{direction.label}", "train"], flags)
+def _train_config(o: dict) -> cart.TrainConfig:
     try:
         return cart.TrainConfig(o["min-samples"], o["min-gain"], o["max-depth"])
     except ValueError as exc:
@@ -283,7 +290,7 @@ def _load_dataset(data_path, vehicle: Vehicle, direction: Direction):
 
 def cmd_train(o, cp, flags) -> int:
     ds = _load_dataset(o["data"], o["vehicle"], o["direction"])
-    tree = cart.grow_tree(ds, _train_config(cp, o["vehicle"], o["direction"], flags))
+    tree = cart.grow_tree(ds, _train_config(o))
     _emit(report.export_tree(tree, "json"), o["out"])
     return 0
 
@@ -336,7 +343,7 @@ def cmd_pipeline(o, cp, flags) -> int:
 
     trained = {}
     for (vehicle, direction), ds in datasets.items():
-        tree = cart.grow_tree(ds, _train_config(cp, vehicle, direction))
+        tree = cart.grow_tree(ds, _train_config(_resolve(_TREE, cp, _tree_sections(vehicle, direction))))
         trained[(vehicle, direction)] = tree
         stem = f"{vehicle.label}_{direction.label}"
         _emit(report.export_tree(tree, "json"), out_dir / "trees" / f"tree_{stem}.json")

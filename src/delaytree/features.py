@@ -1,6 +1,6 @@
-"""Descriptive features attached to each hourly observation: calendar-derived
-categories (month, season, hour interval, weekend, holiday flags) plus the
-weather fields, and the fixed schema the tree learner splits on.
+"""Descriptive features of each hour: calendar-derived categories (month,
+season, hour interval, weekend, holiday flags) plus the hour's weather
+fields, and the fixed schema the tree learner splits on.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from datetime import date, datetime
 from enum import IntEnum
 
 from .errors import DataError
-from .ingest import HourlyWait, WeatherRecord, csv_rows
+from .ingest import WeatherRecord, csv_rows
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -47,17 +47,8 @@ def hour_interval_of(hour: int) -> str:
     return HOUR_INTERVALS[(hour - 7) // 3]
 
 
-@dataclass(frozen=True)
-class HolidayCalendar:
-    country: Country
-    dates: frozenset[date]
-
-    def __contains__(self, day: date) -> bool:
-        return day in self.dates
-
-
-def parse_holidays(text: str) -> tuple[HolidayCalendar, HolidayCalendar]:
-    """Parse holidays.csv (`date,country`) into the (US, CA) calendars."""
+def parse_holidays(text: str) -> tuple[frozenset[date], frozenset[date]]:
+    """Parse holidays.csv (`date,country`) into the (US, CA) holiday dates."""
     dates: dict[Country, set[date]] = {Country.US: set(), Country.CA: set()}
     for line, row in csv_rows(text, HOLIDAYS_HEADER):
         try:
@@ -69,15 +60,10 @@ def parse_holidays(text: str) -> tuple[HolidayCalendar, HolidayCalendar]:
         except KeyError:
             raise DataError(f"unknown country {row[1]!r}", line=line) from None
         dates[country].add(day)
-    return (
-        HolidayCalendar(Country.US, frozenset(dates[Country.US])),
-        HolidayCalendar(Country.CA, frozenset(dates[Country.CA])),
-    )
+    return frozenset(dates[Country.US]), frozenset(dates[Country.CA])
 
 
-def calendar_flags(
-    day: date, us: HolidayCalendar, ca: HolidayCalendar
-) -> tuple[int, int, int]:
+def calendar_flags(day: date, us: frozenset[date], ca: frozenset[date]) -> tuple[int, int, int]:
     """(weekend, us_holiday, canada_holiday) flags for a calendar date."""
     weekend = 1 if day.weekday() >= 5 else 0
     return weekend, 1 if day in us else 0, 1 if day in ca else 0
@@ -169,8 +155,8 @@ FEATURE_SCHEMA = FeatureSchema(
 def build_feature_vector(
     hour_start: datetime,
     weather: WeatherRecord,
-    us: HolidayCalendar,
-    ca: HolidayCalendar,
+    us: frozenset[date],
+    ca: frozenset[date],
 ) -> FeatureVector:
     weekend, us_flag, ca_flag = calendar_flags(hour_start.date(), us, ca)
     return FeatureVector(
@@ -187,27 +173,9 @@ def build_feature_vector(
     )
 
 
-@dataclass(frozen=True)
-class HourObservation:
-    """One labeled hourly wait: the join output with its feature vector."""
-
-    hour: HourlyWait
-    features: FeatureVector
-
-
 def label_hours(
-    pairs: list[tuple[HourlyWait, WeatherRecord]],
-    us: HolidayCalendar,
-    ca: HolidayCalendar,
-) -> list[HourObservation]:
-    """Attach its feature vector to each joined hour. The groups of one
-    hour share one weather record, so they share one vector too."""
-    vectors: dict[tuple[datetime, WeatherRecord], FeatureVector] = {}
-    out = []
-    for hw, weather in pairs:
-        key = (hw.hour_start, weather)
-        fv = vectors.get(key)
-        if fv is None:
-            vectors[key] = fv = build_feature_vector(hw.hour_start, weather, us, ca)
-        out.append(HourObservation(hw, fv))
-    return out
+    joined: dict[datetime, WeatherRecord], us: frozenset[date], ca: frozenset[date]
+) -> dict[datetime, FeatureVector]:
+    """The feature vector of each joined hour, keyed and ordered as `joined`:
+    every bridge, direction and vehicle of an hour shares it."""
+    return {hour: build_feature_vector(hour, weather, us, ca) for hour, weather in joined.items()}

@@ -1,5 +1,5 @@
 """Raw feed ingestion: wait-time and weather CSV parsing, hourly aggregation,
-weather joining.
+and the weather join of each hour.
 
 Timestamps are naive local civil time throughout; neither feed carries a
 zone and no conversion is performed. Only hours 7..21 survive aggregation.
@@ -141,20 +141,23 @@ def _lines(text: str, piece: int = 1 << 20) -> Iterator[str]:
 
 def csv_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, fields) for each data row of CSV text whose first row
-    is `header`. Blank lines are skipped; every other row must have exactly
-    len(header) fields. Text the csv module cannot read is a data error."""
+    is `header`; `line` is the first physical line of the row, which a
+    quoted field may carry over several lines. Blank lines are skipped;
+    every other row must have exactly len(header) fields. Text the csv
+    module cannot read is a data error."""
     rows = csv.reader(_lines(text))
     try:
         first = next(rows, None)
         if first is None or [c.strip() for c in first] != header:
             raise DataError(f"expected header {','.join(header)!r}", line=1)
         width = len(header)
-        for line, row in enumerate(rows, start=2):
-            if len(row) != width:
-                if not row:
-                    continue
+        line = rows.line_num + 1
+        for row in rows:
+            if len(row) == width:
+                yield line, row
+            elif row:
                 raise DataError(f"expected {width} fields, got {len(row)}", line=line)
-            yield line, row
+            line = rows.line_num + 1
     except csv.Error as exc:
         raise DataError(f"malformed CSV: {exc}", line=rows.line_num) from None
 
@@ -292,25 +295,20 @@ def _hourly_means(groups: dict[tuple, list[float]], first_lines: Optional[dict] 
     return out
 
 
-def join_weather(
-    hours: list[HourlyWait], weather: list[WeatherRecord]
-) -> list[tuple[HourlyWait, WeatherRecord]]:
-    """Pair each hourly wait with its weather record.
+def join_weather(hours: list[HourlyWait], weather: list[WeatherRecord]) -> dict[datetime, WeatherRecord]:
+    """The weather record of each distinct hour of `hours`, in hour order.
 
     The match is the most recent record timestamped before the end of the
     hour; a record inside the hour itself counts as the exact match.
-    Anything staler than WEATHER_JOIN_WINDOW is an error naming the hour.
+    Anything staler than WEATHER_JOIN_WINDOW is an error naming the first
+    such hour.
     """
     recs = sorted(weather, key=lambda w: w.timestamp)
     stamps = [w.timestamp for w in recs]
-    chosen: dict[datetime, WeatherRecord] = {}  # many groups share an hour
-    pairs = []
-    for hw in hours:
-        rec = chosen.get(hw.hour_start)
-        if rec is None:
-            idx = bisect_right(stamps, hw.hour_start + timedelta(hours=1) - timedelta(microseconds=1))
-            if idx == 0 or hw.hour_start - recs[idx - 1].timestamp > WEATHER_JOIN_WINDOW:
-                raise DataError(f"no weather within {WEATHER_JOIN_WINDOW} of {hw.hour_start.isoformat()}")
-            chosen[hw.hour_start] = rec = recs[idx - 1]
-        pairs.append((hw, rec))
-    return pairs
+    joined = {}
+    for hour in sorted({hw.hour_start for hw in hours}):
+        idx = bisect_right(stamps, hour + timedelta(hours=1) - timedelta(microseconds=1))
+        if idx == 0 or hour - recs[idx - 1].timestamp > WEATHER_JOIN_WINDOW:
+            raise DataError(f"no weather within {WEATHER_JOIN_WINDOW} of {hour.isoformat()}")
+        joined[hour] = recs[idx - 1]
+    return joined

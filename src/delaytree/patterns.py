@@ -19,8 +19,8 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from .errors import DataError
-from .features import CONTINUOUS, FEATURE_SCHEMA, FeatureSchema, FeatureVector, HourObservation
-from .ingest import Bridge, Direction, Vehicle, bridges_for, csv_rows
+from .features import CONTINUOUS, FEATURE_SCHEMA, FeatureSchema, FeatureVector
+from .ingest import Bridge, Direction, HourlyWait, Vehicle, bridges_for, csv_rows
 
 SLIGHT_MAX = 15.0
 DELAY_MAX = 30.0
@@ -145,12 +145,14 @@ COMBOS = (
 
 
 def assemble_rows(
-    observations: list[HourObservation],
+    hours: list[HourlyWait],
+    features: dict[datetime, FeatureVector],
     direction: Direction,
     vehicle: Vehicle,
     schema: FeatureSchema = FEATURE_SCHEMA,
 ) -> PatternDataset:
-    """Build the classification dataset for one (direction, vehicle).
+    """Build the classification dataset for one (direction, vehicle) from
+    the hourly means and the feature vector of each hour.
 
     Per hour with a complete bridge tuple: drop it if every bridge sat at
     zero, otherwise categorize each bridge, merge no delay into slight, and
@@ -158,14 +160,10 @@ def assemble_rows(
     and tallied, not fatal.
     """
     bridges = bridges_for(vehicle)
-    by_hour: dict[datetime, dict[Bridge, HourObservation]] = {}
-    for obs in observations:
-        hw = obs.hour
-        if hw.direction is not direction or hw.vehicle is not vehicle:
-            continue
-        if hw.bridge not in bridges:
-            continue
-        by_hour.setdefault(hw.hour_start, {})[hw.bridge] = obs
+    by_hour: dict[datetime, dict[Bridge, float]] = {}
+    for hw in hours:
+        if hw.direction is direction and hw.vehicle is vehicle and hw.bridge in bridges:
+            by_hour.setdefault(hw.hour_start, {})[hw.bridge] = hw.mean_wait_minutes
 
     rows: list[PatternRow] = []
     skipped = 0
@@ -175,12 +173,12 @@ def assemble_rows(
         if any(b not in per_bridge for b in bridges):
             skipped += 1
             continue
-        waits = tuple(per_bridge[b].hour.mean_wait_minutes for b in bridges)
+        waits = tuple(per_bridge[b] for b in bridges)
         if all(w == 0.0 for w in waits):
             dropped += 1
             continue
         pattern = DelayPattern.from_waits(waits, bridges)
-        rows.append(PatternRow(per_bridge[bridges[0]].features, pattern, hour_start, waits))
+        rows.append(PatternRow(features[hour_start], pattern, hour_start, waits))
     return PatternDataset(schema, rows, direction, vehicle, skipped, dropped)
 
 

@@ -95,11 +95,19 @@ def _to_json(tree: DecisionTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _typed(value, types, what: str):
+    """`value` if it is one of `types` (never a bool), else a data error."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise DataError(f"malformed tree json: {what} {value!r} has the wrong type")
+    return value
+
+
 def import_tree(text: str) -> DecisionTree:
-    """Rebuild a DecisionTree from its json export."""
+    """Rebuild a DecisionTree from its json export. A field that the
+    exports and reports read and that has the wrong type is a data error."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"malformed tree json: {exc}") from None
     try:
         schema = FeatureSchema(
@@ -127,21 +135,28 @@ def import_tree(text: str) -> DecisionTree:
         built: dict = {}
         for node_id in reversed(order):
             node = by_id[node_id]
-            dist = ClassDistribution(dict(node["counts"]), node["n"])
+            counts = {label: _typed(c, int, "count") for label, c in _typed(node["counts"], dict, "counts").items()}
+            dist = ClassDistribution(counts, _typed(node["n"], int, "n"))
             if node["kind"] == "leaf":
-                built[node_id] = Leaf(node["label"], dist)
+                built[node_id] = Leaf(_typed(node["label"], str, "label"), dist)
                 continue
             rule_doc = node["rule"]
+            feature = _typed(rule_doc["feature"], str, "feature")
             if rule_doc["kind"] == "threshold":
-                rule = ThresholdRule(rule_doc["feature"], rule_doc["threshold"])
+                rule = ThresholdRule(feature, _typed(rule_doc["threshold"], (int, float), "threshold"))
             else:
-                rule = SubsetRule(rule_doc["feature"], tuple(rule_doc["left"]), tuple(rule_doc["right"]))
+                rule = SubsetRule(feature, tuple(rule_doc["left"]), tuple(rule_doc["right"]))
             left, right = node["children"]
-            built[node_id] = Split(rule, node["gain"], dist, built.pop(left), built.pop(right))
+            gain = _typed(node["gain"], (int, float), "gain")
+            built[node_id] = Split(rule, gain, dist, built.pop(left), built.pop(right))
 
-        vehicle = Vehicle[doc["vehicle"].upper()] if doc.get("vehicle") else None
-        direction = Direction[doc["direction"].upper()] if doc.get("direction") else None
-        return DecisionTree(built[0], schema, vehicle=vehicle, direction=direction)
+        vehicle = _typed(doc.get("vehicle"), (str, type(None)), "vehicle")
+        direction = _typed(doc.get("direction"), (str, type(None)), "direction")
+        return DecisionTree(
+            built[0], schema,
+            vehicle=Vehicle[vehicle.upper()] if vehicle else None,
+            direction=Direction[direction.upper()] if direction else None,
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed tree json: {exc}") from None
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import UsageError
-from .features import HOLIDAYS_HEADER, Country, FeatureVector, HolidayCalendar, build_feature_vector
+from .features import HOLIDAYS_HEADER, FeatureVector, build_feature_vector
 from .ingest import WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, Vehicle, WeatherRecord, bridges_for
 from .patterns import DelayPattern
 
@@ -127,8 +127,6 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = random.Random(cfg.seed)
-    us_cal = HolidayCalendar(Country.US, frozenset(cfg.us_holidays))
-    ca_cal = HolidayCalendar(Country.CA, frozenset(cfg.ca_holidays))
     base = cfg.base_pattern()
 
     wait_buf = io.StringIO()
@@ -158,7 +156,7 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
             weather_csv.writerow([stamp, f"{temp:.1f}", visibility, f"{precip:.2f}", condition.label])
 
             weather_rec = WeatherRecord(hour_start, temp, visibility, precip, condition)
-            fv = build_feature_vector(hour_start, weather_rec, us_cal, ca_cal)
+            fv = build_feature_vector(hour_start, weather_rec, cfg.us_holidays, cfg.ca_holidays)
             rule = next((r for r in cfg.rules if r.matches(fv)), None)
             intended = rule.target if rule else base
             flipped = rng.random() < cfg.label_flip and bool(cfg.rules)

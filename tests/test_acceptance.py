@@ -165,8 +165,9 @@ def _pipeline_dataset(cfg, tmp_path, tag):
     waits = parse_wait_times(out.wait_times.read_text())
     weather = parse_weather(out.weather.read_text())
     us, ca = parse_holidays(out.holidays.read_text())
-    observations = label_hours(join_weather(aggregate_hourly(waits), weather), us, ca)
-    return assemble_rows(observations, cfg.direction, cfg.vehicle)
+    hours = aggregate_hourly(waits)
+    features = label_hours(join_weather(hours, weather), us, ca)
+    return assemble_rows(hours, features, cfg.direction, cfg.vehicle)
 
 
 def test_criterion_5_planted_rule_recovery(tmp_path):
@@ -315,8 +316,8 @@ def test_criterion_7_aggregation_and_filtering():
         assert mean_pb_8 == 20.0  # (18 + 22) / 2
 
         us, ca = parse_holidays("date,country\n")
-        observations = label_hours(join_weather(hours, parse_weather(weather_csv)), us, ca)
-        ds = assemble_rows(observations, Direction.TO_US, Vehicle.PASSENGER)
+        features = label_hours(join_weather(hours, parse_weather(weather_csv)), us, ca)
+        ds = assemble_rows(hours, features, Direction.TO_US, Vehicle.PASSENGER)
         assert ds.dropped_all_zero == 1       # day 22 hour 7
         assert ds.skipped_incomplete == 1     # day 23 hour 9
         assert [(r.hour_start.day, r.hour_start.hour) for r in ds.rows] == [

@@ -223,6 +223,12 @@ def test_config_supplies_values_and_flags_override(corpus, tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_bytes() == (tmp_path / "overridden.json").read_bytes()
 
+    # The override is looked up first, so the [train] value it hides is never read.
+    cfg.write_text(cfg.read_text().replace("min-samples = 100000", "min-samples = abc"))
+    out = tmp_path / "hidden_bad_value.json"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "overridden.json").read_bytes()
+
 
 def test_pipeline_smoke(tmp_path):
     cfg = tmp_path / "pipe.cfg"
@@ -302,6 +308,24 @@ def test_render_cyclic_tree_exits_2(tmp_path, capsys):
     rc = main(["render", "--tree", str(tree), "--format", "text"])
     assert rc == 2
     assert f"{tree}: malformed tree json: node 0 is reached twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "node, key, value",
+    [(None, "vehicle", 5), ("split", "n", "5"), ("leaf", "label", [1])],
+    ids=["vehicle", "n", "label"],
+)
+def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value):
+    tree = tmp_path / "tree.json"
+    assert main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger",
+                 "--direction", "to_us", "--out", str(tree)]) == 0
+    doc = json.loads(tree.read_text())
+    target = doc if node is None else next(n for n in doc["nodes"] if n["kind"] == node)
+    target[key] = value
+    tree.write_text(json.dumps(doc))
+    for argv in (["render", "--tree", str(tree), "--format", "text"], ["report", "factors", "--trees", str(tree)]):
+        assert main(argv) == 2
+        assert f"{tree}: malformed tree json: {key} {value!r} has the wrong type" in capsys.readouterr().err
 
 
 def test_invalid_log_env_warns_but_runs(corpus, tmp_path, capsys, monkeypatch):

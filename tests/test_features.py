@@ -1,4 +1,4 @@
-"""Calendar-derived features and the holiday calendars."""
+"""Calendar-derived features and the holiday dates."""
 
 from datetime import date, datetime
 
@@ -8,10 +8,8 @@ from delaytree.errors import DataError
 from delaytree.features import (
     FEATURE_SCHEMA,
     CATEGORICAL,
-    Country,
     FeatureSchema,
     FeatureSpec,
-    HolidayCalendar,
     build_feature_vector,
     calendar_flags,
     hour_interval_of,
@@ -70,8 +68,8 @@ def test_hour_interval_rejects_out_of_window(hour):
         hour_interval_of(hour)
 
 
-US_CAL = HolidayCalendar(Country.US, frozenset({date(2016, 9, 5)}))
-CA_CAL = HolidayCalendar(Country.CA, frozenset({date(2017, 7, 1)}))
+US_CAL = frozenset({date(2016, 9, 5)})
+CA_CAL = frozenset({date(2017, 7, 1)})
 
 
 def test_calendar_flags_weekend():
@@ -88,8 +86,8 @@ def test_calendar_flags_holidays():
 
 def test_parse_holidays():
     us, ca = parse_holidays("date,country\n2016-09-05,US\n2017-07-01,CA\n2016-11-24,us\n")
-    assert us.dates == frozenset({date(2016, 9, 5), date(2016, 11, 24)})
-    assert ca.dates == frozenset({date(2017, 7, 1)})
+    assert us == frozenset({date(2016, 9, 5), date(2016, 11, 24)})
+    assert ca == frozenset({date(2017, 7, 1)})
 
 
 def test_parse_holidays_rejects_unknown_country():

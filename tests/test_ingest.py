@@ -1,12 +1,15 @@
 """Parsing, hourly aggregation, and the weather join. The join's
-nearest-predecessor behavior is checked against a linear-scan oracle."""
+nearest-predecessor behavior is checked against a linear-scan oracle, and
+every parser is fuzzed: any text gives a value or a DataError."""
 
+import copy
 import io
+import json
 import math
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytree.errors import DataError
@@ -25,6 +28,9 @@ from delaytree.ingest import (
     RawWaitTimeRecord,
     _lines,
 )
+from delaytree.features import parse_holidays
+from delaytree.patterns import OBSERVATIONS_HEADER, read_observations
+from delaytree.report import TREE_FORMATS, export_tree, factor_summary, factor_summary_csv, import_tree
 
 HEADER = "timestamp,bridge,direction,vehicle_type,wait_minutes\n"
 WHEADER = "timestamp,temperature_f,visibility,precipitation_in,condition\n"
@@ -304,6 +310,21 @@ def test_row_errors_follow_field_order(row, message):
     assert str(exc.value) == f"line 3: {message}"
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ('2016-08-22T07:05,PB,to_us,passenger,"1\n"\nnope,PB,to_us,passenger,1\n', "line 4: malformed timestamp 'nope'"),
+        ('\n"no\npe",PB,to_us,passenger,1\n', "line 3: malformed timestamp 'no\\npe'"),
+    ],
+    ids=["after_a_row_over_two_lines", "a_row_over_two_lines"],
+)
+def test_errors_name_the_first_physical_line_of_their_row(rows, message):
+    # A quoted field may carry a row over several lines.
+    with pytest.raises(DataError) as exc:
+        hourly_waits(HEADER + rows)
+    assert str(exc.value) == message
+
+
 @st.composite
 def _spliced_row(draw):
     """A good row with a line break, a quote, a NUL, a comma or a huge wait
@@ -328,6 +349,116 @@ def test_any_text_gives_hours_or_a_data_error(text):
             pass
 
 
+# A small good text for each of the other parsers, which the fuzz test below
+# mangles field by field (CSV) or value by value (tree json).
+_GOOD_TEXTS = {
+    "weather": WHEADER + "2016-08-22T07:00,60.5,10,0.00,Clear\n2016-08-22T08:00,-3.0,4,0.12,snow\n",
+    "holidays": "date,country\n2016-09-05,US\n2016-10-10,ca\n",
+    "observations": ",".join(OBSERVATIONS_HEADER) + "\n"
+    "2016-09-05T08:00,to_us,passenger,20.0,5.25,0.0,delay-slight delay-slight delay,"
+    "9,Fall,Early_morning,0,1,0,63.5,9,0.1,Rain\n"
+    "2016-09-05T09:00,to_can,commercial,35.0,,10.0,heavy delay-slight delay,"
+    "9,Fall,Early_morning,0,1,0,60.0,10,0.0,Clear\n",
+}
+_TREE_DOC = {
+    "vehicle": "passenger",
+    "direction": "to_us",
+    "schema": [
+        {"name": "weekend", "kind": "categorical", "levels": [0, 1]},
+        {"name": "temperature_f", "kind": "continuous", "levels": None},
+    ],
+    "nodes": [
+        {"id": 0, "kind": "split", "rule": {"feature": "weekend", "kind": "subset", "left": [0], "right": [1]},
+         "gain": 0.25, "n": 4, "counts": {"A": 2, "B": 2}, "label": None, "children": [1, 2]},
+        {"id": 1, "kind": "split", "rule": {"feature": "temperature_f", "kind": "threshold", "threshold": 50.5},
+         "gain": 0.5, "n": 2, "counts": {"A": 1, "B": 1}, "label": None, "children": [3, 4]},
+        {"id": 2, "kind": "leaf", "rule": None, "gain": None, "n": 2, "counts": {"B": 2}, "label": "B", "children": None},
+        {"id": 3, "kind": "leaf", "rule": None, "gain": None, "n": 1, "counts": {"A": 1}, "label": "A", "children": None},
+        {"id": 4, "kind": "leaf", "rule": None, "gain": None, "n": 1, "counts": {"B": 1}, "label": "B", "children": None},
+    ],
+}
+_ODD_FIELDS = ["", "nan", "inf", "-1", "1e308", "0", "11", '"', "\r", "\x00", "Monsoon", "2016-02-30",
+               "2016-08-22T07:05+00:00", "delay", "mx", "commercial", "to_can"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 5) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mangled_csv(draw, good):
+    """Rows of `good` in any order and number, some fields replaced by odd
+    or random text; now and then the header too."""
+    header, *rows = good.splitlines()
+    lines = [header] + draw(st.lists(st.sampled_from(rows), max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        fields = lines[at].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_ODD_FIELDS) | st.text(max_size=6))
+        lines[at] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _places(value):
+    """(container, key) of every value nested in a json document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield value, key
+        yield from _places(inner)
+
+
+@st.composite
+def _mangled_tree(draw):
+    """The json of _TREE_DOC with a few values replaced by random json or
+    their keys dropped."""
+    doc = copy.deepcopy(_TREE_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(_places(doc))))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_JSON_VALUES)
+    return json.dumps(doc)
+
+
+def _import_and_render(text):
+    """import_tree, then every export and the factor summary of its result."""
+    tree = import_tree(text)
+    for format in TREE_FORMATS:
+        export_tree(tree, format)
+    if tree.vehicle is not None and tree.direction is not None:
+        factor_summary_csv(factor_summary({(tree.vehicle, tree.direction): tree}))
+    return tree
+
+
+@pytest.mark.parametrize(
+    "parse, texts",
+    [
+        (parse_weather, _mangled_csv(_GOOD_TEXTS["weather"])),
+        (parse_holidays, _mangled_csv(_GOOD_TEXTS["holidays"])),
+        (read_observations, _mangled_csv(_GOOD_TEXTS["observations"])),
+        (_import_and_render, _mangled_tree()),
+    ],
+    ids=["parse_weather", "parse_holidays", "read_observations", "import_tree"],
+)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_other_parsers_give_a_value_or_a_data_error(parse, texts, data):
+    text = data.draw(st.one_of(st.text(), texts))
+    try:
+        parse(text)
+    except DataError:
+        pass
+
+
+def test_good_texts_of_the_fuzz_test_parse():
+    assert len(parse_weather(_GOOD_TEXTS["weather"])) == 2
+    assert parse_holidays(_GOOD_TEXTS["holidays"])[1] == {datetime(2016, 10, 10).date()}
+    assert len(read_observations(_GOOD_TEXTS["observations"])) == 2
+    assert _import_and_render(json.dumps(_TREE_DOC)).vehicle is Vehicle.PASSENGER
+
+
 # --------------------------------------------------------------- join
 
 
@@ -340,14 +471,14 @@ def hour_at(ts):
 
 
 def test_join_exact_hour():
-    pairs = join_weather([hour_at("2016-08-22T08:00")], [weather_at("2016-08-22T08:00")])
-    assert pairs[0][1].timestamp == datetime(2016, 8, 22, 8)
+    joined = join_weather([hour_at("2016-08-22T08:00")], [weather_at("2016-08-22T08:00")])
+    assert joined[datetime(2016, 8, 22, 8)].timestamp == datetime(2016, 8, 22, 8)
 
 
 def test_join_nearest_predecessor():
     weather = [weather_at("2016-08-22T06:00"), weather_at("2016-08-22T07:30"), weather_at("2016-08-22T10:00")]
-    pairs = join_weather([hour_at("2016-08-22T09:00")], weather)
-    assert pairs[0][1].timestamp == datetime(2016, 8, 22, 7, 30)
+    joined = join_weather([hour_at("2016-08-22T09:00")], weather)
+    assert joined[datetime(2016, 8, 22, 9)].timestamp == datetime(2016, 8, 22, 7, 30)
 
 
 def test_join_gap_over_three_hours_fails():
@@ -356,14 +487,28 @@ def test_join_gap_over_three_hours_fails():
 
 
 def test_join_gap_exactly_three_hours_ok():
-    pairs = join_weather([hour_at("2016-08-22T12:00")], [weather_at("2016-08-22T09:00")])
-    assert pairs[0][1].timestamp == datetime(2016, 8, 22, 9)
+    joined = join_weather([hour_at("2016-08-22T12:00")], [weather_at("2016-08-22T09:00")])
+    assert joined[datetime(2016, 8, 22, 12)].timestamp == datetime(2016, 8, 22, 9)
 
 
 def test_join_ignores_future_records():
     weather = [weather_at("2016-08-22T07:15"), weather_at("2016-08-22T09:00")]
-    pairs = join_weather([hour_at("2016-08-22T08:00")], weather)
-    assert pairs[0][1].timestamp == datetime(2016, 8, 22, 7, 15)
+    joined = join_weather([hour_at("2016-08-22T08:00")], weather)
+    assert joined[datetime(2016, 8, 22, 8)].timestamp == datetime(2016, 8, 22, 7, 15)
+
+
+def test_join_keys_each_distinct_hour_once_in_hour_order():
+    lq = HourlyWait(datetime(2016, 8, 22, 8), Bridge.LQ, Direction.TO_CAN, Vehicle.COMMERCIAL, 1.0, 12)
+    hours = [hour_at("2016-08-22T09:00"), lq, hour_at("2016-08-22T08:00")]
+    joined = join_weather(hours, [weather_at("2016-08-22T07:30"), weather_at("2016-08-22T08:45")])
+    assert list(joined) == [datetime(2016, 8, 22, 8), datetime(2016, 8, 22, 9)]
+    assert [w.timestamp for w in joined.values()] == [datetime(2016, 8, 22, 8, 45)] * 2
+
+
+def test_join_names_the_first_stale_hour():
+    hours = [hour_at("2016-08-22T13:00"), hour_at("2016-08-22T12:00"), hour_at("2016-08-22T09:00")]
+    with pytest.raises(DataError, match="of 2016-08-22T12:00"):
+        join_weather(hours, [weather_at("2016-08-22T08:00")])
 
 
 def _join_oracle(hour_start, weather):
@@ -395,5 +540,5 @@ def test_join_matches_linear_scan_oracle(weather, hour):
         with pytest.raises(DataError):
             join_weather([hw], weather)
     else:
-        pairs = join_weather([hw], weather)
-        assert pairs[0][1].timestamp == expected.timestamp
+        joined = join_weather([hw], weather)
+        assert joined[hw.hour_start].timestamp == expected.timestamp

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delaytree.errors import DataError
-from delaytree.features import FEATURE_SCHEMA, HourObservation
+from delaytree.features import FEATURE_SCHEMA
 from delaytree.ingest import Bridge, Direction, HourlyWait, Vehicle
 from delaytree.patterns import (
     COMBOS,
@@ -134,14 +134,23 @@ def test_pattern_matches_oracle_random(waits):
 # ----------------------------------------------------------- assembly
 
 
-def obs(hour, bridge, wait, direction=Direction.TO_US, vehicle=Vehicle.PASSENGER, fv=None):
-    hw = HourlyWait(datetime(2016, 8, 22, hour), bridge, direction, vehicle, wait, 12)
-    return HourObservation(hw, fv or make_fv())
+def obs(hour, bridge, wait, direction=Direction.TO_US, vehicle=Vehicle.PASSENGER):
+    return HourlyWait(datetime(2016, 8, 22, hour), bridge, direction, vehicle, wait, 12)
+
+
+def hour_fv(hour):
+    """The feature vector `assemble` gives each hour: its own temperature."""
+    return make_fv(temperature_f=float(hour))
+
+
+def assemble(hours, direction, vehicle):
+    """assemble_rows over `hours` and a features map built from them."""
+    return assemble_rows(hours, {hw.hour_start: hour_fv(hw.hour_start.hour) for hw in hours}, direction, vehicle)
 
 
 def test_assemble_drops_all_zero_hours():
     observations = [obs(8, b, 0.0) for b in (Bridge.PB, Bridge.RB, Bridge.LQ)]
-    ds = assemble_rows(observations, Direction.TO_US, Vehicle.PASSENGER)
+    ds = assemble(observations, Direction.TO_US, Vehicle.PASSENGER)
     assert ds.rows == []
     assert ds.dropped_all_zero == 1
     assert ds.skipped_incomplete == 0
@@ -153,12 +162,12 @@ def test_assemble_encodes_patterns():
         obs(8, Bridge.RB, 5.0),
         obs(8, Bridge.LQ, 0.0),
     ]
-    ds = assemble_rows(observations, Direction.TO_US, Vehicle.PASSENGER)
+    ds = assemble(observations, Direction.TO_US, Vehicle.PASSENGER)
     assert len(ds.rows) == 1
     row = ds.rows[0]
     assert row.pattern.label == "delay-slight delay-slight delay"
     assert row.waits == (20.0, 5.0, 0.0)
-    assert row.features == make_fv()
+    assert row.features == hour_fv(8)
 
 
 def test_assemble_skips_incomplete_hours():
@@ -170,7 +179,7 @@ def test_assemble_skips_incomplete_hours():
         obs(9, Bridge.RB, 5.0),
         obs(9, Bridge.LQ, 5.0),
     ]
-    ds = assemble_rows(observations, Direction.TO_US, Vehicle.PASSENGER)
+    ds = assemble(observations, Direction.TO_US, Vehicle.PASSENGER)
     assert [r.hour_start.hour for r in ds.rows] == [9]
     assert ds.skipped_incomplete == 1
 
@@ -180,7 +189,7 @@ def test_assemble_trucks_need_only_two_bridges():
         obs(8, Bridge.PB, 35.0, vehicle=Vehicle.COMMERCIAL),
         obs(8, Bridge.LQ, 10.0, vehicle=Vehicle.COMMERCIAL),
     ]
-    ds = assemble_rows(observations, Direction.TO_US, Vehicle.COMMERCIAL)
+    ds = assemble(observations, Direction.TO_US, Vehicle.COMMERCIAL)
     assert len(ds.rows) == 1
     assert ds.rows[0].pattern.label == "heavy delay-slight delay"
     assert ds.bridges == (Bridge.PB, Bridge.LQ)
@@ -193,7 +202,7 @@ def test_assemble_filters_other_combos():
         obs(8, Bridge.LQ, 1.0),
         obs(8, Bridge.PB, 40.0, direction=Direction.TO_CAN),
     ]
-    ds = assemble_rows(observations, Direction.TO_US, Vehicle.PASSENGER)
+    ds = assemble(observations, Direction.TO_US, Vehicle.PASSENGER)
     assert len(ds.rows) == 1
     assert ds.rows[0].waits[0] == 20.0
 
@@ -204,11 +213,12 @@ def test_assemble_rows_sorted_by_hour_and_no_all_zero_sources():
     for hour in (9, 7, 8, 11, 10):
         for b in (Bridge.PB, Bridge.RB, Bridge.LQ):
             observations.append(obs(hour, b, float(rng.choice([0, 0, 5, 20]))))
-    ds = assemble_rows(observations, Direction.TO_US, Vehicle.PASSENGER)
+    ds = assemble(observations, Direction.TO_US, Vehicle.PASSENGER)
     hours = [r.hour_start for r in ds.rows]
     assert hours == sorted(hours)
     for row in ds.rows:
         assert any(w > 0 for w in row.waits)
+        assert row.features == hour_fv(row.hour_start.hour)
 
 
 # -------------------------------------------------------- frequencies
@@ -228,7 +238,7 @@ def test_frequencies_single_bucket():
         for h in (8, 9, 10)
         for b, w in zip((Bridge.PB, Bridge.RB, Bridge.LQ), (20.0, 5.0, 0.0))
     ]
-    ds = assemble_rows(observations, Direction.TO_US, Vehicle.PASSENGER)
+    ds = assemble(observations, Direction.TO_US, Vehicle.PASSENGER)
     freqs = pattern_frequencies(ds)
     assert len(freqs) == 1
     assert freqs[0][0].label == "delay-slight delay-slight delay"
@@ -271,8 +281,8 @@ def _assembled_pair():
         obs(8, Bridge.LQ, 10.0, vehicle=Vehicle.COMMERCIAL),
     ]
     return (
-        assemble_rows(passenger, Direction.TO_US, Vehicle.PASSENGER),
-        assemble_rows(trucks, Direction.TO_US, Vehicle.COMMERCIAL),
+        assemble(passenger, Direction.TO_US, Vehicle.PASSENGER),
+        assemble(trucks, Direction.TO_US, Vehicle.COMMERCIAL),
     )
 
 

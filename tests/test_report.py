@@ -135,6 +135,11 @@ def test_import_rejects_cyclic_shared_or_missing_children(children, message):
         report.import_tree(json.dumps(doc))
 
 
+def test_import_rejects_json_nested_deeper_than_the_recursion_limit():
+    with pytest.raises(DataError, match="malformed tree json"):
+        report.import_tree("[" * 100_000)
+
+
 def test_render_and_import_deeper_than_the_recursion_limit(chain_tree):
     text = report.export_tree(chain_tree, "json")
     assert report.export_tree(report.import_tree(text), "json") == text

@@ -52,7 +52,7 @@ def ingest_all(out):
     weather = parse_weather(out.weather.read_text())
     us, ca = parse_holidays(out.holidays.read_text())
     hours = aggregate_hourly(waits)
-    return label_hours(join_weather(hours, weather), us, ca), hours
+    return hours, label_hours(join_weather(hours, weather), us, ca)
 
 
 # ------------------------------------------------------------ configs
@@ -138,8 +138,7 @@ def test_emission_log_matches_reconstructed_patterns(tmp_path):
     cfg = config(start=date(2016, 9, 5), end=date(2016, 9, 25), seed=11,
                  rules=(weekend_rule(),), label_flip=0.1, jitter=1.0)
     out = synth.generate(cfg, tmp_path)
-    observations, _ = ingest_all(out)
-    ds = assemble_rows(observations, Direction.TO_US, Vehicle.PASSENGER)
+    ds = assemble_rows(*ingest_all(out), Direction.TO_US, Vehicle.PASSENGER)
     emitted = {row.hour_start.isoformat(timespec="minutes"): row.pattern.label for row in ds.rows}
     checked = 0
     for row in csv.DictReader(io.StringIO(out.emission_log.read_text())):
