@@ -47,15 +47,13 @@ from .ingest import (
 )
 from .patterns import (
     COMBOS,
-    DelayCategory3,
     DelayCategory4,
-    DelayPattern,
     PatternDataset,
     all_patterns,
     assemble_rows,
     categorize,
-    merge_no_delay,
     pattern_frequencies,
+    pattern_of,
 )
 from .report import export_tree, factor_summary, hourly_distribution, import_tree
 from .synth import PlantedRule, SynthConfig, generate

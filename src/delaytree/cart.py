@@ -5,17 +5,16 @@ categorical features enumerate every canonical level subset. A node stops
 splitting when it is pure, holds fewer than min_samples rows, sits at
 max_depth, or no candidate reaches min_gain.
 
-Training encodes the rows once, on entry: each class label (its rendered
-string form, e.g. a delay pattern's hyphenated label) becomes its index in
-the sorted distinct labels, so index order is the lexicographic tie-break
-order; each categorical feature becomes a column of declared-level indexes
-and each continuous feature a column of floats. A node is a list of row
-indexes plus a per-class count list. Thresholds are scanned over the
-node's rows sorted by value, with running sums of squared class counts;
-level subsets are scanned in lexicographic order, each subset's counts
-built from its prefix subset's plus one level's. Rules and class
-distributions (keyed by the rendered labels) are built only for the
-chosen split and for the leaves.
+Training encodes the rows once, on entry: each class label (as a string,
+e.g. a delay pattern label) becomes its index in the sorted distinct
+labels, so index order is the lexicographic tie-break order; each
+categorical feature becomes a column of declared-level indexes and each
+continuous feature a column of floats. A node is a list of row indexes
+plus a per-class count list. Thresholds are scanned over the node's rows
+sorted by value, with running sums of squared class counts; level subsets
+are scanned in lexicographic order, each subset's counts built from its
+prefix subset's plus one level's. Rules and class distributions (keyed by
+the labels) are built only for the chosen split and for the leaves.
 
 Impurities are evaluated as exact integer ratios rounded once to float:
 gini = 1 - sum(counts^2)/N^2 and the gain's closed form over a common
@@ -180,7 +179,7 @@ class TrainingSet(NamedTuple):
 class _Encoded(NamedTuple):
     """Rows encoded once for training.
 
-    classes: the distinct rendered labels, sorted; y: each row's index into
+    classes: the distinct labels, sorted; y: each row's index into
     classes; columns: per spec, the rows' declared-level indexes
     (categorical) or floats (continuous).
     """

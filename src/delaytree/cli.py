@@ -26,7 +26,7 @@ from .features import CATEGORICAL, FEATURE_SCHEMA, label_hours, parse_holidays
 from .ingest import Bridge, Direction, Vehicle, hourly_waits, join_weather, parse_weather
 # Not called here, but perfbench/tracer.py wraps them under these names.
 from .ingest import aggregate_hourly, parse_wait_times  # noqa: F401
-from .patterns import COMBOS, DelayPattern, assemble_rows, pattern_frequencies, read_observations, write_observations
+from .patterns import COMBOS, assemble_rows, pattern_frequencies, read_observations, write_observations
 
 logger = logging.getLogger("delaytree")
 
@@ -182,8 +182,7 @@ def parse_rule(text: str) -> synth.PlantedRule:
             if m is None:
                 raise UsageError(f"bad wait shift {item.strip()!r}; want e.g. PB+17")
             shifts[Bridge[m.group(1).upper()]] = float(m.group(2))
-    target = DelayPattern.from_label(parts[2])
-    return synth.PlantedRule(condition, target, shifts)
+    return synth.PlantedRule(condition, parts[2], shifts)
 
 
 _STREAM = (Setting("vehicle", _member(Vehicle)), Setting("direction", _member(Direction)))
@@ -315,12 +314,15 @@ def cmd_report_hourly_dist(o, cp, flags) -> int:
 
 
 def cmd_report_factors(o, cp, flags) -> int:
-    trees = {}
+    trees, paths = {}, {}
     for path in o["trees"]:
         tree = _parse_file(report.import_tree, path)
         if tree.vehicle is None or tree.direction is None:
             raise UsageError(f"{path}: tree json lacks vehicle/direction tags")
-        trees[(tree.vehicle, tree.direction)] = tree
+        key = (tree.vehicle, tree.direction)
+        if key in paths:
+            raise UsageError(f"{paths[key]} and {path} both hold the {tree.vehicle.label} {tree.direction.label} tree")
+        trees[key], paths[key] = tree, path
     _emit(report.factor_summary_csv(report.factor_summary(trees)), o["out"])
     return 0
 

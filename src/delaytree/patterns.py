@@ -13,7 +13,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from enum import IntEnum
 from typing import NamedTuple
@@ -32,23 +32,9 @@ class DelayCategory4(IntEnum):
     DELAY = 2
     HEAVY_DELAY = 3
 
-    @property
-    def label(self) -> str:
-        return _LABELS[self.value]
 
-
-class DelayCategory3(IntEnum):
-    SLIGHT_DELAY = 1
-    DELAY = 2
-    HEAVY_DELAY = 3
-
-    @property
-    def label(self) -> str:
-        return _LABELS[self.value]
-
-
-_LABELS = {0: "no delay", 1: "slight delay", 2: "delay", 3: "heavy delay"}
-_LABEL_TO_3 = {c.label: c for c in DelayCategory3}
+# The part of a pattern label each category gives: no delay folds into slight.
+_PARTS = ("slight delay", "slight delay", "delay", "heavy delay")
 
 
 def categorize(wait_minutes: float) -> DelayCategory4:
@@ -64,59 +50,20 @@ def categorize(wait_minutes: float) -> DelayCategory4:
     return DelayCategory4.HEAVY_DELAY
 
 
-def merge_no_delay(category: DelayCategory4) -> DelayCategory3:
-    """Fold no delay into slight delay; other categories pass through."""
-    return DelayCategory3(max(category.value, DelayCategory3.SLIGHT_DELAY.value))
+def pattern_of(waits) -> str:
+    """The pattern label of per-bridge waits, e.g. (20, 5, 0) over (PB, RB,
+    LQ) -> "delay-slight delay-slight delay"."""
+    return "-".join([_PARTS[categorize(w)] for w in waits])
 
 
-@dataclass(frozen=True, order=True)
-class DelayPattern:
-    levels: tuple[DelayCategory3, ...]
-    bridges: tuple[Bridge, ...] = field(compare=False)
-
-    def __post_init__(self):
-        if len(self.levels) != len(self.bridges):
-            raise ValueError("one level per bridge required")
-
-    @property
-    def label(self) -> str:
-        return "-".join(level.label for level in self.levels)
-
-    def __str__(self) -> str:
-        return self.label
-
-    @classmethod
-    def from_waits(cls, waits, bridges: tuple[Bridge, ...]) -> "DelayPattern":
-        levels = tuple(merge_no_delay(categorize(w)) for w in waits)
-        return cls(levels, bridges)
-
-    @classmethod
-    def from_label(cls, label: str) -> "DelayPattern":
-        parts = label.split("-")
-        try:
-            levels = tuple(_LABEL_TO_3[p] for p in parts)
-        except KeyError:
-            raise DataError(f"unknown delay pattern label {label!r}") from None
-        if len(levels) == 3:
-            bridges = bridges_for(Vehicle.PASSENGER)
-        elif len(levels) == 2:
-            bridges = bridges_for(Vehicle.COMMERCIAL)
-        else:
-            raise DataError(f"pattern label {label!r} has {len(levels)} parts, want 2 or 3")
-        return cls(levels, bridges)
-
-
-def all_patterns(bridges: tuple[Bridge, ...]) -> list[DelayPattern]:
-    """The full pattern space: 27 values over three bridges, 9 over two."""
-    return [
-        DelayPattern(levels, bridges)
-        for levels in itertools.product(tuple(DelayCategory3), repeat=len(bridges))
-    ]
+def all_patterns(bridges: tuple[Bridge, ...]) -> list[str]:
+    """The full pattern space: 27 labels over three bridges, 9 over two."""
+    return ["-".join(parts) for parts in itertools.product(dict.fromkeys(_PARTS), repeat=len(bridges))]
 
 
 class PatternRow(NamedTuple):
     features: FeatureVector
-    pattern: DelayPattern
+    pattern: str
     hour_start: datetime
     waits: tuple  # mean wait per bridge, aligned with the dataset's bridges
 
@@ -177,17 +124,16 @@ def assemble_rows(
         if all(w == 0.0 for w in waits):
             dropped += 1
             continue
-        pattern = DelayPattern.from_waits(waits, bridges)
-        rows.append(PatternRow(features[hour_start], pattern, hour_start, waits))
+        rows.append(PatternRow(features[hour_start], pattern_of(waits), hour_start, waits))
     return PatternDataset(schema, rows, direction, vehicle, skipped, dropped)
 
 
-def pattern_frequencies(ds: PatternDataset) -> list[tuple[DelayPattern, int]]:
+def pattern_frequencies(ds: PatternDataset) -> list[tuple[str, int]]:
     """Histogram of patterns, descending count then label; zero counts omitted."""
-    counts: dict[DelayPattern, int] = {}
+    counts: dict[str, int] = {}
     for row in ds.rows:
         counts[row.pattern] = counts.get(row.pattern, 0) + 1
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].label))
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 OBSERVATIONS_HEADER = [
@@ -216,7 +162,7 @@ def write_observations(datasets: list[PatternDataset]) -> str:
                     _fmt_wait(waits.get(Bridge.PB)),
                     _fmt_wait(waits.get(Bridge.RB)),
                     _fmt_wait(waits.get(Bridge.LQ)),
-                    row.pattern.label,
+                    row.pattern,
                     fv.month,
                     fv.season,
                     fv.hour_interval,
@@ -241,7 +187,8 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
 
     Every feature value must be a declared level of FEATURE_SCHEMA or, for
     a continuous feature, a finite number; waits must be finite too, and the
-    pattern must have one part per bridge of the row's vehicle.
+    pattern label must have one merged part name per bridge of the row's
+    vehicle.
     """
     datasets: dict[tuple[Vehicle, Direction], PatternDataset] = {}
     for line, row in csv_rows(text, OBSERVATIONS_HEADER):
@@ -249,7 +196,6 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
             hour_start = datetime.fromisoformat(row[0])
             direction = Direction[row[1].upper()]
             vehicle = Vehicle[row[2].upper()]
-            pattern = DelayPattern.from_label(row[6])
             fv = FeatureVector(
                 month=int(row[7]),
                 season=row[8],
@@ -267,8 +213,13 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
             waits = tuple(float(wait_cols[b]) for b in bridges)
         except (ValueError, KeyError) as exc:
             raise DataError(f"bad observation row: {exc}", line=line) from None
-        if pattern.bridges != bridges:
-            raise DataError(f"pattern {row[6]!r} does not fit {vehicle.label}", line=line)
+        pattern = row[6]
+        parts = pattern.split("-")
+        for part in parts:
+            if part not in _PARTS:
+                raise DataError(f"pattern {pattern!r} has unknown part {part!r}", line=line)
+        if len(parts) != len(bridges):
+            raise DataError(f"pattern {pattern!r} does not fit {vehicle.label}", line=line)
         for spec in FEATURE_SCHEMA:
             value = fv[spec.name]
             if spec.kind == CONTINUOUS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -102,9 +103,18 @@ def _typed(value, types, what: str):
     return value
 
 
+def _finite(value, what: str):
+    """`value` if it is a finite number, else a data error."""
+    if not math.isfinite(_typed(value, (int, float), what)):
+        raise DataError(f"malformed tree json: {what} {value!r} is not finite")
+    return value
+
+
 def import_tree(text: str) -> DecisionTree:
     """Rebuild a DecisionTree from its json export. A field that the
-    exports and reports read and that has the wrong type is a data error."""
+    exports and reports read and that has the wrong type is a data error,
+    as are a node kind other than leaf or split and a non-finite threshold
+    or gain."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -124,7 +134,9 @@ def import_tree(text: str) -> DecisionTree:
         reached = {0}
         for node_id in order:
             node = by_id[node_id]
-            if node["kind"] != "leaf":
+            if node["kind"] not in ("leaf", "split"):
+                raise DataError(f"malformed tree json: node kind {node['kind']!r} is neither leaf nor split")
+            if node["kind"] == "split":
                 for child in node["children"]:
                     if child in reached:
                         raise DataError(f"malformed tree json: node {child!r} is reached twice")
@@ -143,11 +155,11 @@ def import_tree(text: str) -> DecisionTree:
             rule_doc = node["rule"]
             feature = _typed(rule_doc["feature"], str, "feature")
             if rule_doc["kind"] == "threshold":
-                rule = ThresholdRule(feature, _typed(rule_doc["threshold"], (int, float), "threshold"))
+                rule = ThresholdRule(feature, _finite(rule_doc["threshold"], "threshold"))
             else:
                 rule = SubsetRule(feature, tuple(rule_doc["left"]), tuple(rule_doc["right"]))
             left, right = node["children"]
-            gain = _typed(node["gain"], (int, float), "gain")
+            gain = _finite(node["gain"], "gain")
             built[node_id] = Split(rule, gain, dist, built.pop(left), built.pop(right))
 
         vehicle = _typed(doc.get("vehicle"), (str, type(None)), "vehicle")
@@ -157,7 +169,7 @@ def import_tree(text: str) -> DecisionTree:
             vehicle=Vehicle[vehicle.upper()] if vehicle else None,
             direction=Direction[direction.upper()] if direction else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed tree json: {exc}") from None
 
 
@@ -247,7 +259,7 @@ def pattern_frequencies_csv(freqs) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["pattern", "count"])
     for pattern, count in freqs:
-        writer.writerow([pattern.label, count])
+        writer.writerow([pattern, count])
     return buf.getvalue()
 
 

@@ -23,7 +23,7 @@ from delaytree.ingest import (
     parse_wait_times,
     parse_weather,
 )
-from delaytree.patterns import DelayCategory4, DelayPattern, all_patterns, assemble_rows, categorize
+from delaytree.patterns import DelayCategory4, all_patterns, assemble_rows, categorize, pattern_of
 
 from helpers import (
     GAIN_0004_SIDES,
@@ -138,10 +138,11 @@ def test_criterion_4_pattern_space_constants():
     with criterion(4, "pattern spaces have 27 and 9 labels; category boundaries closed-right"):
         three = all_patterns((Bridge.PB, Bridge.RB, Bridge.LQ))
         two = all_patterns((Bridge.PB, Bridge.LQ))
-        assert len({p.label for p in three}) == 27
-        assert len({p.label for p in two}) == 9
+        assert len(set(three)) == 27
+        assert len(set(two)) == 9
+        waits = {"slight delay": 0.0, "delay": 30.0, "heavy delay": 30.5}
         for p in three + two:
-            assert DelayPattern.from_label(p.label) == p
+            assert pattern_of([waits[part] for part in p.split("-")]) == p
 
         assert categorize(0.0) is DelayCategory4.NO_DELAY
         assert categorize(1e-9) is DelayCategory4.SLIGHT_DELAY
@@ -174,7 +175,7 @@ def test_criterion_5_planted_rule_recovery(tmp_path):
     with criterion(5, "planted rules are recovered: root split, accuracy, influential factors"):
         start = time.perf_counter()
         weekend = synth.PlantedRule(
-            {"weekend": (1,)}, DelayPattern.from_label(P_WEEKEND), {Bridge.PB: 17.0}
+            {"weekend": (1,)}, P_WEEKEND, {Bridge.PB: 17.0}
         )
         cfg = synth.SynthConfig(
             start=date(2016, 8, 22), end=date(2017, 7, 21),  # 334 days = 5010 hours
@@ -189,14 +190,14 @@ def test_criterion_5_planted_rule_recovery(tmp_path):
         assert isinstance(tree.root, Split)
         assert tree.root.rule.feature == "weekend"
         correct = sum(
-            cart.predict(tree, row.features) == row.pattern.label for row in ds.rows
+            cart.predict(tree, row.features) == row.pattern for row in ds.rows
         )
         assert correct / len(ds.rows) >= 0.90
         assert cart.internal_features(tree) == ["weekend"]
 
         evening = synth.PlantedRule(
             {"hour_interval": ("Evening", "Night")},
-            DelayPattern.from_label(P_EVENING),
+            P_EVENING,
             {Bridge.LQ: 32.0},
         )
         cfg2 = synth.SynthConfig(
@@ -323,7 +324,7 @@ def test_criterion_7_aggregation_and_filtering():
         assert [(r.hour_start.day, r.hour_start.hour) for r in ds.rows] == [
             (22, 8), (23, 10), (24, 21),
         ]
-        assert [r.pattern.label for r in ds.rows] == [
+        assert [r.pattern for r in ds.rows] == [
             "delay-slight delay-slight delay",
             "heavy delay-slight delay-delay",
             "slight delay-slight delay-slight delay",

@@ -1,6 +1,7 @@
 """CLI exit codes, config/flag precedence, and idempotent outputs."""
 
 import json
+import math
 
 import pytest
 
@@ -181,6 +182,18 @@ def test_report_factors(corpus, tmp_path):
     assert "weekend" in out.read_text()
 
 
+def test_report_factors_rejects_two_trees_of_one_combo(corpus, tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    assert main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger",
+                 "--direction", "to_us", "--out", str(tree)]) == 0
+    again = tmp_path / "again.json"
+    again.write_text(tree.read_text())
+    out = tmp_path / "factors.csv"
+    assert main(["report", "factors", "--trees", str(tree), str(again), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {tree} and {again} both hold the passenger to_us tree\n"
+    assert not out.exists()
+
+
 def test_ingest_rerun_is_byte_identical(corpus, tmp_path):
     data = corpus / "data"
     args = [
@@ -273,6 +286,9 @@ def test_data_error_names_file_and_line(corpus, tmp_path, capsys):
         (8, "Monsoon", "season 'Monsoon' is not a declared level"),
         (13, "nan", "temperature_f nan is not a finite number"),
         (6, "delay-slight delay", "pattern 'delay-slight delay' does not fit passenger"),
+        (6, "banana-slight delay-slight delay", "pattern 'banana-slight delay-slight delay' has unknown part 'banana'"),
+        (6, "delay-slight delay-slight delay-delay",
+         "pattern 'delay-slight delay-slight delay-delay' does not fit passenger"),
     ],
 )
 def test_train_rejects_undeclared_level_and_non_finite_value(corpus, tmp_path, capsys, column, value, message):
@@ -311,11 +327,19 @@ def test_render_cyclic_tree_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "node, key, value",
-    [(None, "vehicle", 5), ("split", "n", "5"), ("leaf", "label", [1])],
-    ids=["vehicle", "n", "label"],
+    "node, key, value, message",
+    [
+        (None, "vehicle", 5, "vehicle 5 has the wrong type"),
+        ("split", "n", "5", "n '5' has the wrong type"),
+        ("leaf", "label", [1], "label [1] has the wrong type"),
+        ("split", "kind", "banana", "node kind 'banana' is neither leaf nor split"),
+        ("split", "gain", math.nan, "gain nan is not finite"),
+        ("split", "rule", {"feature": "temperature_f", "kind": "threshold", "threshold": math.inf},
+         "threshold inf is not finite"),
+    ],
+    ids=["vehicle", "n", "label", "kind", "gain", "threshold"],
 )
-def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value):
+def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, message):
     tree = tmp_path / "tree.json"
     assert main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger",
                  "--direction", "to_us", "--out", str(tree)]) == 0
@@ -325,7 +349,7 @@ def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value):
     tree.write_text(json.dumps(doc))
     for argv in (["render", "--tree", str(tree), "--format", "text"], ["report", "factors", "--trees", str(tree)]):
         assert main(argv) == 2
-        assert f"{tree}: malformed tree json: {key} {value!r} has the wrong type" in capsys.readouterr().err
+        assert f"{tree}: malformed tree json: {message}" in capsys.readouterr().err
 
 
 def test_invalid_log_env_warns_but_runs(corpus, tmp_path, capsys, monkeypatch):
@@ -337,11 +361,36 @@ def test_invalid_log_env_warns_but_runs(corpus, tmp_path, capsys, monkeypatch):
     assert "DELAYTREE_LOG" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--base-pb", "nan"], "base wait PB must be >= 0, not nan"),
+        (["--jitter", "inf"], "jitter must be a finite number >= 0, not inf"),
+        (["--base-pb", "1e308", "--jitter", "1e308"], "base wait PB 1e+308 plus jitter 1e+308 is not finite"),
+        (["--rule", "weekend=1 => PB+" + "9" * 400 + " => heavy delay-slight delay-slight delay"],
+         "rule-shifted wait PB inf plus jitter 0.0 is not finite"),
+        (["--rule", "weekend=1 => PB-10 => slight delay-slight delay-slight delay"],
+         "rule-shifted wait PB must be >= 0, not -5.0"),
+        (["--rule", "weekend=1 => PB+17 => banana"],
+         "rule target 'banana' disagrees with its shifted waits ('delay-slight delay-slight delay')"),
+    ],
+    ids=["base-nan", "jitter-inf", "overflow", "shift-inf", "shift-negative", "target-junk"],
+)
+def test_synth_rejects_non_finite_settings(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    rc = main(["synth", "--out-dir", str(out), "--start", "2016-09-05", "--end", "2016-09-11", "--seed", "1",
+               "--direction", "to_us", "--vehicle", "passenger", "--base-pb", "5", "--base-rb", "5",
+               "--base-lq", "5", *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_parse_rule():
     rule = parse_rule("weekend=1 & hour_interval=Evening|Night => PB+17,LQ-2 => delay-slight delay-slight delay")
     assert rule.condition == {"weekend": (1,), "hour_interval": ("Evening", "Night")}
     assert rule.shifts == {Bridge.PB: 17.0, Bridge.LQ: -2.0}
-    assert rule.target.label == "delay-slight delay-slight delay"
+    assert rule.target == "delay-slight delay-slight delay"
 
 
 @pytest.mark.parametrize(

@@ -17,15 +17,13 @@ from delaytree.features import FEATURE_SCHEMA
 from delaytree.ingest import Bridge, Direction, HourlyWait, Vehicle
 from delaytree.patterns import (
     COMBOS,
-    DelayCategory3,
     DelayCategory4,
-    DelayPattern,
     PatternDataset,
     all_patterns,
     assemble_rows,
     categorize,
-    merge_no_delay,
     pattern_frequencies,
+    pattern_of,
     read_observations,
     write_observations,
 )
@@ -72,15 +70,15 @@ def test_categorize_monotone(a, b):
 
 
 def test_merge_folds_no_delay_into_slight():
-    assert merge_no_delay(DelayCategory4.NO_DELAY) is DelayCategory3.SLIGHT_DELAY
-    assert merge_no_delay(DelayCategory4.SLIGHT_DELAY) is DelayCategory3.SLIGHT_DELAY
-    assert merge_no_delay(DelayCategory4.DELAY) is DelayCategory3.DELAY
-    assert merge_no_delay(DelayCategory4.HEAVY_DELAY) is DelayCategory3.HEAVY_DELAY
+    assert pattern_of([0.0]) == "slight delay"
+    assert pattern_of([10.0]) == "slight delay"
+    assert pattern_of([20.0]) == "delay"
+    assert pattern_of([40.0]) == "heavy delay"
 
 
 @given(st.floats(0, 15, allow_nan=False))
 def test_merged_boundary_interval(wait):
-    assert merge_no_delay(categorize(wait)) is DelayCategory3.SLIGHT_DELAY
+    assert pattern_of([wait]) == "slight delay"
 
 
 # ----------------------------------------------------------- patterns
@@ -90,45 +88,53 @@ def test_pattern_space_sizes():
     three = all_patterns((Bridge.PB, Bridge.RB, Bridge.LQ))
     two = all_patterns((Bridge.PB, Bridge.LQ))
     assert len(three) == 27
-    assert len(set(p.label for p in three)) == 27
+    assert len(set(three)) == 27
     assert len(two) == 9
-    assert len(set(p.label for p in two)) == 9
+    assert len(set(two)) == 9
 
 
 def test_pattern_label_round_trip_all_values():
     for bridges in ((Bridge.PB, Bridge.RB, Bridge.LQ), (Bridge.PB, Bridge.LQ)):
         for pattern in all_patterns(bridges):
-            assert DelayPattern.from_label(pattern.label) == pattern
+            waits = [{"slight delay": 10.0, "delay": 20.0, "heavy delay": 40.0}[part] for part in pattern.split("-")]
+            assert pattern_of(waits) == pattern
 
 
 def test_pattern_from_label_rejects_junk():
-    with pytest.raises(DataError):
-        DelayPattern.from_label("delay-gridlock-delay")
-    with pytest.raises(DataError):
-        DelayPattern.from_label("delay")
+    lines = write_observations(list(_assembled_pair())).splitlines()
+    assert ",passenger," in lines[1]
+    for label, message in [
+        ("banana-slight delay-slight delay", "has unknown part 'banana'"),
+        ("delay-gridlock-delay", "has unknown part 'gridlock'"),
+        ("delay", "does not fit passenger"),
+    ]:
+        fields = lines[1].split(",")
+        fields[6] = label
+        with pytest.raises(DataError) as exc:
+            read_observations("\n".join([lines[0], ",".join(fields)]) + "\n")
+        assert str(exc.value) == f"line 2: pattern {label!r} {message}"
 
 
 def test_pattern_from_waits_matches_table_oracle():
-    bridges = (Bridge.PB, Bridge.RB, Bridge.LQ)
     cases = [(20.0, 5.0, 0.0), (0.0, 0.0, 31.0), (15.0, 30.0, 30.1), (1.0, 16.0, 45.0)]
     for waits in cases:
         expected = "-".join(merged_label_oracle(w) for w in waits)
-        assert DelayPattern.from_waits(waits, bridges).label == expected
-    assert DelayPattern.from_waits((20.0, 5.0, 0.0), bridges).label == (
+        assert pattern_of(waits) == expected
+    assert pattern_of((20.0, 5.0, 0.0)) == (
         "delay-slight delay-slight delay"
     )
 
 
 def test_truck_pattern_label_vocabulary():
-    pattern = DelayPattern.from_waits((35.0, 10.0), (Bridge.PB, Bridge.LQ))
-    assert pattern.label == "heavy delay-slight delay"
+    assert pattern_of((35.0, 10.0)) == "heavy delay-slight delay"
+    parts = ("slight delay", "delay", "heavy delay")
+    assert set(all_patterns((Bridge.PB, Bridge.LQ))) == {f"{pb}-{lq}" for pb in parts for lq in parts}
 
 
 @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=3, max_size=3))
 def test_pattern_matches_oracle_random(waits):
-    bridges = (Bridge.PB, Bridge.RB, Bridge.LQ)
     expected = "-".join(merged_label_oracle(w) for w in waits)
-    assert DelayPattern.from_waits(waits, bridges).label == expected
+    assert pattern_of(waits) == expected
 
 
 # ----------------------------------------------------------- assembly
@@ -165,7 +171,7 @@ def test_assemble_encodes_patterns():
     ds = assemble(observations, Direction.TO_US, Vehicle.PASSENGER)
     assert len(ds.rows) == 1
     row = ds.rows[0]
-    assert row.pattern.label == "delay-slight delay-slight delay"
+    assert row.pattern == "delay-slight delay-slight delay"
     assert row.waits == (20.0, 5.0, 0.0)
     assert row.features == hour_fv(8)
 
@@ -191,7 +197,7 @@ def test_assemble_trucks_need_only_two_bridges():
     ]
     ds = assemble(observations, Direction.TO_US, Vehicle.COMMERCIAL)
     assert len(ds.rows) == 1
-    assert ds.rows[0].pattern.label == "heavy delay-slight delay"
+    assert ds.rows[0].pattern == "heavy delay-slight delay"
     assert ds.bridges == (Bridge.PB, Bridge.LQ)
 
 
@@ -241,14 +247,14 @@ def test_frequencies_single_bucket():
     ds = assemble(observations, Direction.TO_US, Vehicle.PASSENGER)
     freqs = pattern_frequencies(ds)
     assert len(freqs) == 1
-    assert freqs[0][0].label == "delay-slight delay-slight delay"
+    assert freqs[0][0] == "delay-slight delay-slight delay"
     assert freqs[0][1] == 3
 
 
 def test_frequencies_planted_mix_matches_generator_tally():
     rng = random.Random(42)
-    p1 = DelayPattern.from_label("delay-slight delay-slight delay")
-    p2 = DelayPattern.from_label("slight delay-slight delay-heavy delay")
+    p1 = "delay-slight delay-slight delay"
+    p2 = "slight delay-slight delay-heavy delay"
     tally = {p1: 0, p2: 0}
     rows = []
     from delaytree.patterns import PatternRow
@@ -307,7 +313,11 @@ def test_observations_rejects_bad_header():
 
 @pytest.mark.parametrize(
     "vehicle, label",
-    [("passenger", "delay-slight delay"), ("commercial", "delay-slight delay-heavy delay")],
+    [
+        ("passenger", "delay-slight delay"),
+        ("commercial", "delay-slight delay-heavy delay"),
+        ("passenger", "delay-slight delay-slight delay-delay"),
+    ],
 )
 def test_observations_rejects_pattern_that_does_not_fit_the_vehicle(vehicle, label):
     lines = write_observations(list(_assembled_pair())).splitlines()

@@ -7,7 +7,6 @@ from pathlib import Path
 
 from delaytree import synth
 from delaytree.ingest import Bridge, Direction, Vehicle
-from delaytree.patterns import DelayPattern
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,8 +14,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     one_pass, two_step = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
-    weekend = synth.PlantedRule({"weekend": (1,)}, DelayPattern.from_label("delay-slight delay-slight delay"),
-                                {Bridge.PB: 17.0})
+    weekend = synth.PlantedRule({"weekend": (1,)}, "delay-slight delay-slight delay", {Bridge.PB: 17.0})
     cfg = synth.SynthConfig(
         start=date(2016, 9, 5), end=date(2016, 10, 2), seed=3, direction=Direction.TO_US,
         vehicle=Vehicle.PASSENGER, base_waits={Bridge.PB: 5.0, Bridge.RB: 5.0, Bridge.LQ: 5.0},
@@ -29,7 +27,7 @@ def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     exec(compile(one_pass, str(README), "exec"), namespace)
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("split weekend in ")
-    assert printed[-1] == namespace["ds"].rows[0].pattern.label
+    assert printed[-1] == namespace["ds"].rows[0].pattern
     assert len(namespace["ds"].rows) == 28 * 15
     assert len(namespace["features"]) == 28 * 15
 

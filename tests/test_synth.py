@@ -22,7 +22,7 @@ from delaytree.ingest import (
     parse_wait_times,
     parse_weather,
 )
-from delaytree.patterns import DelayPattern, assemble_rows
+from delaytree.patterns import assemble_rows
 
 from helpers import brute_force_best_split, random_training_set, weekend_split_set
 
@@ -31,7 +31,7 @@ P_RULE = "delay-slight delay-slight delay"
 
 
 def weekend_rule(shift=17.0):
-    return synth.PlantedRule({"weekend": (1,)}, DelayPattern.from_label(P_RULE), {Bridge.PB: shift})
+    return synth.PlantedRule({"weekend": (1,)}, P_RULE, {Bridge.PB: shift})
 
 
 def config(**overrides):
@@ -78,13 +78,13 @@ def test_generate_rejects_empty_range(tmp_path):
 
 
 def test_generate_rejects_inconsistent_rule_target(tmp_path):
-    bad = synth.PlantedRule({"weekend": (1,)}, DelayPattern.from_label("heavy delay-slight delay-slight delay"), {Bridge.PB: 17.0})
+    bad = synth.PlantedRule({"weekend": (1,)}, "heavy delay-slight delay-slight delay", {Bridge.PB: 17.0})
     with pytest.raises(UsageError, match="disagrees"):
         synth.generate(config(rules=(bad,)), tmp_path)
 
 
 def test_generate_rejects_rule_equal_to_base(tmp_path):
-    noop = synth.PlantedRule({"weekend": (1,)}, DelayPattern.from_label(P_BASE), {Bridge.PB: 1.0})
+    noop = synth.PlantedRule({"weekend": (1,)}, P_BASE, {Bridge.PB: 1.0})
     with pytest.raises(UsageError, match="base pattern"):
         synth.generate(config(rules=(noop,)), tmp_path)
 
@@ -139,7 +139,7 @@ def test_emission_log_matches_reconstructed_patterns(tmp_path):
                  rules=(weekend_rule(),), label_flip=0.1, jitter=1.0)
     out = synth.generate(cfg, tmp_path)
     ds = assemble_rows(*ingest_all(out), Direction.TO_US, Vehicle.PASSENGER)
-    emitted = {row.hour_start.isoformat(timespec="minutes"): row.pattern.label for row in ds.rows}
+    emitted = {row.hour_start.isoformat(timespec="minutes"): row.pattern for row in ds.rows}
     checked = 0
     for row in csv.DictReader(io.StringIO(out.emission_log.read_text())):
         label = emitted[row["hour_start"]]
