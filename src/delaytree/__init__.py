@@ -35,7 +35,7 @@ from .ingest import (
     Bridge,
     Condition,
     Direction,
-    HourlyWait,
+    HourlyMeans,
     RawWaitTimeRecord,
     Vehicle,
     WeatherRecord,

@@ -308,8 +308,8 @@ def cmd_report_pattern_freq(o, cp, flags) -> int:
 
 def cmd_report_hourly_dist(o, cp, flags) -> int:
     hours = _parse_file(hourly_waits, o["wait-times"])
-    dist = report.hourly_distribution(hours, o["bridge"], o["direction"], o["vehicle"])
-    _emit(report.hourly_distribution_csv(dist), o["out"])
+    shares = report.hourly_distribution(hours, o["bridge"], o["direction"], o["vehicle"])
+    _emit(report.hourly_distribution_csv(shares), o["out"])
     return 0
 
 
@@ -353,8 +353,8 @@ def cmd_pipeline(o, cp, flags) -> int:
         _emit(report.export_tree(tree, "text"), out_dir / "trees" / f"tree_{stem}.txt")
         _emit(report.pattern_frequencies_csv(pattern_frequencies(ds)), out_dir / "reports" / f"pattern_freq_{stem}.csv")
         for bridge in ds.bridges:
-            dist = report.hourly_distribution(hours, bridge, direction, vehicle)
-            _emit(report.hourly_distribution_csv(dist), out_dir / "reports" / f"hourly_dist_{bridge.name}_{stem}.csv")
+            shares = report.hourly_distribution(hours, bridge, direction, vehicle)
+            _emit(report.hourly_distribution_csv(shares), out_dir / "reports" / f"hourly_dist_{bridge.name}_{stem}.csv")
     _emit(report.factor_summary_csv(report.factor_summary(trained)), out_dir / "reports" / "factors.csv")
     logger.info("pipeline artifacts under %s", out_dir)
     return 0

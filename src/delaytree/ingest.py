@@ -90,14 +90,8 @@ class WeatherRecord:
     condition: Condition
 
 
-@dataclass(frozen=True)
-class HourlyWait:
-    hour_start: datetime
-    bridge: Bridge
-    direction: Direction
-    vehicle: Vehicle
-    mean_wait_minutes: float
-    sample_count: int
+# Stream (bridge, direction, vehicle) -> hour start -> mean wait, hours ascending.
+HourlyMeans = dict[tuple[Bridge, Direction, Vehicle], dict[datetime, float]]
 
 
 def _parse_enum(enum_cls, raw: str, what: str, line: int):
@@ -172,15 +166,18 @@ def _wait_rows(text: str) -> Iterator[tuple[int, datetime, Optional[datetime], t
     timestamp, bridge, direction, vehicle_type, wait_minutes (finite, not
     negative), then the RB+commercial rule (trucks are not allowed on RB);
     errors carry the 1-based line number. Each distinct timestamp text and
-    each distinct (bridge, direction, vehicle_type) text is parsed once.
+    each distinct (bridge, direction, vehicle_type) text is parsed once,
+    and all timestamps of one hour share one `hour` object.
     """
     stamps: dict[str, tuple[datetime, Optional[datetime]]] = {}
+    hours: dict[Optional[datetime], Optional[datetime]] = {}
     streams: dict[tuple[str, str, str], tuple[tuple, bool]] = {}
     for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(text, WAIT_TIMES_HEADER):
         stamp = stamps.get(raw_ts)
         if stamp is None:
             ts = _parse_timestamp(raw_ts, line)
-            stamps[raw_ts] = stamp = (ts, _window_hour(ts))
+            hour = _window_hour(ts)
+            stamps[raw_ts] = stamp = (ts, hours.setdefault(hour, hour))
         raw_stream = (raw_bridge, raw_direction, raw_vehicle)
         stream = streams.get(raw_stream)
         if stream is None:
@@ -237,7 +234,7 @@ def _window_hour(ts: datetime) -> Optional[datetime]:
     return floor_hour(ts) if HOUR_MIN <= ts.hour <= HOUR_MAX else None
 
 
-def hourly_waits(text: str) -> list[HourlyWait]:
+def hourly_waits(text: str) -> HourlyMeans:
     """wait_times.csv content straight to its hourly means, in one pass:
     equal to aggregate_hourly(parse_wait_times(text)), with the same errors,
     but each row is grouped as it is read and no per-row record is kept."""
@@ -256,11 +253,11 @@ def hourly_waits(text: str) -> list[HourlyWait]:
     return _hourly_means(groups, first_lines)
 
 
-def aggregate_hourly(records: list[RawWaitTimeRecord]) -> list[HourlyWait]:
+def aggregate_hourly(records: list[RawWaitTimeRecord]) -> HourlyMeans:
     """Average wait samples per (calendar hour, bridge, direction, vehicle).
 
-    Hours outside 7..21 are dropped. Output is sorted by the group key and
-    independent of input order (see `_hourly_means`).
+    Hours outside 7..21 are dropped. The table is independent of input
+    order (see `_hourly_means`).
     """
     groups: dict[tuple, list[float]] = {}
     for rec in records:
@@ -270,15 +267,15 @@ def aggregate_hourly(records: list[RawWaitTimeRecord]) -> list[HourlyWait]:
     return _hourly_means(groups)
 
 
-def _hourly_means(groups: dict[tuple, list[float]], first_lines: Optional[dict] = None) -> list[HourlyWait]:
-    """One HourlyWait per (hour, (bridge, direction, vehicle)) key, sorted by
-    key. Sums use math.fsum, which is exact, so the order of the samples
-    cannot change any mean. The rounded sum and the division are two
-    roundings, which can put a mean just outside its samples' range, so it
-    is clamped into [min, max]. A sum past the float range is a data error
-    at the line of the group's first sample, when `first_lines` knows it.
+def _hourly_means(groups: dict[tuple, list[float]], first_lines: Optional[dict] = None) -> HourlyMeans:
+    """The table of each (hour, (bridge, direction, vehicle)) group's mean,
+    filled in key order. Sums use math.fsum, which is exact, so the order
+    of the samples cannot change any mean. The rounded sum and the division
+    are two roundings, which can put a mean just outside its samples' range,
+    so it is clamped into [min, max]. A sum past the float range is a data
+    error at the line of the group's first sample, when `first_lines` knows it.
     """
-    out = []
+    table: HourlyMeans = {}
     for key in sorted(groups):
         values = groups[key]
         hour, (bridge, direction, vehicle) = key
@@ -290,13 +287,12 @@ def _hourly_means(groups: dict[tuple, list[float]], first_lines: Optional[dict] 
                 f"in hour {hour.isoformat(timespec='minutes')} overflow their sum",
                 line=first_lines.get(key) if first_lines else None,
             ) from None
-        mean = min(max(total / len(values), min(values)), max(values))
-        out.append(HourlyWait(hour, bridge, direction, vehicle, mean, len(values)))
-    return out
+        table.setdefault(key[1], {})[hour] = min(max(total / len(values), min(values)), max(values))
+    return table
 
 
-def join_weather(hours: list[HourlyWait], weather: list[WeatherRecord]) -> dict[datetime, WeatherRecord]:
-    """The weather record of each distinct hour of `hours`, in hour order.
+def join_weather(hours: HourlyMeans, weather: list[WeatherRecord]) -> dict[datetime, WeatherRecord]:
+    """The weather record of each hour of any stream of `hours`, in order.
 
     The match is the most recent record timestamped before the end of the
     hour; a record inside the hour itself counts as the exact match.
@@ -306,7 +302,7 @@ def join_weather(hours: list[HourlyWait], weather: list[WeatherRecord]) -> dict[
     recs = sorted(weather, key=lambda w: w.timestamp)
     stamps = [w.timestamp for w in recs]
     joined = {}
-    for hour in sorted({hw.hour_start for hw in hours}):
+    for hour in sorted(set().union(*hours.values())):
         idx = bisect_right(stamps, hour + timedelta(hours=1) - timedelta(microseconds=1))
         if idx == 0 or hour - recs[idx - 1].timestamp > WEATHER_JOIN_WINDOW:
             raise DataError(f"no weather within {WEATHER_JOIN_WINDOW} of {hour.isoformat()}")

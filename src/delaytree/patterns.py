@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import DataError
 from .features import CONTINUOUS, FEATURE_SCHEMA, FeatureSchema, FeatureVector
-from .ingest import Bridge, Direction, HourlyWait, Vehicle, bridges_for, csv_rows
+from .ingest import Bridge, Direction, HourlyMeans, Vehicle, bridges_for, csv_rows
 
 SLIGHT_MAX = 15.0
 DELAY_MAX = 30.0
@@ -92,35 +92,29 @@ COMBOS = (
 
 
 def assemble_rows(
-    hours: list[HourlyWait],
+    hours: HourlyMeans,
     features: dict[datetime, FeatureVector],
     direction: Direction,
     vehicle: Vehicle,
     schema: FeatureSchema = FEATURE_SCHEMA,
 ) -> PatternDataset:
     """Build the classification dataset for one (direction, vehicle) from
-    the hourly means and the feature vector of each hour.
+    its bridges' hourly means and the feature vector of each hour.
 
     Per hour with a complete bridge tuple: drop it if every bridge sat at
     zero, otherwise categorize each bridge, merge no delay into slight, and
     concatenate into the pattern label. Hours missing a bridge are skipped
     and tallied, not fatal.
     """
-    bridges = bridges_for(vehicle)
-    by_hour: dict[datetime, dict[Bridge, float]] = {}
-    for hw in hours:
-        if hw.direction is direction and hw.vehicle is vehicle and hw.bridge in bridges:
-            by_hour.setdefault(hw.hour_start, {})[hw.bridge] = hw.mean_wait_minutes
-
+    series = [hours.get((b, direction, vehicle), {}) for b in bridges_for(vehicle)]
     rows: list[PatternRow] = []
     skipped = 0
     dropped = 0
-    for hour_start in sorted(by_hour):
-        per_bridge = by_hour[hour_start]
-        if any(b not in per_bridge for b in bridges):
+    for hour_start in sorted(set().union(*series)):
+        if any(hour_start not in s for s in series):
             skipped += 1
             continue
-        waits = tuple(per_bridge[b] for b in bridges)
+        waits = tuple(s[hour_start] for s in series)
         if all(w == 0.0 for w in waits):
             dropped += 1
             continue
@@ -186,9 +180,9 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
     """Parse observations.csv back into per-combo datasets.
 
     Every feature value must be a declared level of FEATURE_SCHEMA or, for
-    a continuous feature, a finite number; waits must be finite too, and the
-    pattern label must have one merged part name per bridge of the row's
-    vehicle.
+    a continuous feature, a finite number; waits must be finite and not
+    negative, and the pattern label must have one merged part name per
+    bridge of the row's vehicle and be the label of the row's waits.
     """
     datasets: dict[tuple[Vehicle, Direction], PatternDataset] = {}
     for line, row in csv_rows(text, OBSERVATIONS_HEADER):
@@ -229,6 +223,10 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
                 raise DataError(f"{spec.name} {value!r} is not a declared level", line=line)
         if not all(map(math.isfinite, waits)):
             raise DataError(f"waits {waits!r} are not all finite numbers", line=line)
+        if any(w < 0 for w in waits):
+            raise DataError(f"waits {waits!r} include a negative wait", line=line)
+        if pattern != pattern_of(waits):
+            raise DataError(f"pattern {pattern!r} is not the label of waits {waits!r}", line=line)
         key = (vehicle, direction)
         if key not in datasets:
             datasets[key] = PatternDataset(FEATURE_SCHEMA, [], direction, vehicle)

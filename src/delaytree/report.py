@@ -26,8 +26,8 @@ from .cart import (
     internal_features,
 )
 from .errors import DataError, UsageError
-from .features import FeatureSchema, FeatureSpec
-from .ingest import Bridge, Direction, HourlyWait, Vehicle
+from .features import CONTINUOUS, FeatureSchema, FeatureSpec
+from .ingest import Bridge, Direction, HourlyMeans, Vehicle
 from .patterns import DelayCategory4, categorize
 
 TREE_FORMATS = ("json", "dot", "text")
@@ -113,8 +113,9 @@ def _finite(value, what: str):
 def import_tree(text: str) -> DecisionTree:
     """Rebuild a DecisionTree from its json export. A field that the
     exports and reports read and that has the wrong type is a data error,
-    as are a node kind other than leaf or split and a non-finite threshold
-    or gain."""
+    as are a node kind other than leaf or split, a non-finite threshold or
+    gain, an `n` other than the sum of its node's counts, and a rule on a
+    feature the schema lacks or of the wrong kind for its feature."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -149,12 +150,19 @@ def import_tree(text: str) -> DecisionTree:
             node = by_id[node_id]
             counts = {label: _typed(c, int, "count") for label, c in _typed(node["counts"], dict, "counts").items()}
             dist = ClassDistribution(counts, _typed(node["n"], int, "n"))
+            if dist.total != sum(counts.values()):
+                raise DataError(f"malformed tree json: n {dist.total} is not the sum of its counts")
             if node["kind"] == "leaf":
                 built[node_id] = Leaf(_typed(node["label"], str, "label"), dist)
                 continue
             rule_doc = node["rule"]
             feature = _typed(rule_doc["feature"], str, "feature")
-            if rule_doc["kind"] == "threshold":
+            if feature not in schema.names:
+                raise DataError(f"malformed tree json: rule feature {feature!r} is not in the schema")
+            kind = schema.spec(feature).kind
+            if rule_doc["kind"] != ("threshold" if kind == CONTINUOUS else "subset"):
+                raise DataError(f"malformed tree json: {rule_doc['kind']!r} rule on {kind} feature {feature!r}")
+            if kind == CONTINUOUS:
                 rule = ThresholdRule(feature, _finite(rule_doc["threshold"], "threshold"))
             else:
                 rule = SubsetRule(feature, tuple(rule_doc["left"]), tuple(rule_doc["right"]))
@@ -213,42 +221,29 @@ def _to_text(tree: DecisionTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class HourlyDistribution:
-    """Per-hour shares of the four delay categories for one stream."""
-
-    bridge: Bridge
-    direction: Direction
-    vehicle: Vehicle
-    shares: dict  # hour -> {DelayCategory4: proportion}; hours with no data absent
-
-
-def hourly_distribution(
-    hours: list[HourlyWait], bridge: Bridge, direction: Direction, vehicle: Vehicle
-) -> HourlyDistribution:
-    """Share of each (unmerged) delay category per hour of day, computed on
-    the full hourly data, before any filtering or merging."""
+def hourly_distribution(hours: HourlyMeans, bridge: Bridge, direction: Direction, vehicle: Vehicle) -> dict:
+    """Share of each (unmerged) delay category per hour of day of one
+    stream, {hour: {DelayCategory4: share}}, computed on the full hourly
+    data, before any filtering or merging; hours with no data are absent."""
     tallies: dict[int, dict] = {}
-    for hw in hours:
-        if hw.bridge is not bridge or hw.direction is not direction or hw.vehicle is not vehicle:
-            continue
-        cat = categorize(hw.mean_wait_minutes)
-        per_hour = tallies.setdefault(hw.hour_start.hour, {})
+    for hour_start, mean in hours.get((bridge, direction, vehicle), {}).items():
+        cat = categorize(mean)
+        per_hour = tallies.setdefault(hour_start.hour, {})
         per_hour[cat] = per_hour.get(cat, 0) + 1
     shares = {}
     for hour in sorted(tallies):
         total = sum(tallies[hour].values())
         shares[hour] = {cat: tallies[hour].get(cat, 0) / total for cat in DelayCategory4}
-    return HourlyDistribution(bridge, direction, vehicle, shares)
+    return shares
 
 
-def hourly_distribution_csv(dist: HourlyDistribution) -> str:
+def hourly_distribution_csv(shares: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["hour"] + [cat.name.lower() for cat in DelayCategory4])
     for hour in range(7, 22):
-        if hour in dist.shares:
-            writer.writerow([hour] + [repr(dist.shares[hour][cat]) for cat in DelayCategory4])
+        if hour in shares:
+            writer.writerow([hour] + [repr(shares[hour][cat]) for cat in DelayCategory4])
         else:
             writer.writerow([hour, "", "", "", ""])
     return buf.getvalue()

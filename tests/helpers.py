@@ -1,6 +1,7 @@
-"""Shared test builders: canned feature vectors, random training sets for
-oracle-equivalence checks, the engineered stopping-rule datasets, and the
-brute-force split-search oracle the learner is checked against.
+"""Shared test builders: canned feature vectors, hourly-means tables,
+random training sets for oracle-equivalence checks, the engineered
+stopping-rule datasets, and the brute-force split-search oracle the learner
+is checked against.
 
 Everything here is deterministic given its seed; no use of hash(), whose
 salt changes per process.
@@ -44,6 +45,21 @@ def make_fv(**overrides) -> FeatureVector:
     )
     base.update(overrides)
     return FeatureVector(**base)
+
+
+def hourly_table(entries) -> dict:
+    """The hourly-means table, stream (bridge, direction, vehicle) -> hour ->
+    mean with each stream's hours ascending, of (hour, bridge, direction,
+    vehicle, mean) tuples given in any order."""
+    table: dict = {}
+    for hour, bridge, direction, vehicle, mean in sorted(entries, key=lambda e: e[0]):
+        table.setdefault((bridge, direction, vehicle), {})[hour] = mean
+    return table
+
+
+def hourly_keys(table: dict) -> set:
+    """The (stream, hour) keys of an hourly-means table."""
+    return {(stream, hour) for stream, series in table.items() for hour in series}
 
 
 def _bucket(value, n: int) -> int:

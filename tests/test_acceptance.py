@@ -7,7 +7,7 @@ complete. Tolerances are pinned here, not configurable.
 import random
 import time
 from contextlib import contextmanager
-from datetime import date
+from datetime import date, datetime
 from fractions import Fraction
 
 from delaytree import cart, report, synth
@@ -29,6 +29,7 @@ from helpers import (
     GAIN_0004_SIDES,
     GAIN_0006_SIDES,
     brute_force_best_split,
+    hourly_keys,
     random_training_set,
     weekend_split_set,
 )
@@ -309,11 +310,11 @@ def test_criterion_7_aggregation_and_filtering():
 
         in_window = [r for r in records if 7 <= r.timestamp.hour <= 21]
         assert len(in_window) == len(records) - 2
-        assert sum(h.sample_count for h in hours) == len(in_window)
-        assert all(7 <= h.hour_start.hour <= 21 for h in hours)
-        mean_pb_8 = next(
-            h for h in hours if h.bridge is Bridge.PB and h.hour_start.hour == 8
-        ).mean_wait_minutes
+        assert hourly_keys(hours) == {
+            ((r.bridge, r.direction, r.vehicle), r.timestamp.replace(minute=0)) for r in in_window
+        }
+        assert all(7 <= hour.hour <= 21 for _, hour in hourly_keys(hours))
+        mean_pb_8 = hours[(Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)][datetime(2016, 8, 22, 8)]
         assert mean_pb_8 == 20.0  # (18 + 22) / 2
 
         us, ca = parse_holidays("date,country\n")

@@ -336,8 +336,16 @@ def test_render_cyclic_tree_exits_2(tmp_path, capsys):
         ("split", "gain", math.nan, "gain nan is not finite"),
         ("split", "rule", {"feature": "temperature_f", "kind": "threshold", "threshold": math.inf},
          "threshold inf is not finite"),
+        ("split", "rule", {"feature": "nope", "kind": "threshold", "threshold": 1.0},
+         "rule feature 'nope' is not in the schema"),
+        ("split", "rule", {"feature": "weekend", "kind": "threshold", "threshold": 0.5},
+         "'threshold' rule on categorical feature 'weekend'"),
+        ("split", "rule", {"feature": "temperature_f", "kind": "subset", "left": [1.0], "right": [2.0]},
+         "'subset' rule on continuous feature 'temperature_f'"),
+        ("leaf", "n", 5, "n 5 is not the sum of its counts"),
     ],
-    ids=["vehicle", "n", "label", "kind", "gain", "threshold"],
+    ids=["vehicle", "n", "label", "kind", "gain", "threshold", "unknown_feature", "threshold_on_categorical",
+         "subset_on_continuous", "n_not_sum"],
 )
 def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, message):
     tree = tmp_path / "tree.json"

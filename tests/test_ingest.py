@@ -17,7 +17,6 @@ from delaytree.ingest import (
     Bridge,
     Condition,
     Direction,
-    HourlyWait,
     Vehicle,
     WeatherRecord,
     aggregate_hourly,
@@ -32,6 +31,8 @@ from delaytree.features import parse_holidays
 from delaytree.patterns import OBSERVATIONS_HEADER, read_observations
 from delaytree.report import TREE_FORMATS, export_tree, factor_summary, factor_summary_csv, import_tree
 
+from helpers import hourly_keys, hourly_table
+
 HEADER = "timestamp,bridge,direction,vehicle_type,wait_minutes\n"
 WHEADER = "timestamp,temperature_f,visibility,precipitation_in,condition\n"
 
@@ -39,6 +40,9 @@ WHEADER = "timestamp,temperature_f,visibility,precipitation_in,condition\n"
 def rec(ts="2016-08-22T07:05", bridge=Bridge.PB, direction=Direction.TO_US,
         vehicle=Vehicle.PASSENGER, wait=10.0):
     return RawWaitTimeRecord(datetime.fromisoformat(ts), bridge, direction, vehicle, wait)
+
+
+PB_CAR = (Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)  # the stream `rec` defaults to
 
 
 # ------------------------------------------------------------- parsing
@@ -114,38 +118,36 @@ def test_parse_weather_rejects_negative_precipitation():
 def test_aggregate_constant_hour():
     records = [rec(ts=f"2016-08-22T08:{m:02d}") for m in range(0, 60, 5)]
     out = aggregate_hourly(records)
-    assert out == [
-        HourlyWait(datetime(2016, 8, 22, 8), Bridge.PB, Direction.TO_US, Vehicle.PASSENGER, 10.0, 12)
-    ]
+    assert out == hourly_table([(datetime(2016, 8, 22, 8), *PB_CAR, 10.0)])
 
 
 def test_aggregate_arithmetic_mean():
     records = [rec(ts=f"2016-08-22T08:{m:02d}", wait=float(i)) for i, m in enumerate(range(0, 60, 5))]
     out = aggregate_hourly(records)
-    assert out[0].mean_wait_minutes == 5.5
-    assert out[0].sample_count == 12
+    assert out[PB_CAR][datetime(2016, 8, 22, 8)] == 5.5
+    assert hourly_keys(out) == {(PB_CAR, datetime(2016, 8, 22, 8))}
 
 
 def test_aggregate_mean_stays_within_its_samples():
     # fsum(3 * w) / 3 rounds to just below w for this w
     wait = 5.39761367449573e-28
     out = aggregate_hourly([rec(ts=f"2016-08-22T08:{m:02d}", wait=wait) for m in (0, 20, 40)])
-    assert out[0].mean_wait_minutes == wait
+    assert out[PB_CAR][datetime(2016, 8, 22, 8)] == wait
 
 
 def test_aggregate_drops_out_of_window_hours():
     records = [rec(ts="2016-08-22T06:55"), rec(ts="2016-08-22T22:00"), rec(ts="2016-08-22T07:00")]
     out = aggregate_hourly(records)
-    assert [h.hour_start.hour for h in out] == [7]
+    assert [h.hour for h in out[PB_CAR]] == [7]
 
 
 def test_aggregate_window_boundaries_kept():
     out = aggregate_hourly([rec(ts="2016-08-22T07:00"), rec(ts="2016-08-22T21:59")])
-    assert [h.hour_start.hour for h in out] == [7, 21]
+    assert [h.hour for h in out[PB_CAR]] == [7, 21]
 
 
 def test_aggregate_empty_input():
-    assert aggregate_hourly([]) == []
+    assert aggregate_hourly([]) == {}
 
 
 def test_aggregate_groups_and_sorts():
@@ -154,11 +156,17 @@ def test_aggregate_groups_and_sorts():
         rec(ts="2016-08-22T08:00", bridge=Bridge.RB),
         rec(ts="2016-08-22T08:30", bridge=Bridge.PB),
         rec(ts="2016-08-22T08:10", bridge=Bridge.PB, direction=Direction.TO_CAN),
+        rec(ts="2016-08-22T07:00", bridge=Bridge.LQ),
     ]
     out = aggregate_hourly(records)
-    keys = [(h.hour_start, h.bridge, h.direction) for h in out]
-    assert keys == sorted(keys)
-    assert [h.bridge for h in out[:3]] == [Bridge.PB, Bridge.PB, Bridge.RB]
+    assert hourly_keys(out) == {
+        ((Bridge.LQ, Direction.TO_US, Vehicle.PASSENGER), datetime(2016, 8, 22, 7)),
+        ((Bridge.LQ, Direction.TO_US, Vehicle.PASSENGER), datetime(2016, 8, 22, 9)),
+        ((Bridge.RB, Direction.TO_US, Vehicle.PASSENGER), datetime(2016, 8, 22, 8)),
+        ((Bridge.PB, Direction.TO_US, Vehicle.PASSENGER), datetime(2016, 8, 22, 8)),
+        ((Bridge.PB, Direction.TO_CAN, Vehicle.PASSENGER), datetime(2016, 8, 22, 8)),
+    }
+    assert all(list(series) == sorted(series) for series in out.values())
 
 
 _record_strategy = st.builds(
@@ -177,18 +185,18 @@ def test_aggregate_permutation_invariant_and_conserving(records, rnd):
     shuffled = list(records)
     rnd.shuffle(shuffled)
     assert aggregate_hourly(shuffled) == base
-    in_window = sum(1 for r in records if 7 <= r.timestamp.hour <= 21)
-    assert sum(h.sample_count for h in base) == in_window
-    for h in base:
-        assert 7 <= h.hour_start.hour <= 21
+    in_window = {((r.bridge, r.direction, r.vehicle), r.timestamp.replace(minute=0)) for r in records
+                 if 7 <= r.timestamp.hour <= 21}
+    assert hourly_keys(base) == in_window
+    for stream, hour in in_window:
         group = [
             r.wait_minutes
             for r in records
-            if (r.timestamp.replace(minute=0), r.bridge, r.direction, r.vehicle)
-            == (h.hour_start, h.bridge, h.direction, h.vehicle)
+            if ((r.bridge, r.direction, r.vehicle), r.timestamp.replace(minute=0)) == (stream, hour)
         ]
-        assert min(group) <= h.mean_wait_minutes <= max(group)
-        assert math.isclose(h.mean_wait_minutes, math.fsum(group) / len(group))
+        mean = base[stream][hour]
+        assert min(group) <= mean <= max(group)
+        assert math.isclose(mean, math.fsum(group) / len(group))
 
 
 def test_overflowing_hour_is_a_data_error():
@@ -344,7 +352,7 @@ def _spliced_row(draw):
 def test_any_text_gives_hours_or_a_data_error(text):
     for parse in (hourly_waits, lambda t: aggregate_hourly(parse_wait_times(t))):
         try:
-            assert isinstance(parse(text), list)
+            assert isinstance(parse(text), dict)
         except DataError:
             pass
 
@@ -466,47 +474,48 @@ def weather_at(ts, temp=50.0):
     return WeatherRecord(datetime.fromisoformat(ts), temp, 10, 0.0, Condition.CLEAR)
 
 
-def hour_at(ts):
-    return HourlyWait(datetime.fromisoformat(ts), Bridge.PB, Direction.TO_US, Vehicle.PASSENGER, 5.0, 12)
+def hours_at(*stamps):
+    """A one-stream hourly table holding the hours that start at `stamps`."""
+    return hourly_table([(datetime.fromisoformat(ts), *PB_CAR, 5.0) for ts in stamps])
 
 
 def test_join_exact_hour():
-    joined = join_weather([hour_at("2016-08-22T08:00")], [weather_at("2016-08-22T08:00")])
+    joined = join_weather(hours_at("2016-08-22T08:00"), [weather_at("2016-08-22T08:00")])
     assert joined[datetime(2016, 8, 22, 8)].timestamp == datetime(2016, 8, 22, 8)
 
 
 def test_join_nearest_predecessor():
     weather = [weather_at("2016-08-22T06:00"), weather_at("2016-08-22T07:30"), weather_at("2016-08-22T10:00")]
-    joined = join_weather([hour_at("2016-08-22T09:00")], weather)
+    joined = join_weather(hours_at("2016-08-22T09:00"), weather)
     assert joined[datetime(2016, 8, 22, 9)].timestamp == datetime(2016, 8, 22, 7, 30)
 
 
 def test_join_gap_over_three_hours_fails():
     with pytest.raises(DataError, match="2016-08-22T12:00"):
-        join_weather([hour_at("2016-08-22T12:00")], [weather_at("2016-08-22T08:00")])
+        join_weather(hours_at("2016-08-22T12:00"), [weather_at("2016-08-22T08:00")])
 
 
 def test_join_gap_exactly_three_hours_ok():
-    joined = join_weather([hour_at("2016-08-22T12:00")], [weather_at("2016-08-22T09:00")])
+    joined = join_weather(hours_at("2016-08-22T12:00"), [weather_at("2016-08-22T09:00")])
     assert joined[datetime(2016, 8, 22, 12)].timestamp == datetime(2016, 8, 22, 9)
 
 
 def test_join_ignores_future_records():
     weather = [weather_at("2016-08-22T07:15"), weather_at("2016-08-22T09:00")]
-    joined = join_weather([hour_at("2016-08-22T08:00")], weather)
+    joined = join_weather(hours_at("2016-08-22T08:00"), weather)
     assert joined[datetime(2016, 8, 22, 8)].timestamp == datetime(2016, 8, 22, 7, 15)
 
 
 def test_join_keys_each_distinct_hour_once_in_hour_order():
-    lq = HourlyWait(datetime(2016, 8, 22, 8), Bridge.LQ, Direction.TO_CAN, Vehicle.COMMERCIAL, 1.0, 12)
-    hours = [hour_at("2016-08-22T09:00"), lq, hour_at("2016-08-22T08:00")]
+    hours = hours_at("2016-08-22T09:00", "2016-08-22T08:00")
+    hours[(Bridge.LQ, Direction.TO_CAN, Vehicle.COMMERCIAL)] = {datetime(2016, 8, 22, 8): 1.0}
     joined = join_weather(hours, [weather_at("2016-08-22T07:30"), weather_at("2016-08-22T08:45")])
     assert list(joined) == [datetime(2016, 8, 22, 8), datetime(2016, 8, 22, 9)]
     assert [w.timestamp for w in joined.values()] == [datetime(2016, 8, 22, 8, 45)] * 2
 
 
 def test_join_names_the_first_stale_hour():
-    hours = [hour_at("2016-08-22T13:00"), hour_at("2016-08-22T12:00"), hour_at("2016-08-22T09:00")]
+    hours = hours_at("2016-08-22T13:00", "2016-08-22T12:00", "2016-08-22T09:00")
     with pytest.raises(DataError, match="of 2016-08-22T12:00"):
         join_weather(hours, [weather_at("2016-08-22T08:00")])
 
@@ -534,11 +543,11 @@ def _join_oracle(hour_start, weather):
     st.integers(7, 16),
 )
 def test_join_matches_linear_scan_oracle(weather, hour):
-    hw = hour_at(f"2016-08-22T{hour:02d}:00")
-    expected = _join_oracle(hw.hour_start, weather)
+    hour_start = datetime(2016, 8, 22, hour)
+    expected = _join_oracle(hour_start, weather)
     if expected is None:
         with pytest.raises(DataError):
-            join_weather([hw], weather)
+            join_weather(hours_at(hour_start.isoformat()), weather)
     else:
-        joined = join_weather([hw], weather)
-        assert joined[hw.hour_start].timestamp == expected.timestamp
+        joined = join_weather(hours_at(hour_start.isoformat()), weather)
+        assert joined[hour_start].timestamp == expected.timestamp

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from delaytree.errors import DataError
 from delaytree.features import FEATURE_SCHEMA
-from delaytree.ingest import Bridge, Direction, HourlyWait, Vehicle
+from delaytree.ingest import Bridge, Direction, Vehicle
 from delaytree.patterns import (
     COMBOS,
     DelayCategory4,
@@ -28,7 +28,7 @@ from delaytree.patterns import (
     write_observations,
 )
 
-from helpers import make_fv
+from helpers import hourly_table, make_fv
 
 
 def merged_label_oracle(wait: float) -> str:
@@ -141,7 +141,7 @@ def test_pattern_matches_oracle_random(waits):
 
 
 def obs(hour, bridge, wait, direction=Direction.TO_US, vehicle=Vehicle.PASSENGER):
-    return HourlyWait(datetime(2016, 8, 22, hour), bridge, direction, vehicle, wait, 12)
+    return (datetime(2016, 8, 22, hour), bridge, direction, vehicle, wait)
 
 
 def hour_fv(hour):
@@ -149,9 +149,11 @@ def hour_fv(hour):
     return make_fv(temperature_f=float(hour))
 
 
-def assemble(hours, direction, vehicle):
-    """assemble_rows over `hours` and a features map built from them."""
-    return assemble_rows(hours, {hw.hour_start: hour_fv(hw.hour_start.hour) for hw in hours}, direction, vehicle)
+def assemble(observations, direction, vehicle):
+    """assemble_rows over the hourly table of `observations` and a features
+    map built from them."""
+    features = {hour: hour_fv(hour.hour) for hour, *_ in observations}
+    return assemble_rows(hourly_table(observations), features, direction, vehicle)
 
 
 def test_assemble_drops_all_zero_hours():
@@ -328,6 +330,25 @@ def test_observations_rejects_pattern_that_does_not_fit_the_vehicle(vehicle, lab
     with pytest.raises(DataError) as exc:
         read_observations("\n".join(lines) + "\n")
     assert str(exc.value) == f"line {i + 1}: pattern {label!r} does not fit {vehicle}"
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (6, "heavy delay-heavy delay-heavy delay",
+         "pattern 'heavy delay-heavy delay-heavy delay' is not the label of waits (20.0, 5.25, 0.0)"),
+        (3, "-4.0", "waits (-4.0, 5.25, 0.0) include a negative wait"),
+    ],
+    ids=["relabelled", "negative_wait"],
+)
+def test_observations_rejects_label_that_contradicts_its_waits(column, value, message):
+    lines = write_observations(list(_assembled_pair())).splitlines()
+    fields = lines[1].split(",")  # passenger to_us at 8:00, waits (20.0, 5.25, 0.0)
+    fields[column] = value
+    lines[1] = ",".join(fields)
+    with pytest.raises(DataError) as exc:
+        read_observations("\n".join(lines) + "\n")
+    assert str(exc.value) == f"line 2: {message}"
 
 
 def test_observations_write_is_deterministic():

@@ -4,7 +4,7 @@ factor summaries."""
 import json
 import random
 import re
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -12,10 +12,10 @@ from delaytree import cart, report
 from delaytree.cart import TrainConfig
 from delaytree.errors import DataError, UsageError
 from delaytree.features import CATEGORICAL, CONTINUOUS, FeatureSchema, FeatureSpec
-from delaytree.ingest import Bridge, Direction, HourlyWait, Vehicle
+from delaytree.ingest import Bridge, Direction, Vehicle
 from delaytree.patterns import DelayCategory4
 
-from helpers import random_training_set, weekend_split_set
+from helpers import hourly_table, random_training_set, weekend_split_set
 
 
 def leaf_tree():
@@ -153,26 +153,26 @@ def test_render_and_import_deeper_than_the_recursion_limit(chain_tree):
 
 
 def hw(hour, wait, bridge=Bridge.PB, direction=Direction.TO_US, vehicle=Vehicle.PASSENGER, day=22):
-    return HourlyWait(datetime(2016, 8, day, hour), bridge, direction, vehicle, wait, 12)
+    return (datetime(2016, 8, day, hour), bridge, direction, vehicle, wait)
 
 
 def test_hourly_distribution_all_zero_hour():
-    dist = report.hourly_distribution([hw(7, 0.0)], Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
-    assert dist.shares[7][DelayCategory4.NO_DELAY] == 1.0
-    assert dist.shares[7][DelayCategory4.HEAVY_DELAY] == 0.0
+    shares = report.hourly_distribution(hourly_table([hw(7, 0.0)]), Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
+    assert shares[7][DelayCategory4.NO_DELAY] == 1.0
+    assert shares[7][DelayCategory4.HEAVY_DELAY] == 0.0
 
 
 def test_hourly_distribution_two_sample_split():
-    hours = [hw(8, 10.0, day=22), hw(8, 20.0, day=23)]
-    dist = report.hourly_distribution(hours, Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
-    assert dist.shares[8][DelayCategory4.SLIGHT_DELAY] == 0.5
-    assert dist.shares[8][DelayCategory4.DELAY] == 0.5
+    hours = hourly_table([hw(8, 10.0, day=22), hw(8, 20.0, day=23)])
+    shares = report.hourly_distribution(hours, Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
+    assert shares[8][DelayCategory4.SLIGHT_DELAY] == 0.5
+    assert shares[8][DelayCategory4.DELAY] == 0.5
 
 
 def test_hourly_distribution_filters_stream():
-    hours = [hw(8, 10.0), hw(8, 50.0, bridge=Bridge.LQ), hw(8, 50.0, direction=Direction.TO_CAN)]
-    dist = report.hourly_distribution(hours, Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
-    assert dist.shares[8][DelayCategory4.SLIGHT_DELAY] == 1.0
+    hours = hourly_table([hw(8, 10.0), hw(8, 50.0, bridge=Bridge.LQ), hw(8, 50.0, direction=Direction.TO_CAN)])
+    shares = report.hourly_distribution(hours, Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
+    assert shares[8][DelayCategory4.SLIGHT_DELAY] == 1.0
 
 
 def test_hourly_distribution_matches_generator_tally():
@@ -186,28 +186,22 @@ def test_hourly_distribution_matches_generator_tally():
     hours = []
     tally = {h: {c: 0 for c in DelayCategory4} for h in range(7, 22)}
     for i in range(40):
-        day = i % 28 + 1
         for hour in range(7, 22):
             cat = rng.choice(list(DelayCategory4))
             tally[hour][cat] += 1
-            hours.append(
-                HourlyWait(
-                    datetime(2016, 9, day, hour),
-                    Bridge.PB, Direction.TO_US, Vehicle.PASSENGER,
-                    waits_by_cat[cat], 12,
-                )
-            )
-    dist = report.hourly_distribution(hours, Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
+            start = datetime(2016, 9, 1, hour) + timedelta(days=i)
+            hours.append((start, Bridge.PB, Direction.TO_US, Vehicle.PASSENGER, waits_by_cat[cat]))
+    shares = report.hourly_distribution(hourly_table(hours), Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
     for hour in range(7, 22):
         total = sum(tally[hour].values())
-        assert abs(sum(dist.shares[hour].values()) - 1.0) <= 1e-9
+        assert abs(sum(shares[hour].values()) - 1.0) <= 1e-9
         for cat in DelayCategory4:
-            assert abs(dist.shares[hour][cat] - tally[hour][cat] / total) <= 1e-9
+            assert abs(shares[hour][cat] - tally[hour][cat] / total) <= 1e-9
 
 
 def test_hourly_distribution_csv_blank_for_missing_hours():
-    dist = report.hourly_distribution([hw(7, 5.0)], Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
-    lines = report.hourly_distribution_csv(dist).splitlines()
+    shares = report.hourly_distribution(hourly_table([hw(7, 5.0)]), Bridge.PB, Direction.TO_US, Vehicle.PASSENGER)
+    lines = report.hourly_distribution_csv(shares).splitlines()
     assert lines[0] == "hour,no_delay,slight_delay,delay,heavy_delay"
     assert lines[1] == "7,0.0,1.0,0.0,0.0"
     assert lines[2] == "8,,,,"

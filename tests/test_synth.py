@@ -5,6 +5,7 @@ CSVs through the real ingestion path."""
 
 import csv
 import io
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -18,13 +19,14 @@ from delaytree.ingest import (
     Direction,
     Vehicle,
     aggregate_hourly,
+    floor_hour,
     join_weather,
     parse_wait_times,
     parse_weather,
 )
 from delaytree.patterns import assemble_rows
 
-from helpers import brute_force_best_split, random_training_set, weekend_split_set
+from helpers import brute_force_best_split, hourly_keys, random_training_set, weekend_split_set
 
 P_BASE = "slight delay-slight delay-slight delay"
 P_RULE = "delay-slight delay-slight delay"
@@ -94,11 +96,14 @@ def test_generate_rejects_rule_equal_to_base(tmp_path):
 
 def test_constant_generator_exact_hourly_means(tmp_path):
     out = synth.generate(config(base_waits={b: 10.0 for b in (Bridge.PB, Bridge.RB, Bridge.LQ)}), tmp_path)
-    hours = aggregate_hourly(parse_wait_times(out.wait_times.read_text()))
-    assert len(hours) == 15 * 3  # one day, three bridges
-    for hw in hours:
-        assert hw.mean_wait_minutes == 10.0
-        assert hw.sample_count == (1 if hw.bridge is Bridge.RB else 12)
+    records = parse_wait_times(out.wait_times.read_text())
+    hours = aggregate_hourly(records)
+    samples = Counter(((r.bridge, r.direction, r.vehicle), floor_hour(r.timestamp)) for r in records)
+    assert hourly_keys(hours) == set(samples)
+    assert len(samples) == 15 * 3  # one day, three bridges
+    for (stream, hour), count in samples.items():
+        assert hours[stream][hour] == 10.0
+        assert count == (1 if stream[0] is Bridge.RB else 12)
 
 
 def test_generate_hours_restricted_to_window(tmp_path):
