@@ -166,14 +166,10 @@ def parse_rule(text: str) -> synth.PlantedRule:
                 raise UsageError(f"unknown feature {name!r} in rule condition") from None
             if spec.kind != CATEGORICAL:
                 raise UsageError(f"rule conditions must use categorical features, not {name!r}")
-            level_type = type(spec.levels[0])
             try:
-                allowed = tuple(level_type(v.strip()) for v in values.split("|"))
-            except ValueError:
-                raise UsageError(f"bad level list {values!r} for {name!r}") from None
-            for level in allowed:
-                if level not in spec.levels:
-                    raise UsageError(f"{level!r} is not a level of {name!r}")
+                allowed = tuple(spec.parse(v.strip()) for v in values.split("|"))
+            except ValueError as exc:
+                raise UsageError(f"bad rule condition {clause.strip()!r}: {exc}") from None
             condition[name] = allowed
     shifts = {}
     if parts[1]:

@@ -5,12 +5,13 @@ fields, and the fixed schema the tree learner splits on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import IntEnum
 
 from .errors import DataError
-from .ingest import WeatherRecord, csv_rows
+from .ingest import HOUR_MAX, HOUR_MIN, WeatherRecord, _parse_enum, csv_rows
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -30,21 +31,15 @@ def season_of(month: int) -> str:
     """Spring=3,4,5; Summer=6,7,8; Fall=9,10,11; Winter=12,1,2."""
     if not 1 <= month <= 12:
         raise DataError(f"month {month} outside 1..12")
-    if month in (3, 4, 5):
-        return "Spring"
-    if month in (6, 7, 8):
-        return "Summer"
-    if month in (9, 10, 11):
-        return "Fall"
-    return "Winter"
+    return SEASONS[(month - 3) % 12 // 3]
 
 
 def hour_interval_of(hour: int) -> str:
     """Early_morning=7,8,9; Morning=10,11,12; Afternoon=13,14,15;
     Evening=16,17,18; Night=19,20,21."""
-    if not 7 <= hour <= 21:
-        raise DataError(f"hour {hour} outside 7..21")
-    return HOUR_INTERVALS[(hour - 7) // 3]
+    if not HOUR_MIN <= hour <= HOUR_MAX:
+        raise DataError(f"hour {hour} outside {HOUR_MIN}..{HOUR_MAX}")
+    return HOUR_INTERVALS[(hour - HOUR_MIN) // 3]
 
 
 def parse_holidays(text: str) -> tuple[frozenset[date], frozenset[date]]:
@@ -55,11 +50,7 @@ def parse_holidays(text: str) -> tuple[frozenset[date], frozenset[date]]:
             day = date.fromisoformat(row[0].strip())
         except ValueError:
             raise DataError(f"malformed date {row[0]!r}", line=line) from None
-        try:
-            country = Country[row[1].strip().upper()]
-        except KeyError:
-            raise DataError(f"unknown country {row[1]!r}", line=line) from None
-        dates[country].add(day)
+        dates[_parse_enum(Country, row[1], "country", line)].add(day)
     return frozenset(dates[Country.US]), frozenset(dates[Country.CA])
 
 
@@ -97,6 +88,26 @@ class FeatureSpec:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind == CATEGORICAL and not self.levels:
             raise ValueError(f"categorical feature {self.name!r} needs declared levels")
+
+    def parse(self, text: str):
+        """The value `text` spells: a finite float for a continuous feature, else
+        a declared level, of its levels' type. Any other text is a ValueError."""
+        try:
+            value = float(text) if self.kind == CONTINUOUS else type(self.levels[0])(text)
+        except ValueError:
+            value = text
+        if self.kind == CATEGORICAL:
+            if value in self.levels:
+                return value
+            raise ValueError(f"{self.name} {value!r} is not a declared level")
+        if isinstance(value, float) and math.isfinite(value):
+            return value
+        raise ValueError(f"{self.name} {value!r} is not a finite number")
+
+    def format(self, value) -> str:
+        """The text `parse` reads back as `value`: repr, exact for every
+        float, for a continuous feature; str for a level."""
+        return repr(value) if self.kind == CONTINUOUS else str(value)
 
 
 class FeatureSchema:
@@ -152,24 +163,24 @@ FEATURE_SCHEMA = FeatureSchema(
 )
 
 
+def hour_calendar(hour_start: datetime) -> tuple:
+    """The features an hour gives by itself, the first four of
+    FEATURE_SCHEMA: month, season, hour interval and weekend."""
+    weekend = calendar_flags(hour_start.date(), frozenset(), frozenset())[0]
+    return hour_start.month, season_of(hour_start.month), hour_interval_of(hour_start.hour), weekend
+
+
 def build_feature_vector(
     hour_start: datetime,
     weather: WeatherRecord,
     us: frozenset[date],
     ca: frozenset[date],
 ) -> FeatureVector:
-    weekend, us_flag, ca_flag = calendar_flags(hour_start.date(), us, ca)
+    """The hour's features in FEATURE_SCHEMA order."""
+    _, us_flag, ca_flag = calendar_flags(hour_start.date(), us, ca)
     return FeatureVector(
-        month=hour_start.month,
-        season=season_of(hour_start.month),
-        hour_interval=hour_interval_of(hour_start.hour),
-        weekend=weekend,
-        us_holiday=us_flag,
-        canada_holiday=ca_flag,
-        temperature_f=weather.temperature_f,
-        visibility=weather.visibility,
-        precipitation_in=weather.precipitation_in,
-        condition=weather.condition.label,
+        *hour_calendar(hour_start), us_flag, ca_flag,
+        weather.temperature_f, weather.visibility, weather.precipitation_in, weather.condition.label,
     )
 
 

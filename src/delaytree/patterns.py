@@ -9,18 +9,19 @@ the per-bridge categories are concatenated into one pattern label, e.g.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import IntEnum
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DataError
-from .features import CONTINUOUS, FEATURE_SCHEMA, FeatureSchema, FeatureVector
-from .ingest import Bridge, Direction, HourlyMeans, Vehicle, bridges_for, csv_rows
+from .features import FEATURE_SCHEMA, FeatureSchema, FeatureSpec, FeatureVector, hour_calendar
+from .ingest import (
+    HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _window_hour, bridges_for, csv_rows, csv_text,
+)
 
 SLIGHT_MAX = 15.0
 DELAY_MAX = 30.0
@@ -131,9 +132,7 @@ def pattern_frequencies(ds: PatternDataset) -> list[tuple[str, int]]:
 
 
 OBSERVATIONS_HEADER = [
-    "hour_start", "direction", "vehicle", "wait_pb", "wait_rb", "wait_lq", "pattern",
-    "month", "season", "hour_interval", "weekend", "us_holiday", "canada_holiday",
-    "temperature_f", "visibility", "precipitation_in", "condition",
+    "hour_start", "direction", "vehicle", "wait_pb", "wait_rb", "wait_lq", "pattern", *FEATURE_SCHEMA.names,
 ]
 
 
@@ -141,72 +140,48 @@ def write_observations(datasets: list[PatternDataset]) -> str:
     """Render assembled datasets as observations.csv text (wait_rb blank for
     trucks). Datasets are emitted in COMBOS order; rows by hour."""
     order = {combo: i for i, combo in enumerate(COMBOS)}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(OBSERVATIONS_HEADER)
-    for ds in sorted(datasets, key=lambda d: order[(d.vehicle, d.direction)]):
-        for row in ds.rows:
-            waits = dict(zip(ds.bridges, row.waits))
-            fv = row.features
-            writer.writerow(
-                [
+    features = attrgetter(*FEATURE_SCHEMA.names)
+
+    def rows():
+        for ds in sorted(datasets, key=lambda d: order[(d.vehicle, d.direction)]):
+            for row in ds.rows:
+                waits = dict(zip(ds.bridges, row.waits))
+                yield [
                     row.hour_start.isoformat(timespec="minutes"),
                     ds.direction.label,
                     ds.vehicle.label,
-                    _fmt_wait(waits.get(Bridge.PB)),
-                    _fmt_wait(waits.get(Bridge.RB)),
-                    _fmt_wait(waits.get(Bridge.LQ)),
+                    *[repr(waits[bridge]) if bridge in waits else "" for bridge in Bridge],
                     row.pattern,
-                    fv.month,
-                    fv.season,
-                    fv.hour_interval,
-                    fv.weekend,
-                    fv.us_holiday,
-                    fv.canada_holiday,
-                    repr(fv.temperature_f),
-                    fv.visibility,
-                    repr(fv.precipitation_in),
-                    fv.condition,
+                    *map(FeatureSpec.format, FEATURE_SCHEMA, features(row.features)),
                 ]
-            )
-    return buf.getvalue()
 
-
-def _fmt_wait(value) -> str:
-    return "" if value is None else repr(value)
+    return csv_text(OBSERVATIONS_HEADER, rows())
 
 
 def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDataset]:
     """Parse observations.csv back into per-combo datasets.
 
-    Every feature value must be a declared level of FEATURE_SCHEMA or, for
-    a continuous feature, a finite number; waits must be finite and not
+    hour_start must be a naive whole hour in HOUR_MIN..HOUR_MAX, and each
+    (vehicle, direction, hour) may appear once. Each feature column is read
+    by its FEATURE_SCHEMA spec, and the calendar features must be the ones
+    hour_start gives (see hour_calendar). Waits must be finite and not
     negative, and the pattern label must have one merged part name per
     bridge of the row's vehicle and be the label of the row's waits.
     """
     datasets: dict[tuple[Vehicle, Direction], PatternDataset] = {}
+    first_lines: dict[tuple, int] = {}
     for line, row in csv_rows(text, OBSERVATIONS_HEADER):
         try:
             hour_start = datetime.fromisoformat(row[0])
             direction = Direction[row[1].upper()]
             vehicle = Vehicle[row[2].upper()]
-            fv = FeatureVector(
-                month=int(row[7]),
-                season=row[8],
-                hour_interval=row[9],
-                weekend=int(row[10]),
-                us_holiday=int(row[11]),
-                canada_holiday=int(row[12]),
-                temperature_f=float(row[13]),
-                visibility=int(row[14]),
-                precipitation_in=float(row[15]),
-                condition=row[16],
-            )
             bridges = bridges_for(vehicle)
-            wait_cols = {Bridge.PB: row[3], Bridge.RB: row[4], Bridge.LQ: row[5]}
+            wait_cols = dict(zip(Bridge, row[3:6]))
             waits = tuple(float(wait_cols[b]) for b in bridges)
         except (ValueError, KeyError) as exc:
             raise DataError(f"bad observation row: {exc}", line=line) from None
+        if hour_start.tzinfo is not None or _window_hour(hour_start) != hour_start:
+            raise DataError(f"hour_start {row[0]!r} is not a naive whole hour in {HOUR_MIN}..{HOUR_MAX}", line=line)
         pattern = row[6]
         parts = pattern.split("-")
         for part in parts:
@@ -214,21 +189,24 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
                 raise DataError(f"pattern {pattern!r} has unknown part {part!r}", line=line)
         if len(parts) != len(bridges):
             raise DataError(f"pattern {pattern!r} does not fit {vehicle.label}", line=line)
-        for spec in FEATURE_SCHEMA:
-            value = fv[spec.name]
-            if spec.kind == CONTINUOUS:
-                if not math.isfinite(value):
-                    raise DataError(f"{spec.name} {value!r} is not a finite number", line=line)
-            elif value not in spec.levels:
-                raise DataError(f"{spec.name} {value!r} is not a declared level", line=line)
+        try:
+            values = list(map(FeatureSpec.parse, FEATURE_SCHEMA, row[7:]))
+        except ValueError as exc:
+            raise DataError(str(exc), line=line) from None
+        for spec, value, want in zip(FEATURE_SCHEMA, values, hour_calendar(hour_start)):
+            if value != want:
+                raise DataError(f"{spec.name} {value!r} contradicts hour_start {row[0]!r}: want {want!r}", line=line)
         if not all(map(math.isfinite, waits)):
             raise DataError(f"waits {waits!r} are not all finite numbers", line=line)
         if any(w < 0 for w in waits):
             raise DataError(f"waits {waits!r} include a negative wait", line=line)
         if pattern != pattern_of(waits):
             raise DataError(f"pattern {pattern!r} is not the label of waits {waits!r}", line=line)
-        key = (vehicle, direction)
-        if key not in datasets:
-            datasets[key] = PatternDataset(FEATURE_SCHEMA, [], direction, vehicle)
-        datasets[key].rows.append(PatternRow(fv, pattern, hour_start, waits))
+        key = (vehicle, direction, hour_start)
+        if key in first_lines:
+            raise DataError(f"{vehicle.label} {direction.label} {row[0]!r} repeats line {first_lines[key]}", line=line)
+        first_lines[key] = line
+        if (vehicle, direction) not in datasets:
+            datasets[(vehicle, direction)] = PatternDataset(FEATURE_SCHEMA, [], direction, vehicle)
+        datasets[(vehicle, direction)].rows.append(PatternRow(FeatureVector(*values), pattern, hour_start, waits))
     return datasets

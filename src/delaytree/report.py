@@ -8,10 +8,9 @@ repr so they round-trip exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -27,7 +26,7 @@ from .cart import (
 )
 from .errors import DataError, UsageError
 from .features import CONTINUOUS, FeatureSchema, FeatureSpec
-from .ingest import Bridge, Direction, HourlyMeans, Vehicle
+from .ingest import HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, csv_text
 from .patterns import DelayCategory4, categorize
 
 TREE_FORMATS = ("json", "dot", "text")
@@ -114,8 +113,11 @@ def import_tree(text: str) -> DecisionTree:
     """Rebuild a DecisionTree from its json export. A field that the
     exports and reports read and that has the wrong type is a data error,
     as are a node kind other than leaf or split, a non-finite threshold or
-    gain, an `n` other than the sum of its node's counts, and a rule on a
-    feature the schema lacks or of the wrong kind for its feature."""
+    gain, an `n` other than the sum of its node's counts, children whose
+    counts do not sum to their parent's, a leaf label other than the
+    majority label of its counts, a rule on a feature the schema lacks or
+    of the wrong kind for its feature, and a subset rule whose sides are
+    not two nonempty disjoint sets of the feature's levels."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -153,8 +155,16 @@ def import_tree(text: str) -> DecisionTree:
             if dist.total != sum(counts.values()):
                 raise DataError(f"malformed tree json: n {dist.total} is not the sum of its counts")
             if node["kind"] == "leaf":
-                built[node_id] = Leaf(_typed(node["label"], str, "label"), dist)
+                label = _typed(node["label"], str, "label")
+                if label != dist.majority_label():
+                    raise DataError(f"malformed tree json: leaf label {label!r} is not the majority of its counts")
+                built[node_id] = Leaf(label, dist)
                 continue
+            left, right = node["children"]
+            sums = Counter(built[left].distribution.counts)
+            sums.update(built[right].distribution.counts)
+            if sums != Counter(counts):
+                raise DataError(f"malformed tree json: children's counts do not sum to the counts of node {node_id!r}")
             rule_doc = node["rule"]
             feature = _typed(rule_doc["feature"], str, "feature")
             if feature not in schema.names:
@@ -166,7 +176,11 @@ def import_tree(text: str) -> DecisionTree:
                 rule = ThresholdRule(feature, _finite(rule_doc["threshold"], "threshold"))
             else:
                 rule = SubsetRule(feature, tuple(rule_doc["left"]), tuple(rule_doc["right"]))
-            left, right = node["children"]
+                levels = {(type(v), v) for v in schema.spec(feature).levels}  # so True is not the level 1
+                left_set, right_set = ({(type(v), v) for v in side} for side in (rule.left_levels, rule.right_levels))
+                if not (left_set and right_set and left_set.isdisjoint(right_set) and left_set | right_set <= levels):
+                    raise DataError(f"malformed tree json: subset sides {rule_doc['left']!r} and {rule_doc['right']!r} "
+                                    f"are not two nonempty disjoint sets of levels of {feature!r}")
             gain = _finite(node["gain"], "gain")
             built[node_id] = Split(rule, gain, dist, built.pop(left), built.pop(right))
 
@@ -238,24 +252,17 @@ def hourly_distribution(hours: HourlyMeans, bridge: Bridge, direction: Direction
 
 
 def hourly_distribution_csv(shares: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["hour"] + [cat.name.lower() for cat in DelayCategory4])
-    for hour in range(7, 22):
-        if hour in shares:
-            writer.writerow([hour] + [repr(shares[hour][cat]) for cat in DelayCategory4])
-        else:
-            writer.writerow([hour, "", "", "", ""])
-    return buf.getvalue()
+    return csv_text(
+        ["hour"] + [cat.name.lower() for cat in DelayCategory4],
+        (
+            [hour] + [repr(shares[hour][cat]) if hour in shares else "" for cat in DelayCategory4]
+            for hour in range(HOUR_MIN, HOUR_MAX + 1)
+        ),
+    )
 
 
 def pattern_frequencies_csv(freqs) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pattern", "count"])
-    for pattern, count in freqs:
-        writer.writerow([pattern, count])
-    return buf.getvalue()
+    return csv_text(["pattern", "count"], freqs)
 
 
 @dataclass(frozen=True)
@@ -284,13 +291,11 @@ def factor_summary(trees: Mapping) -> list[FactorSummary]:
 
 
 def factor_summary_csv(summaries: list[FactorSummary]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vehicle", "direction", "pattern", "leaf_samples", "influential_factors"])
-    for summary in summaries:
-        factors = ";".join(summary.factors)
-        for label, count in summary.patterns:
-            writer.writerow(
-                [summary.vehicle.label, summary.direction.label, label, count, factors]
-            )
-    return buf.getvalue()
+    return csv_text(
+        ["vehicle", "direction", "pattern", "leaf_samples", "influential_factors"],
+        (
+            [summary.vehicle.label, summary.direction.label, label, count, ";".join(summary.factors)]
+            for summary in summaries
+            for label, count in summary.patterns
+        ),
+    )

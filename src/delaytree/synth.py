@@ -19,7 +19,10 @@ from typing import Optional
 
 from .errors import UsageError
 from .features import HOLIDAYS_HEADER, FeatureVector, build_feature_vector
-from .ingest import WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, Vehicle, WeatherRecord, bridges_for
+from .ingest import (
+    HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, Vehicle, WeatherRecord,
+    bridges_for, csv_text,
+)
 from .patterns import pattern_of
 
 
@@ -147,7 +150,7 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
 
     day = cfg.start
     while day <= cfg.end:
-        for hour in range(7, 22):
+        for hour in range(HOUR_MIN, HOUR_MAX + 1):
             hour_start = datetime.combine(day, time(hour))
             temp = _temperature(day, hour, rng)
             wet = rng.random() < 0.15
@@ -190,15 +193,7 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
                     )
         day += timedelta(days=1)
 
-    holiday_rows = sorted(
-        [(d.isoformat(), "US") for d in cfg.us_holidays]
-        + [(d.isoformat(), "CA") for d in cfg.ca_holidays]
-    )
-    holiday_buf = io.StringIO()
-    holiday_csv = csv.writer(holiday_buf, lineterminator="\n")
-    holiday_csv.writerow(HOLIDAYS_HEADER)
-    holiday_csv.writerows(holiday_rows)
-
+    holidays = [(d.isoformat(), "US") for d in cfg.us_holidays] + [(d.isoformat(), "CA") for d in cfg.ca_holidays]
     out = SynthOutput(
         wait_times=out_dir / "wait_times.csv",
         weather=out_dir / "weather.csv",
@@ -207,6 +202,6 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     )
     out.wait_times.write_text(wait_buf.getvalue(), encoding="utf-8")
     out.weather.write_text(weather_buf.getvalue(), encoding="utf-8")
-    out.holidays.write_text(holiday_buf.getvalue(), encoding="utf-8")
+    out.holidays.write_text(csv_text(HOLIDAYS_HEADER, sorted(holidays)), encoding="utf-8")
     out.emission_log.write_text(log_buf.getvalue(), encoding="utf-8")
     return out

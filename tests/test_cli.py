@@ -304,6 +304,29 @@ def test_train_rejects_undeclared_level_and_non_finite_value(corpus, tmp_path, c
     assert f"{bad}: line 4: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "column, value, shown",
+    [(7, "1", "month 1"), (9, "Night", "hour_interval 'Night'"), (None, None, None)],
+    ids=["month", "hour_interval", "repeat"],
+)
+def test_observations_row_must_fit_its_hour(corpus, tmp_path, capsys, column, value, shown):
+    lines = (corpus / "observations.csv").read_text().splitlines()
+    fields = lines[3].split(",")  # passenger to_us on a September morning
+    if column is None:
+        lines.append(lines[3])
+        message = f"line {len(lines)}: passenger to_us {fields[0]!r} repeats line 4"
+    else:
+        message = f"line 4: {shown} contradicts hour_start {fields[0]!r}"
+        fields[column] = value
+        lines[3] = ",".join(fields)
+    bad = tmp_path / "bad_obs.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    for argv in (["train", "--data", str(bad), "--out", str(tmp_path / "t.json")],
+                 ["report", "pattern-freq", "--data", str(bad)]):
+        assert main([*argv, "--vehicle", "passenger", "--direction", "to_us"]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+
 def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def broken(o, cp, flags):
         raise RuntimeError("something broke")
@@ -343,9 +366,20 @@ def test_render_cyclic_tree_exits_2(tmp_path, capsys):
         ("split", "rule", {"feature": "temperature_f", "kind": "subset", "left": [1.0], "right": [2.0]},
          "'subset' rule on continuous feature 'temperature_f'"),
         ("leaf", "n", 5, "n 5 is not the sum of its counts"),
+        ("split", "rule", {"feature": "weekend", "kind": "subset", "left": [7, "x"], "right": [1]},
+         "subset sides [7, 'x'] and [1] are not two nonempty disjoint sets of levels of 'weekend'"),
+        ("split", "rule", {"feature": "weekend", "kind": "subset", "left": [0, 1], "right": [0, 1]},
+         "subset sides [0, 1] and [0, 1] are not two nonempty disjoint sets of levels of 'weekend'"),
+        ("split", "rule", {"feature": "weekend", "kind": "subset", "left": [False], "right": [1]},
+         "subset sides [False] and [1] are not two nonempty disjoint sets of levels of 'weekend'"),
+        ("split", "rule", {"feature": "weekend", "kind": "subset", "left": [], "right": [0, 1]},
+         "subset sides [] and [0, 1] are not two nonempty disjoint sets of levels of 'weekend'"),
+        ("leaf", "label", "banana", "leaf label 'banana' is not the majority of its counts"),
+        ("leaf", None, "raise_by_500", "children's counts do not sum to the counts of node "),
     ],
     ids=["vehicle", "n", "label", "kind", "gain", "threshold", "unknown_feature", "threshold_on_categorical",
-         "subset_on_continuous", "n_not_sum"],
+         "subset_on_continuous", "n_not_sum", "subset_undeclared", "subset_overlap", "subset_bool", "subset_empty",
+         "label_not_majority", "counts_not_children_sum"],
 )
 def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, message):
     tree = tmp_path / "tree.json"
@@ -353,7 +387,11 @@ def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, 
                  "--direction", "to_us", "--out", str(tree)]) == 0
     doc = json.loads(tree.read_text())
     target = doc if node is None else next(n for n in doc["nodes"] if n["kind"] == node)
-    target[key] = value
+    if value == "raise_by_500":  # the leaf's own label stays its majority, and n its counts' sum
+        target["counts"][target["label"]] += 500
+        target["n"] += 500
+    else:
+        target[key] = value
     tree.write_text(json.dumps(doc))
     for argv in (["render", "--tree", str(tree), "--format", "text"], ["report", "factors", "--trees", str(tree)]):
         assert main(argv) == 2

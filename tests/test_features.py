@@ -1,8 +1,11 @@
 """Calendar-derived features and the holiday dates."""
 
+import dataclasses
 from datetime import date, datetime
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delaytree.errors import DataError
 from delaytree.features import (
@@ -10,6 +13,7 @@ from delaytree.features import (
     CATEGORICAL,
     FeatureSchema,
     FeatureSpec,
+    FeatureVector,
     build_feature_vector,
     calendar_flags,
     hour_interval_of,
@@ -153,3 +157,28 @@ def test_feature_spec_validation():
         FeatureSpec("x", "nominal")
     with pytest.raises(ValueError):
         FeatureSpec("x", CATEGORICAL, None)
+
+
+def test_feature_vector_fields_are_the_schema_in_order():
+    assert tuple(field.name for field in dataclasses.fields(FeatureVector)) == FEATURE_SCHEMA.names
+
+
+@given(st.data())
+def test_every_feature_value_round_trips_through_its_text(data):
+    for spec in FEATURE_SCHEMA:
+        if spec.kind == CATEGORICAL:
+            for level in spec.levels:
+                back = spec.parse(spec.format(level))
+                assert back == level and type(back) is type(level)
+            if isinstance(spec.levels[0], int):
+                undeclared = data.draw(st.integers().filter(lambda v: v not in spec.levels) | st.just("x"))
+            else:
+                undeclared = data.draw(st.text().filter(lambda v: v not in spec.levels))
+            with pytest.raises(ValueError, match=f"^{spec.name} .* is not a declared level$"):
+                spec.parse(str(undeclared))
+        else:
+            value = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+            assert spec.parse(spec.format(value)) == value
+            bad = data.draw(st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e999", "", "abc"]))
+            with pytest.raises(ValueError, match=f"^{spec.name} .* is not a finite number$"):
+                spec.parse(bad)

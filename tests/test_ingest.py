@@ -377,7 +377,7 @@ _TREE_DOC = {
     ],
     "nodes": [
         {"id": 0, "kind": "split", "rule": {"feature": "weekend", "kind": "subset", "left": [0], "right": [1]},
-         "gain": 0.25, "n": 4, "counts": {"A": 2, "B": 2}, "label": None, "children": [1, 2]},
+         "gain": 0.25, "n": 4, "counts": {"A": 1, "B": 3}, "label": None, "children": [1, 2]},
         {"id": 1, "kind": "split", "rule": {"feature": "temperature_f", "kind": "threshold", "threshold": 50.5},
          "gain": 0.5, "n": 2, "counts": {"A": 1, "B": 1}, "label": None, "children": [3, 4]},
         {"id": 2, "kind": "leaf", "rule": None, "gain": None, "n": 2, "counts": {"B": 2}, "label": "B", "children": None},

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delaytree.errors import DataError
-from delaytree.features import FEATURE_SCHEMA
+from delaytree.features import FEATURE_SCHEMA, hour_interval_of
 from delaytree.ingest import Bridge, Direction, Vehicle
 from delaytree.patterns import (
     COMBOS,
@@ -145,8 +145,9 @@ def obs(hour, bridge, wait, direction=Direction.TO_US, vehicle=Vehicle.PASSENGER
 
 
 def hour_fv(hour):
-    """The feature vector `assemble` gives each hour: its own temperature."""
-    return make_fv(temperature_f=float(hour))
+    """The feature vector `assemble` gives each hour of Monday 2016-08-22:
+    that hour's calendar, and its own temperature."""
+    return make_fv(month=8, season="Summer", hour_interval=hour_interval_of(hour), temperature_f=float(hour))
 
 
 def assemble(observations, direction, vehicle):
@@ -349,6 +350,37 @@ def test_observations_rejects_label_that_contradicts_its_waits(column, value, me
     with pytest.raises(DataError) as exc:
         read_observations("\n".join(lines) + "\n")
     assert str(exc.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (7, "1", "month 1 contradicts hour_start '2016-08-22T08:00': want 8"),
+        (8, "Fall", "season 'Fall' contradicts hour_start '2016-08-22T08:00': want 'Summer'"),
+        (9, "Night", "hour_interval 'Night' contradicts hour_start '2016-08-22T08:00': want 'Early_morning'"),
+        (10, "1", "weekend 1 contradicts hour_start '2016-08-22T08:00': want 0"),
+        (0, "2016-08-22T08:30", "hour_start '2016-08-22T08:30' is not a naive whole hour in 7..21"),
+        (0, "2016-08-22T22:00", "hour_start '2016-08-22T22:00' is not a naive whole hour in 7..21"),
+        (0, "2016-08-22T08:00+00:00", "hour_start '2016-08-22T08:00+00:00' is not a naive whole hour in 7..21"),
+    ],
+    ids=["month", "season", "hour_interval", "weekend", "half_hour", "after_window", "zoned"],
+)
+def test_observations_rejects_row_that_contradicts_its_hour(column, value, message):
+    lines = write_observations(list(_assembled_pair())).splitlines()
+    fields = lines[1].split(",")  # passenger to_us at 8:00 on Monday 2016-08-22
+    fields[column] = value
+    lines[1] = ",".join(fields)
+    with pytest.raises(DataError) as exc:
+        read_observations("\n".join(lines) + "\n")
+    assert str(exc.value) == f"line 2: {message}"
+
+
+def test_observations_rejects_a_repeated_hour():
+    lines = write_observations(list(_assembled_pair())).splitlines()
+    lines.append(lines[1])
+    with pytest.raises(DataError) as exc:
+        read_observations("\n".join(lines) + "\n")
+    assert str(exc.value) == f"line {len(lines)}: passenger to_us '2016-08-22T08:00' repeats line 2"
 
 
 def test_observations_write_is_deterministic():
