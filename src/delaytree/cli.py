@@ -149,7 +149,8 @@ _RULE_SHIFT = re.compile(r"(PB|RB|LQ)\s*([+-]\d+(?:\.\d+)?)", re.IGNORECASE)
 
 def parse_rule(text: str) -> synth.PlantedRule:
     """`cond & cond => PB+17,LQ+2 => target-pattern-label`; each cond is
-    feature=value or feature=value|value (categorical features only)."""
+    feature=value or feature=value|value (categorical features only, each
+    feature in one cond and each of its levels once)."""
     parts = [p.strip() for p in text.split("=>")]
     if len(parts) != 3:
         raise UsageError(f"bad rule {text!r}: want 'condition => shifts => target pattern'")
@@ -166,10 +167,14 @@ def parse_rule(text: str) -> synth.PlantedRule:
                 raise UsageError(f"unknown feature {name!r} in rule condition") from None
             if spec.kind != CATEGORICAL:
                 raise UsageError(f"rule conditions must use categorical features, not {name!r}")
+            if name in condition:
+                raise UsageError(f"bad rule condition {clause.strip()!r}: {name} has a condition already")
             try:
                 allowed = tuple(spec.parse(v.strip()) for v in values.split("|"))
             except ValueError as exc:
                 raise UsageError(f"bad rule condition {clause.strip()!r}: {exc}") from None
+            if len(set(allowed)) != len(allowed):
+                raise UsageError(f"bad rule condition {clause.strip()!r}: a level repeats")
             condition[name] = allowed
     shifts = {}
     if parts[1]:
@@ -206,15 +211,23 @@ def _tree_sections(vehicle: Vehicle, direction: Direction) -> list:
     return [f"train.{vehicle.label}.{direction.label}", "train"]
 
 
+def _utf8_lines(file):
+    """The lines of a binary file, each decoded as UTF-8 when it is read. A
+    UTF-8 sequence never holds the byte of "\\n", so these are the lines of
+    the file's decoded text, split where io.StringIO splits them."""
+    for line, raw in enumerate(file, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError("not UTF-8 text", line=line) from None
+
+
 def _parse_file(parser, path):
-    """Parse a file's text, prefixing any data error with the path."""
+    """Parse a file one line at a time, prefixing any data error with the
+    path. A line that is not UTF-8 is a data error when the parser reaches it."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}: line {line}: not UTF-8 text") from None
-    try:
-        return parser(text)
+        with open(path, "rb") as file:
+            return parser(_utf8_lines(file))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import IntEnum
+from typing import Iterable
 
 from .errors import DataError
 from .ingest import HOUR_MAX, HOUR_MIN, WeatherRecord, _parse_enum, csv_rows
@@ -42,10 +43,11 @@ def hour_interval_of(hour: int) -> str:
     return HOUR_INTERVALS[(hour - HOUR_MIN) // 3]
 
 
-def parse_holidays(text: str) -> tuple[frozenset[date], frozenset[date]]:
-    """Parse holidays.csv (`date,country`) into the (US, CA) holiday dates."""
+def parse_holidays(lines: Iterable[str]) -> tuple[frozenset[date], frozenset[date]]:
+    """Parse holidays.csv (`date,country`) `lines` (see ingest.csv_rows)
+    into the (US, CA) holiday dates."""
     dates: dict[Country, set[date]] = {Country.US: set(), Country.CA: set()}
-    for line, row in csv_rows(text, HOLIDAYS_HEADER):
+    for line, row in csv_rows(lines, HOLIDAYS_HEADER):
         try:
             day = date.fromisoformat(row[0].strip())
         except ValueError:

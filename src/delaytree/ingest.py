@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import IntEnum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DataError
 
@@ -122,7 +123,8 @@ def _parse_float(raw: str, what: str, line: int) -> float:
 
 
 def _lines(text: str, piece: int = 1 << 16) -> Iterator[str]:
-    """The lines of `text`, each with its "\\n", as iterating
+    """The adaptor for callers that hand csv_rows a `str` instead of lines:
+    the lines of `text`, each with its "\\n", as iterating
     io.StringIO(text) gives them. io.StringIO copies its text at four bytes
     per character, so it gets whole lines of about `piece` characters at a
     time: 64 K keeps each copy small, where 1 M pieces (4 MB copies) made
@@ -134,13 +136,14 @@ def _lines(text: str, piece: int = 1 << 16) -> Iterator[str]:
         start = end
 
 
-def csv_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line, fields) for each data row of CSV text whose first row
-    is `header`; `line` is the first physical line of the row, which a
-    quoted field may carry over several lines. Blank lines are skipped;
-    every other row must have exactly len(header) fields. Text the csv
-    module cannot read is a data error."""
-    rows = csv.reader(_lines(text))
+def csv_rows(lines: Iterable[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, fields) for each data row of CSV `lines` whose first row
+    is `header`. `lines` is CSV text, or its lines each ended by "\\n" (a
+    file opened with newline="\\n"), read one at a time. `line` is the first
+    physical line of the row, which a quoted field may carry over several
+    lines. Blank lines are skipped; every other row must have exactly
+    len(header) fields. Text the csv module cannot read is a data error."""
+    rows = csv.reader(_lines(lines) if isinstance(lines, str) else lines)
     try:
         first = next(rows, None)
         if first is None or [c.strip() for c in first] != header:
@@ -167,9 +170,9 @@ def csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _wait_rows(text: str) -> Iterator[tuple[int, datetime, Optional[datetime], tuple, float]]:
+def _wait_rows(lines: Iterable[str]) -> Iterator[tuple[int, datetime, Optional[datetime], tuple, float]]:
     """Yield (line, timestamp, hour, stream, wait) for each row of
-    wait_times.csv text, in file order.
+    wait_times.csv `lines` (see csv_rows), in file order.
 
     `hour` is the timestamp's calendar hour, or None outside
     HOUR_MIN..HOUR_MAX; `stream` is (bridge, direction, vehicle). Enum
@@ -183,7 +186,7 @@ def _wait_rows(text: str) -> Iterator[tuple[int, datetime, Optional[datetime], t
     stamps: dict[str, tuple[datetime, Optional[datetime]]] = {}
     hours: dict[Optional[datetime], Optional[datetime]] = {}
     streams: dict[tuple[str, str, str], tuple[tuple, bool]] = {}
-    for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(text, WAIT_TIMES_HEADER):
+    for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(lines, WAIT_TIMES_HEADER):
         stamp = stamps.get(raw_ts)
         if stamp is None:
             ts = _parse_timestamp(raw_ts, line)
@@ -205,21 +208,21 @@ def _wait_rows(text: str) -> Iterator[tuple[int, datetime, Optional[datetime], t
         yield line, stamp[0], stamp[1], stream[0], wait
 
 
-def parse_wait_times(text: str) -> list[RawWaitTimeRecord]:
-    """Parse wait_times.csv content into records, in file order, with the
-    row checks of `_wait_rows`. The pipeline uses `hourly_waits` instead,
-    which builds no per-row record."""
-    return [RawWaitTimeRecord(ts, *stream, wait) for _, ts, _, stream, wait in _wait_rows(text)]
+def parse_wait_times(lines: Iterable[str]) -> list[RawWaitTimeRecord]:
+    """Parse wait_times.csv `lines` (see csv_rows) into records, in file
+    order, with the row checks of `_wait_rows`. The pipeline uses
+    `hourly_waits` instead, which builds no per-row record."""
+    return [RawWaitTimeRecord(ts, *stream, wait) for _, ts, _, stream, wait in _wait_rows(lines)]
 
 
-def parse_weather(text: str) -> list[WeatherRecord]:
-    """Parse weather.csv content, in file order.
+def parse_weather(lines: Iterable[str]) -> list[WeatherRecord]:
+    """Parse weather.csv `lines` (see csv_rows), in file order.
 
     Visibility must be an integer in 1..10 and precipitation non-negative.
     Temperatures below 0 degF are accepted (the frontier sees them).
     """
     records = []
-    for line, row in csv_rows(text, WEATHER_HEADER):
+    for line, row in csv_rows(lines, WEATHER_HEADER):
         ts = _parse_timestamp(row[0], line)
         temp = _parse_float(row[1], "temperature_f", line)
         try:
@@ -245,19 +248,20 @@ def _window_hour(ts: datetime) -> Optional[datetime]:
     return floor_hour(ts) if HOUR_MIN <= ts.hour <= HOUR_MAX else None
 
 
-def hourly_waits(text: str) -> HourlyMeans:
-    """wait_times.csv content straight to its hourly means, in one pass:
-    equal to aggregate_hourly(parse_wait_times(text)), with the same errors,
-    but each row is grouped as it is read and no per-row record is kept."""
-    groups: dict[tuple, list[float]] = {}
+def hourly_waits(lines: Iterable[str]) -> HourlyMeans:
+    """wait_times.csv `lines` (see csv_rows) straight to their hourly means,
+    in one pass: equal to aggregate_hourly(parse_wait_times(lines)), with the
+    same errors, but each row is grouped as it is read, no per-row record is
+    kept and each group's samples are one array of doubles."""
+    groups: dict[tuple, array] = {}
     first_lines: dict[tuple, int] = {}
-    for line, _, hour, stream, wait in _wait_rows(text):
+    for line, _, hour, stream, wait in _wait_rows(lines):
         if hour is None:
             continue
         key = (hour, stream)
         values = groups.get(key)
         if values is None:
-            groups[key] = [wait]
+            groups[key] = array("d", (wait,))
             first_lines[key] = line
         else:
             values.append(wait)
@@ -278,7 +282,7 @@ def aggregate_hourly(records: list[RawWaitTimeRecord]) -> HourlyMeans:
     return _hourly_means(groups)
 
 
-def _hourly_means(groups: dict[tuple, list[float]], first_lines: Optional[dict] = None) -> HourlyMeans:
+def _hourly_means(groups: dict[tuple, Sequence[float]], first_lines: Optional[dict] = None) -> HourlyMeans:
     """The table of each (hour, (bridge, direction, vehicle)) group's mean,
     filled in key order. Sums use math.fsum, which is exact, so the order
     of the samples cannot change any mean. The rounded sum and the division

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import IntEnum
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DataError
 from .features import FEATURE_SCHEMA, FeatureSchema, FeatureSpec, FeatureVector, hour_calendar
@@ -158,8 +158,9 @@ def write_observations(datasets: list[PatternDataset]) -> str:
     return csv_text(OBSERVATIONS_HEADER, rows())
 
 
-def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDataset]:
-    """Parse observations.csv back into per-combo datasets.
+def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], PatternDataset]:
+    """Parse observations.csv `lines` (see ingest.csv_rows) back into
+    per-combo datasets.
 
     hour_start must be a naive whole hour in HOUR_MIN..HOUR_MAX, and each
     (vehicle, direction, hour) may appear once. Each feature column is read
@@ -170,7 +171,7 @@ def read_observations(text: str) -> dict[tuple[Vehicle, Direction], PatternDatas
     """
     datasets: dict[tuple[Vehicle, Direction], PatternDataset] = {}
     first_lines: dict[tuple, int] = {}
-    for line, row in csv_rows(text, OBSERVATIONS_HEADER):
+    for line, row in csv_rows(lines, OBSERVATIONS_HEADER):
         try:
             hour_start = datetime.fromisoformat(row[0])
             direction = Direction[row[1].upper()]

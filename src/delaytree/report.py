@@ -12,7 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .cart import (
     ClassDistribution,
@@ -26,8 +26,8 @@ from .cart import (
 )
 from .errors import DataError, UsageError
 from .features import CONTINUOUS, FeatureSchema, FeatureSpec
-from .ingest import HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, csv_text
-from .patterns import DelayCategory4, categorize
+from .ingest import HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, bridges_for, csv_text
+from .patterns import DelayCategory4, all_patterns, categorize
 
 TREE_FORMATS = ("json", "dot", "text")
 
@@ -109,17 +109,27 @@ def _finite(value, what: str):
     return value
 
 
-def import_tree(text: str) -> DecisionTree:
-    """Rebuild a DecisionTree from its json export. A field that the
-    exports and reports read and that has the wrong type is a data error,
-    as are a node kind other than leaf or split, a non-finite threshold or
-    gain, an `n` other than the sum of its node's counts, children whose
-    counts do not sum to their parent's, a leaf label other than the
-    majority label of its counts, a rule on a feature the schema lacks or
-    of the wrong kind for its feature, and a subset rule whose sides are
-    not two nonempty disjoint sets of the feature's levels."""
+def _count(value, what: str) -> int:
+    """`value` if it is an int of 0 or more, else a data error."""
+    if _typed(value, int, what) < 0:
+        raise DataError(f"malformed tree json: {what} {value!r} is negative")
+    return value
+
+
+def import_tree(lines: Iterable[str]) -> DecisionTree:
+    """Rebuild a DecisionTree from its json export, given as text or as its
+    lines (joined: json reads a whole document, and a tree's is small). A
+    field that the exports and reports read and that has the wrong type is
+    a data error, as are a node kind other than leaf or split, a negative
+    count or `n`, a non-finite threshold, a gain that is not a finite
+    positive number, an `n` other than the sum of its node's counts,
+    children whose counts do not sum to their parent's, a leaf label other
+    than the majority label of its counts or, for a tree tagged with its
+    vehicle, other than a pattern of that vehicle, a rule on a feature the
+    schema lacks or of the wrong kind for its feature, and a subset rule
+    whose sides are not two nonempty disjoint sets of the feature's levels."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(lines if isinstance(lines, str) else "".join(lines))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"malformed tree json: {exc}") from None
     try:
@@ -129,6 +139,9 @@ def import_tree(text: str) -> DecisionTree:
                 for s in doc["schema"]
             ]
         )
+        vehicle = _typed(doc.get("vehicle"), (str, type(None)), "vehicle")
+        vehicle = Vehicle[vehicle.upper()] if vehicle else None
+        patterns = set(all_patterns(bridges_for(vehicle))) if vehicle else None
         by_id = {node["id"]: node for node in doc["nodes"]}
         # Breadth-first from the root, so every node is listed after its
         # parent; each id may be reached once, which rules out cycles and
@@ -150,14 +163,16 @@ def import_tree(text: str) -> DecisionTree:
         built: dict = {}
         for node_id in reversed(order):
             node = by_id[node_id]
-            counts = {label: _typed(c, int, "count") for label, c in _typed(node["counts"], dict, "counts").items()}
-            dist = ClassDistribution(counts, _typed(node["n"], int, "n"))
+            counts = {label: _count(c, "count") for label, c in _typed(node["counts"], dict, "counts").items()}
+            dist = ClassDistribution(counts, _count(node["n"], "n"))
             if dist.total != sum(counts.values()):
                 raise DataError(f"malformed tree json: n {dist.total} is not the sum of its counts")
             if node["kind"] == "leaf":
                 label = _typed(node["label"], str, "label")
                 if label != dist.majority_label():
                     raise DataError(f"malformed tree json: leaf label {label!r} is not the majority of its counts")
+                if patterns is not None and label not in patterns:
+                    raise DataError(f"malformed tree json: leaf label {label!r} is not a {vehicle.label} pattern")
                 built[node_id] = Leaf(label, dist)
                 continue
             left, right = node["children"]
@@ -182,14 +197,13 @@ def import_tree(text: str) -> DecisionTree:
                     raise DataError(f"malformed tree json: subset sides {rule_doc['left']!r} and {rule_doc['right']!r} "
                                     f"are not two nonempty disjoint sets of levels of {feature!r}")
             gain = _finite(node["gain"], "gain")
+            if not gain > 0:
+                raise DataError(f"malformed tree json: gain {gain!r} is not positive")
             built[node_id] = Split(rule, gain, dist, built.pop(left), built.pop(right))
 
-        vehicle = _typed(doc.get("vehicle"), (str, type(None)), "vehicle")
         direction = _typed(doc.get("direction"), (str, type(None)), "direction")
         return DecisionTree(
-            built[0], schema,
-            vehicle=Vehicle[vehicle.upper()] if vehicle else None,
-            direction=Direction[direction.upper()] if direction else None,
+            built[0], schema, vehicle=vehicle, direction=Direction[direction.upper()] if direction else None,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed tree json: {exc}") from None

@@ -7,8 +7,8 @@ import pytest
 
 from delaytree import cli
 from delaytree.cli import main, parse_rule
-from delaytree.errors import UsageError
-from delaytree.ingest import Bridge
+from delaytree.errors import DataError, UsageError
+from delaytree.ingest import Bridge, hourly_waits
 
 PIPE_CFG = """
 [pipeline]
@@ -280,6 +280,36 @@ def test_data_error_names_file_and_line(corpus, tmp_path, capsys):
         assert "bad.csv" in err and "line 2" in err
 
 
+WAIT_HEADER = b"timestamp,bridge,direction,vehicle_type,wait_minutes\n"
+WAIT_ROW = b"2016-09-05T08:00,PB,to_us,passenger,1\n"
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"\xff" + WAIT_HEADER + WAIT_ROW, 1),
+        (WAIT_HEADER + WAIT_ROW + b"2016-09-05T08:05,PB,to_us,passenger,\xe21\n" + WAIT_ROW, 3),
+        (WAIT_HEADER + WAIT_ROW * 2 + b"2016-09-05T08:10,PB,to_us,passenger,1\xe2\x82", 4),  # a cut-off euro sign
+    ],
+    ids=["first", "middle", "unterminated_last"],
+)
+def test_utf8_error_names_its_line(tmp_path, content, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    with pytest.raises(DataError) as exc:
+        cli._parse_file(hourly_waits, bad)
+    assert str(exc.value) == f"{bad}: line {line}: not UTF-8 text"
+
+
+def test_an_earlier_data_error_wins_over_a_later_bad_byte(tmp_path):
+    # The file is read one line at a time, so line 5 is never decoded.
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(WAIT_HEADER + b"nope,PB,to_us,passenger,1\n" + WAIT_ROW * 2 + b"\xff\n")
+    with pytest.raises(DataError) as exc:
+        cli._parse_file(hourly_waits, bad)
+    assert str(exc.value) == f"{bad}: line 2: malformed timestamp 'nope'"
+
+
 @pytest.mark.parametrize(
     "column, value, message",
     [
@@ -349,6 +379,19 @@ def test_render_cyclic_tree_exits_2(tmp_path, capsys):
     assert f"{tree}: malformed tree json: node 0 is reached twice" in capsys.readouterr().err
 
 
+def _raise_by_500(leaf):
+    """The leaf's own label stays its majority, and n its counts' sum."""
+    leaf["counts"][leaf["label"]] += 500
+    leaf["n"] += 500
+
+
+def _relabel_banana(leaf):
+    """The leaf's counts all move to a label no passenger pattern has, which
+    is then their majority."""
+    leaf["counts"] = {"banana": leaf["n"]}
+    leaf["label"] = "banana"
+
+
 @pytest.mark.parametrize(
     "node, key, value, message",
     [
@@ -375,11 +418,17 @@ def test_render_cyclic_tree_exits_2(tmp_path, capsys):
         ("split", "rule", {"feature": "weekend", "kind": "subset", "left": [], "right": [0, 1]},
          "subset sides [] and [0, 1] are not two nonempty disjoint sets of levels of 'weekend'"),
         ("leaf", "label", "banana", "leaf label 'banana' is not the majority of its counts"),
-        ("leaf", None, "raise_by_500", "children's counts do not sum to the counts of node "),
+        ("leaf", None, _raise_by_500, "children's counts do not sum to the counts of node "),
+        ("leaf", "counts", {"x": -3}, "count -3 is negative"),
+        ("leaf", "n", -1, "n -1 is negative"),
+        ("split", "gain", 0.0, "gain 0.0 is not positive"),
+        ("split", "gain", -0.5, "gain -0.5 is not positive"),
+        ("leaf", None, _relabel_banana, "leaf label 'banana' is not a passenger pattern"),
     ],
     ids=["vehicle", "n", "label", "kind", "gain", "threshold", "unknown_feature", "threshold_on_categorical",
          "subset_on_continuous", "n_not_sum", "subset_undeclared", "subset_overlap", "subset_bool", "subset_empty",
-         "label_not_majority", "counts_not_children_sum"],
+         "label_not_majority", "counts_not_children_sum", "negative_count", "negative_n", "zero_gain",
+         "negative_gain", "label_not_a_pattern"],
 )
 def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, message):
     tree = tmp_path / "tree.json"
@@ -387,9 +436,8 @@ def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, 
                  "--direction", "to_us", "--out", str(tree)]) == 0
     doc = json.loads(tree.read_text())
     target = doc if node is None else next(n for n in doc["nodes"] if n["kind"] == node)
-    if value == "raise_by_500":  # the leaf's own label stays its majority, and n its counts' sum
-        target["counts"][target["label"]] += 500
-        target["n"] += 500
+    if callable(value):
+        value(target)
     else:
         target[key] = value
     tree.write_text(json.dumps(doc))
@@ -437,6 +485,13 @@ def test_parse_rule():
     assert rule.condition == {"weekend": (1,), "hour_interval": ("Evening", "Night")}
     assert rule.shifts == {Bridge.PB: 17.0, Bridge.LQ: -2.0}
     assert rule.target == "delay-slight delay-slight delay"
+    for condition, message in (
+        ("weekend=1 & weekend=0", "bad rule condition 'weekend=0': weekend has a condition already"),
+        ("weekend=1|1", "bad rule condition 'weekend=1|1': a level repeats"),
+    ):
+        with pytest.raises(UsageError) as exc:
+            parse_rule(f"{condition} => PB+17 => delay-slight delay-slight delay")
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,16 @@ import copy
 import io
 import json
 import math
+import tempfile
+import tracemalloc
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaytree.cli import _parse_file
 from delaytree.errors import DataError
 from delaytree.ingest import (
     Bridge,
@@ -368,6 +372,8 @@ _GOOD_TEXTS = {
     "2016-09-05T09:00,to_can,commercial,35.0,,10.0,heavy delay-slight delay,"
     "9,Fall,Early_morning,0,1,0,60.0,10,0.0,Clear\n",
 }
+# Two passenger patterns, the leaf labels of _TREE_DOC.
+_A, _B = "delay-slight delay-slight delay", "slight delay-slight delay-slight delay"
 _TREE_DOC = {
     "vehicle": "passenger",
     "direction": "to_us",
@@ -377,12 +383,12 @@ _TREE_DOC = {
     ],
     "nodes": [
         {"id": 0, "kind": "split", "rule": {"feature": "weekend", "kind": "subset", "left": [0], "right": [1]},
-         "gain": 0.25, "n": 4, "counts": {"A": 1, "B": 3}, "label": None, "children": [1, 2]},
+         "gain": 0.25, "n": 4, "counts": {_A: 1, _B: 3}, "label": None, "children": [1, 2]},
         {"id": 1, "kind": "split", "rule": {"feature": "temperature_f", "kind": "threshold", "threshold": 50.5},
-         "gain": 0.5, "n": 2, "counts": {"A": 1, "B": 1}, "label": None, "children": [3, 4]},
-        {"id": 2, "kind": "leaf", "rule": None, "gain": None, "n": 2, "counts": {"B": 2}, "label": "B", "children": None},
-        {"id": 3, "kind": "leaf", "rule": None, "gain": None, "n": 1, "counts": {"A": 1}, "label": "A", "children": None},
-        {"id": 4, "kind": "leaf", "rule": None, "gain": None, "n": 1, "counts": {"B": 1}, "label": "B", "children": None},
+         "gain": 0.5, "n": 2, "counts": {_A: 1, _B: 1}, "label": None, "children": [3, 4]},
+        {"id": 2, "kind": "leaf", "rule": None, "gain": None, "n": 2, "counts": {_B: 2}, "label": _B, "children": None},
+        {"id": 3, "kind": "leaf", "rule": None, "gain": None, "n": 1, "counts": {_A: 1}, "label": _A, "children": None},
+        {"id": 4, "kind": "leaf", "rule": None, "gain": None, "n": 1, "counts": {_B: 1}, "label": _B, "children": None},
     ],
 }
 _ODD_FIELDS = ["", "nan", "inf", "-1", "1e308", "0", "11", '"', "\r", "\x00", "Monsoon", "2016-02-30",
@@ -465,6 +471,76 @@ def test_good_texts_of_the_fuzz_test_parse():
     assert parse_holidays(_GOOD_TEXTS["holidays"])[1] == {datetime(2016, 10, 10).date()}
     assert len(read_observations(_GOOD_TEXTS["observations"])) == 2
     assert _import_and_render(json.dumps(_TREE_DOC)).vehicle is Vehicle.PASSENGER
+
+
+# ------------------------------------------------------- reading a file
+
+
+@st.composite
+def _file_text(draw, texts):
+    """Text from `texts` with a few edits: a row's first field quoted and
+    carried over to the next line, or a lone "\\r" or a character of two to
+    four UTF-8 bytes put in at a random place; now and then the last line
+    loses its "\\n"."""
+    lines = draw(texts).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["span", "\r", "\u00e9", "\u20ac", "\U0001d11e"]))
+        if edit == "span":
+            first, comma, rest = lines[at].partition(",")
+            lines[at] = f'"{first}\n"{comma}{rest}'
+        else:
+            cut = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + edit + lines[at][cut:]
+    text = "\n".join(lines)
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+def _outcome(parse, source):
+    """("value", parse(source)), or ("error", message) of the data error it raises."""
+    try:
+        return "value", parse(source)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "parse, texts",
+    [
+        (hourly_waits, st.one_of(_wait_times_text(), _wait_times_text(bad_row=True))),
+        (parse_weather, _mangled_csv(_GOOD_TEXTS["weather"])),
+        (parse_holidays, _mangled_csv(_GOOD_TEXTS["holidays"])),
+        (read_observations, _mangled_csv(_GOOD_TEXTS["observations"])),
+    ],
+    ids=["hourly_waits", "parse_weather", "parse_holidays", "read_observations"],
+)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_a_file_parses_as_its_decoded_text(parse, texts, data):
+    text = data.draw(st.one_of(st.text(), _file_text(texts)))
+    kind, want = _outcome(parse, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "input.csv")
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(lambda p: _parse_file(parse, p), path) == (kind, f"{path}: {want}" if kind == "error" else want)
+
+
+def test_parsing_a_file_holds_its_groups_not_its_text(tmp_path):
+    # 30,000 samples in 9 (hour, stream) groups: a file of about 1.25 MB.
+    path = tmp_path / "wait_times.csv"
+    streams = ("PB,to_us,passenger", "RB,to_can,passenger", "LQ,to_us,commercial")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(HEADER)
+        for i in range(30_000):
+            file.write(f"2016-08-22T{7 + i % 3:02d}:{i % 60:02d},{streams[i // 3 % 3]},{i % 97 / 4}\n")
+    tracemalloc.start()
+    try:
+        hours = _parse_file(hourly_waits, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, hours.values())) == 9
+    assert peak < path.stat().st_size / 2
 
 
 # --------------------------------------------------------------- join

@@ -107,7 +107,7 @@ def test_json_round_trip_predictions():
 
 
 def test_round_trip_preserves_combo_tags():
-    ds = weekend_split_set({"A": 100}, {"B": 100})
+    ds = weekend_split_set({"delay-slight delay": 100}, {"heavy delay-slight delay": 100})  # commercial patterns
     tagged = cart.DecisionTree(
         cart.grow_tree(ds, TrainConfig()).root, ds.schema,
         vehicle=Vehicle.COMMERCIAL, direction=Direction.TO_CAN,
