@@ -15,6 +15,7 @@ sorted by value, with running sums of squared class counts; level subsets
 are scanned in lexicographic order, each subset's counts built from its
 prefix subset's plus one level's. Rules and class distributions (keyed by
 the labels) are built only for the chosen split and for the leaves.
+best_split is the root of a depth-1 tree, so one code path finds a split.
 
 Impurities are evaluated as exact integer ratios rounded once to float:
 gini = 1 - sum(counts^2)/N^2 and the gain's closed form over a common
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .features import CATEGORICAL, CONTINUOUS, FeatureSchema
@@ -98,18 +99,12 @@ class SubsetRule:
     feature: str
     left_levels: tuple
     right_levels: tuple
-    _left_set: frozenset = field(init=False, repr=False, compare=False)
-    _right_set: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_left_set", frozenset(self.left_levels))
-        object.__setattr__(self, "_right_set", frozenset(self.right_levels))
 
     def goes_left(self, value) -> Optional[bool]:
         """True/False for levels seen at the node; None for unseen levels."""
-        if value in self._left_set:
+        if value in self.left_levels:
             return True
-        if value in self._right_set:
+        if value in self.right_levels:
             return False
         return None
 
@@ -138,8 +133,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be >= 0")
+        if not (self.min_gain >= 0 and math.isfinite(self.min_gain)):
+            raise ValueError(f"min_gain must be a finite number >= 0, not {self.min_gain!r}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, not {self.max_depth!r}")
 
 
 @dataclass(frozen=True)
@@ -351,24 +348,16 @@ def _apply(data: _Encoded, f: int, key, idx):
 
 
 def best_split(rows, schema: FeatureSchema) -> Optional[SplitCandidate]:
-    """The maximum-gain candidate across all features, or None if no
-    candidate has strictly positive gain; ties go to the first candidate in
-    tie-break order (schema feature order, then ascending threshold /
-    lexicographic subset)."""
-    data = _encode(rows, schema)
-    k = len(data.classes)
-    idx = range(len(data.y))
-    found = _best_candidate(data, idx, _class_counts(data.y, idx, k))
-    if found is None:
+    """The maximum-gain candidate across all features: the root split of a
+    depth-1 tree, so ties go to the first candidate in tie-break order
+    (schema feature order, then ascending threshold / lexicographic subset).
+    None if there are no rows or no candidate has strictly positive gain."""
+    if not rows:
         return None
-    gain, f, key = found
-    rule, left, right = _apply(data, f, key, idx)
-    return SplitCandidate(
-        rule,
-        gain,
-        _distribution(data.classes, _class_counts(data.y, left, k)),
-        _distribution(data.classes, _class_counts(data.y, right, k)),
-    )
+    root = grow_tree(TrainingSet(schema, rows), TrainConfig(1, 0.0, 1)).root
+    if isinstance(root, Leaf):
+        return None
+    return SplitCandidate(root.rule, root.gain, root.left.distribution, root.right.distribution)
 
 
 def grow_tree(ds, cfg: TrainConfig = TrainConfig()) -> DecisionTree:

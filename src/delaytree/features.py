@@ -1,12 +1,13 @@
 """Descriptive features of each hour: calendar-derived categories (month,
 season, hour interval, weekend, holiday flags) plus the hour's weather
-fields, and the fixed schema the tree learner splits on.
+fields, and the fixed schema the tree learner splits on. FEATURE_SCHEMA
+declares them once; FeatureVector's fields are its names, in order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from datetime import date, datetime
 from enum import IntEnum
 from typing import Iterable
@@ -63,23 +64,6 @@ def calendar_flags(day: date, us: frozenset[date], ca: frozenset[date]) -> tuple
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    month: int
-    season: str
-    hour_interval: str
-    weekend: int
-    us_holiday: int
-    canada_holiday: int
-    temperature_f: float
-    visibility: int
-    precipitation_in: float
-    condition: str
-
-    def __getitem__(self, name: str):
-        return getattr(self, name)
-
-
-@dataclass(frozen=True)
 class FeatureSpec:
     name: str
     kind: str
@@ -112,38 +96,24 @@ class FeatureSpec:
         return repr(value) if self.kind == CONTINUOUS else str(value)
 
 
-class FeatureSchema:
-    """Ordered feature declarations.
+class FeatureSchema(tuple):
+    """Ordered feature declarations: a tuple of FeatureSpec, named by `names`.
 
     The order is load-bearing: it breaks ties between equal-gain splits,
     and the declared level order fixes the canonical form of subset rules.
     """
 
-    def __init__(self, specs):
-        self.specs = tuple(specs)
-        names = [s.name for s in self.specs]
-        if len(set(names)) != len(names):
+    def __new__(cls, specs):
+        self = super().__new__(cls, specs)
+        self.names = tuple(s.name for s in self)
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate feature names in schema")
-        self._by_name = {s.name: i for i, s in enumerate(self.specs)}
-
-    def __iter__(self):
-        return iter(self.specs)
-
-    def __len__(self):
-        return len(self.specs)
-
-    def __eq__(self, other):
-        return isinstance(other, FeatureSchema) and self.specs == other.specs
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.specs)
-
-    def index(self, name: str) -> int:
-        return self._by_name[name]
+        self._by_name = dict(zip(self.names, self))
+        return self
 
     def spec(self, name: str) -> FeatureSpec:
-        return self.specs[self._by_name[name]]
+        """The spec named `name`; KeyError if the schema has none."""
+        return self._by_name[name]
 
 
 # The full descriptive-feature schema offered to the splitter. month is kept
@@ -163,6 +133,14 @@ FEATURE_SCHEMA = FeatureSchema(
         FeatureSpec("condition", CATEGORICAL, ("Snow", "Rain", "Clear")),
     ]
 )
+
+
+# An hour's features, one field per FEATURE_SCHEMA name. Python < 3.12 gives
+# the class module `types`, under which it cannot be pickled.
+FeatureVector = make_dataclass(
+    "FeatureVector", FEATURE_SCHEMA.names, frozen=True, namespace={"__getitem__": lambda self, name: getattr(self, name)}
+)
+FeatureVector.__module__ = __name__
 
 
 def hour_calendar(hour_start: datetime) -> tuple:

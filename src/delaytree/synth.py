@@ -13,7 +13,7 @@ import io
 import math
 import random
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time
 from pathlib import Path
 from typing import Optional
 
@@ -78,6 +78,15 @@ class SynthConfig:
                     raise UsageError(f"{where} {bridge.name} must be >= 0, not {wait!r}")
                 if not math.isfinite(wait + _MAX_DRAW * self.jitter):
                     raise UsageError(f"{where} {bridge.name} {wait!r} plus jitter {self.jitter!r} is not finite")
+        if self.end < self.start:
+            raise UsageError("empty date range: end is before start")
+        for rule in self.rules:
+            waits = _shifted_waits(self, rule)
+            implied = pattern_of([waits[b] for b in self.bridges])
+            if implied != rule.target:
+                raise UsageError(f"rule target {rule.target!r} disagrees with its shifted waits ({implied!r})")
+            if rule.target == self.base_pattern():
+                raise UsageError(f"rule target {rule.target!r} equals the base pattern; flips would be invisible")
 
     @property
     def bridges(self) -> tuple[Bridge, ...]:
@@ -101,20 +110,6 @@ def _shifted_waits(cfg: SynthConfig, rule: Optional[PlantedRule]) -> dict:
     return {b: cfg.base_waits[b] + rule.shifts.get(b, 0.0) for b in cfg.bridges}
 
 
-def _validate_rules(cfg: SynthConfig) -> None:
-    base = cfg.base_pattern()
-    for rule in cfg.rules:
-        waits = _shifted_waits(cfg, rule)
-        implied = pattern_of([waits[b] for b in cfg.bridges])
-        if implied != rule.target:
-            raise UsageError(f"rule target {rule.target!r} disagrees with its shifted waits ({implied!r})")
-        if rule.target == base:
-            raise UsageError(
-                f"rule target {rule.target!r} equals the base pattern; "
-                "flips would be invisible"
-            )
-
-
 def _temperature(day: date, hour: int, rng: random.Random) -> float:
     doy = day.timetuple().tm_yday
     seasonal = 45.0 - 25.0 * math.cos(2.0 * math.pi * (doy - 15) / 365.0)
@@ -129,9 +124,6 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     Hours run 7..21. The log records each hour's pre-flip intended pattern
     and whether the noise draw replaced it with the alternative profile.
     """
-    if cfg.end < cfg.start:
-        raise UsageError("empty date range: end is before start")
-    _validate_rules(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -148,8 +140,8 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     weather_csv.writerow(WEATHER_HEADER)
     log_csv.writerow(["hour_start", "intended_pattern", "flipped"])
 
-    day = cfg.start
-    while day <= cfg.end:
+    for ordinal in range(cfg.start.toordinal(), cfg.end.toordinal() + 1):
+        day = date.fromordinal(ordinal)
         for hour in range(HOUR_MIN, HOUR_MAX + 1):
             hour_start = datetime.combine(day, time(hour))
             temp = _temperature(day, hour, rng)
@@ -191,7 +183,6 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
                             f"{value:.2f}",
                         ]
                     )
-        day += timedelta(days=1)
 
     holidays = [(d.isoformat(), "US") for d in cfg.us_holidays] + [(d.isoformat(), "CA") for d in cfg.ca_holidays]
     out = SynthOutput(

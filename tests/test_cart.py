@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from delaytree import cart
 from delaytree.cart import ClassDistribution, Leaf, Split, TrainConfig, TrainingSet
-from delaytree.features import CATEGORICAL, CONTINUOUS, FeatureSchema, FeatureSpec
+from delaytree.features import CATEGORICAL, CONTINUOUS, FEATURE_SCHEMA, FeatureSchema, FeatureSpec
 from delaytree.report import export_tree
 
 from helpers import (
@@ -180,6 +180,7 @@ def test_best_split_single_informative_feature():
 def test_best_split_pure_rows_none():
     ts = weekend_split_set({"A": 5}, {"A": 5})
     assert cart.best_split(ts.rows, ts.schema) is None
+    assert cart.best_split([], FEATURE_SCHEMA) is None
 
 
 def test_best_split_matches_oracle_seed7():
@@ -490,3 +491,13 @@ def test_train_config_validation():
         TrainConfig(min_gain=-0.1)
     assert TrainConfig().min_samples == 100
     assert TrainConfig().min_gain == 0.005
+
+
+def test_subset_rule_is_a_frozen_value():
+    rule = cart.SubsetRule("k", ("a",), ("b", "c"))
+    assert repr(rule) == "SubsetRule(feature='k', left_levels=('a',), right_levels=('b', 'c'))"
+    assert rule == cart.SubsetRule("k", ("a",), ("b", "c")) != cart.SubsetRule("k", ("a", "b"), ("c",))
+    assert hash(rule) == hash(cart.SubsetRule("k", ("a",), ("b", "c")))
+    assert [rule.goes_left(v) for v in ("a", "b", "c", "d")] == [True, False, False, None]
+    with pytest.raises(AttributeError):
+        rule.feature = "x"

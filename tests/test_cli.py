@@ -254,6 +254,31 @@ def test_pipeline_smoke(tmp_path):
     assert (out_dir / "reports" / "hourly_dist_PB_passenger_to_us.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--min-gain", "nan"], "min_gain must be a finite number >= 0, not nan"),
+        (["--min-gain", "inf"], "min_gain must be a finite number >= 0, not inf"),
+        (["--max-depth", "-1"], "max_depth must be >= 0, not -1"),
+    ],
+    ids=["min-gain-nan", "min-gain-inf", "max-depth-negative"],
+)
+def test_train_rejects_bad_tree_settings(corpus, tmp_path, capsys, flags, message):
+    out = tmp_path / "tree.json"
+    rc = main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger",
+               "--direction", "to_us", "--out", str(out), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_pipeline_rejects_nan_min_gain(tmp_path, capsys):
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(PIPE_CFG.format(out=tmp_path / "out").replace("min-gain = 0.005", "min-gain = nan"))
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: min_gain must be a finite number >= 0, not nan\n"
+
+
 def test_train_rerun_is_byte_identical(corpus, tmp_path):
     out = tmp_path / "tree.json"
     args = ["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger",
@@ -480,12 +505,23 @@ def test_synth_rejects_non_finite_settings(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+def test_synth_last_representable_day(tmp_path):
+    out = tmp_path / "data"
+    rc = main(["synth", "--out-dir", str(out), "--start", "9999-12-31", "--end", "9999-12-31", "--seed", "1",
+               "--direction", "to_us", "--vehicle", "passenger", "--base-pb", "5", "--base-rb", "5",
+               "--base-lq", "5"])
+    assert rc == 0
+    hours = (out / "weather.csv").read_text().splitlines()[1:]
+    assert [line[:16] for line in hours] == [f"9999-12-31T{h:02d}:00" for h in range(7, 22)]
+
+
 def test_parse_rule():
     rule = parse_rule("weekend=1 & hour_interval=Evening|Night => PB+17,LQ-2 => delay-slight delay-slight delay")
     assert rule.condition == {"weekend": (1,), "hour_interval": ("Evening", "Night")}
     assert rule.shifts == {Bridge.PB: 17.0, Bridge.LQ: -2.0}
     assert rule.target == "delay-slight delay-slight delay"
     for condition, message in (
+        ("banana=1", "unknown feature 'banana' in rule condition"),
         ("weekend=1 & weekend=0", "bad rule condition 'weekend=0': weekend has a condition already"),
         ("weekend=1|1", "bad rule condition 'weekend=1|1': a level repeats"),
     ):

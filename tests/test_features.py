@@ -1,6 +1,7 @@
 """Calendar-derived features and the holiday dates."""
 
 import dataclasses
+import pickle
 from datetime import date, datetime
 
 import pytest
@@ -21,6 +22,8 @@ from delaytree.features import (
     season_of,
 )
 from delaytree.ingest import Condition, WeatherRecord
+
+from helpers import make_fv
 
 
 def test_season_examples():
@@ -142,9 +145,11 @@ def test_schema_names_unique_and_ordered():
     names = FEATURE_SCHEMA.names
     assert len(set(names)) == len(names)
     assert names[0] == "month"
-    assert FEATURE_SCHEMA.index("weekend") < FEATURE_SCHEMA.index("temperature_f")
+    assert FEATURE_SCHEMA.names.index("weekend") < FEATURE_SCHEMA.names.index("temperature_f")
     assert FEATURE_SCHEMA.spec("visibility").kind == CATEGORICAL
     assert FEATURE_SCHEMA.spec("visibility").levels == tuple(range(1, 11))
+    with pytest.raises(KeyError):
+        FEATURE_SCHEMA.spec("banana")
 
 
 def test_schema_rejects_duplicates():
@@ -161,6 +166,20 @@ def test_feature_spec_validation():
 
 def test_feature_vector_fields_are_the_schema_in_order():
     assert tuple(field.name for field in dataclasses.fields(FeatureVector)) == FEATURE_SCHEMA.names
+
+
+def test_feature_vector_is_a_frozen_picklable_value():
+    fv = make_fv()
+    assert repr(fv) == (
+        "FeatureVector(month=9, season='Fall', hour_interval='Morning', weekend=0, us_holiday=0, "
+        "canada_holiday=0, temperature_f=60.0, visibility=10, precipitation_in=0.0, condition='Clear')"
+    )
+    assert fv["season"] == "Fall"
+    assert fv == make_fv() and hash(fv) == hash(make_fv()) and fv != make_fv(weekend=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fv.weekend = 1
+    back = pickle.loads(pickle.dumps(fv))
+    assert back == fv and type(back) is FeatureVector
 
 
 @given(st.data())
