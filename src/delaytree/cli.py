@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 from . import cart, report, synth
 from .errors import DataError, UsageError
 from .features import CATEGORICAL, FEATURE_SCHEMA, label_hours, parse_holidays
-from .ingest import Bridge, Direction, Vehicle, hourly_waits, join_weather, parse_weather
+from .ingest import Bridge, Direction, Vehicle, _parse_enum, fromisoformat, hourly_waits, join_weather, parse_weather
 # Not called here, but perfbench/tracer.py wraps them under these names.
 from .ingest import aggregate_hourly, parse_wait_times  # noqa: F401
 from .patterns import COMBOS, assemble_rows, pattern_frequencies, read_observations, write_observations
@@ -115,7 +115,7 @@ def _resolve(settings, cp: configparser.ConfigParser, sections: list, flags: Opt
 
 
 def _date(raw: str) -> date:
-    return date.fromisoformat(raw.strip())
+    return fromisoformat(date, raw.strip())
 
 
 def _dates(raw: str) -> frozenset:
@@ -123,14 +123,14 @@ def _dates(raw: str) -> frozenset:
 
 
 def _member(enum_cls) -> Callable:
-    """Converter to a member of enum_cls, by name in any case."""
+    """Converter to a member of enum_cls, by its ASCII name in any case."""
     names = [getattr(member, "label", member.name) for member in enum_cls]
     want = f"want {', '.join(names[:-1])} or {names[-1]}"
 
     def convert(raw: str):
         try:
-            return enum_cls[raw.strip().upper()]
-        except KeyError:
+            return _parse_enum(enum_cls, raw, "name")
+        except DataError:
             raise ValueError(want) from None
 
     return convert
@@ -337,9 +337,9 @@ def cmd_report_factors(o, cp, flags) -> int:
 
 
 def cmd_pipeline(o, cp, flags) -> int:
+    # Every tree setting is checked before any file is written.
+    train = {combo: _train_config(_resolve(_TREE, cp, _tree_sections(*combo))) for combo in COMBOS}
     out_dir = Path(o["out-dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if cp.has_section("synth"):
         files = synth.generate(_synth_config(_resolve(_SYNTH, cp, ["synth"])), out_dir / "data")
         inputs = (files.wait_times, files.weather, files.holidays)
@@ -354,7 +354,7 @@ def cmd_pipeline(o, cp, flags) -> int:
 
     trained = {}
     for (vehicle, direction), ds in datasets.items():
-        tree = cart.grow_tree(ds, _train_config(_resolve(_TREE, cp, _tree_sections(vehicle, direction))))
+        tree = cart.grow_tree(ds, train[(vehicle, direction)])
         trained[(vehicle, direction)] = tree
         stem = f"{vehicle.label}_{direction.label}"
         _emit(report.export_tree(tree, "json"), out_dir / "trees" / f"tree_{stem}.json")

@@ -13,7 +13,7 @@ from enum import IntEnum
 from typing import Iterable
 
 from .errors import DataError
-from .ingest import HOUR_MAX, HOUR_MIN, WeatherRecord, _parse_enum, csv_rows
+from .ingest import HOUR_MAX, HOUR_MIN, WeatherRecord, _parse_enum, csv_rows, fromisoformat
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -50,7 +50,7 @@ def parse_holidays(lines: Iterable[str]) -> tuple[frozenset[date], frozenset[dat
     dates: dict[Country, set[date]] = {Country.US: set(), Country.CA: set()}
     for line, row in csv_rows(lines, HOLIDAYS_HEADER):
         try:
-            day = date.fromisoformat(row[0].strip())
+            day = fromisoformat(date, row[0].strip())
         except ValueError:
             raise DataError(f"malformed date {row[0]!r}", line=line) from None
         dates[_parse_enum(Country, row[1], "country", line)].add(day)

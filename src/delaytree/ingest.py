@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -95,16 +96,42 @@ class WeatherRecord:
 HourlyMeans = dict[tuple[Bridge, Direction, Vehicle], dict[datetime, float]]
 
 
-def _parse_enum(enum_cls, raw: str, what: str, line: int):
-    try:
-        return enum_cls[raw.strip().upper()]
-    except KeyError:
-        raise DataError(f"unknown {what} {raw!r}", line=line) from None
+def _parse_enum(enum_cls, raw: str, what: str, line: Optional[int] = None):
+    """The member of enum_cls that `raw` names, in any case, between any
+    whitespace. Names are ASCII: str.upper() would fold 'ſ' to 'S'."""
+    name = raw.strip().upper()
+    if raw.isascii() and name in enum_cls.__members__:
+        return enum_cls[name]
+    raise DataError(f"unknown {what} {raw!r}", line=line)
+
+
+# The texts Python 3.10's fromisoformat reads; 3.11 reads more, such as
+# 20160822, 2016-W34-1 and T0705. A date is YYYY-MM-DD; a datetime is a
+# date alone, or a date, any one character and HH[:MM[:SS]], then maybe a
+# 3- or 6-digit fraction (after "." or, past SS, ":") and a zone
+# ±HH:MM[:SS[.ffffff]]. Without a fraction 3.10 also takes one more
+# character before a zone, or a NUL at the end when there is no zone.
+_ISO_DATE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_ISO_TIME = "[0-9]{2}(?::[0-9]{2}){0,2}"
+_ISO_FRACTION = r"[0-9]{2}(?:\.|:[0-9]{2}(?:\.|:[0-9]{2}[.:]))(?:[0-9]{3}|[0-9]{6})"
+_ISO_DATETIME = re.compile(
+    rf"{_ISO_DATE}(?:.(?:{_ISO_TIME}\x00?|{_ISO_FRACTION}|(?:{_ISO_FRACTION}|{_ISO_TIME}[^+-]?)"
+    r"[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:[.:][0-9]{6})?)?))?",
+    re.DOTALL,
+)
+
+
+def fromisoformat(cls, text: str):
+    """cls.fromisoformat(text), cls a date or a datetime, on the texts that
+    Python 3.10 reads; any other text is a ValueError on every version."""
+    if (_ISO_DATETIME.fullmatch(text) if cls is datetime else re.fullmatch(_ISO_DATE, text)) is None:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return cls.fromisoformat(text)
 
 
 def _parse_timestamp(raw: str, line: int) -> datetime:
     try:
-        ts = datetime.fromisoformat(raw.strip())
+        ts = fromisoformat(datetime, raw.strip())
     except ValueError:
         raise DataError(f"malformed timestamp {raw!r}", line=line) from None
     if ts.tzinfo is not None:

@@ -20,7 +20,8 @@ from typing import Iterable, NamedTuple
 from .errors import DataError
 from .features import FEATURE_SCHEMA, FeatureSchema, FeatureSpec, FeatureVector, hour_calendar
 from .ingest import (
-    HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _window_hour, bridges_for, csv_rows, csv_text,
+    HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _parse_enum, _window_hour, bridges_for,
+    csv_rows, csv_text, fromisoformat,
 )
 
 SLIGHT_MAX = 15.0
@@ -93,11 +94,7 @@ COMBOS = (
 
 
 def assemble_rows(
-    hours: HourlyMeans,
-    features: dict[datetime, FeatureVector],
-    direction: Direction,
-    vehicle: Vehicle,
-    schema: FeatureSchema = FEATURE_SCHEMA,
+    hours: HourlyMeans, features: dict[datetime, FeatureVector], direction: Direction, vehicle: Vehicle
 ) -> PatternDataset:
     """Build the classification dataset for one (direction, vehicle) from
     its bridges' hourly means and the feature vector of each hour.
@@ -120,7 +117,7 @@ def assemble_rows(
             dropped += 1
             continue
         rows.append(PatternRow(features[hour_start], pattern_of(waits), hour_start, waits))
-    return PatternDataset(schema, rows, direction, vehicle, skipped, dropped)
+    return PatternDataset(FEATURE_SCHEMA, rows, direction, vehicle, skipped, dropped)
 
 
 def pattern_frequencies(ds: PatternDataset) -> list[tuple[str, int]]:
@@ -173,13 +170,13 @@ def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], P
     first_lines: dict[tuple, int] = {}
     for line, row in csv_rows(lines, OBSERVATIONS_HEADER):
         try:
-            hour_start = datetime.fromisoformat(row[0])
-            direction = Direction[row[1].upper()]
-            vehicle = Vehicle[row[2].upper()]
+            hour_start = fromisoformat(datetime, row[0])
+            direction = _parse_enum(Direction, row[1], "direction", line)
+            vehicle = _parse_enum(Vehicle, row[2], "vehicle", line)
             bridges = bridges_for(vehicle)
             wait_cols = dict(zip(Bridge, row[3:6]))
             waits = tuple(float(wait_cols[b]) for b in bridges)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise DataError(f"bad observation row: {exc}", line=line) from None
         if hour_start.tzinfo is not None or _window_hour(hour_start) != hour_start:
             raise DataError(f"hour_start {row[0]!r} is not a naive whole hour in {HOUR_MIN}..{HOUR_MAX}", line=line)

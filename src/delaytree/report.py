@@ -15,18 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .cart import (
-    ClassDistribution,
-    DecisionTree,
-    Leaf,
-    Split,
-    SubsetRule,
-    ThresholdRule,
-    bfs_nodes,
+    ClassDistribution, DecisionTree, Leaf, Split, SubsetRule, ThresholdRule, bfs_nodes, information_gain,
     internal_features,
 )
 from .errors import DataError, UsageError
 from .features import CONTINUOUS, FeatureSchema, FeatureSpec
-from .ingest import HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, bridges_for, csv_text
+from .ingest import HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _parse_enum, bridges_for, csv_text
 from .patterns import DelayCategory4, all_patterns, categorize
 
 TREE_FORMATS = ("json", "dot", "text")
@@ -116,13 +110,23 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _tag(doc: dict, enum_cls, key: str):
+    """The member that the tree's `key` tag names, or None if it has none."""
+    name = _typed(doc.get(key), (str, type(None)), key)
+    try:
+        return _parse_enum(enum_cls, name, key) if name else None
+    except DataError as exc:
+        raise DataError(f"malformed tree json: {exc}") from None
+
+
 def import_tree(lines: Iterable[str]) -> DecisionTree:
     """Rebuild a DecisionTree from its json export, given as text or as its
     lines (joined: json reads a whole document, and a tree's is small). A
     field that the exports and reports read and that has the wrong type is
     a data error, as are a node kind other than leaf or split, a negative
     count or `n`, a non-finite threshold, a gain that is not a finite
-    positive number, an `n` other than the sum of its node's counts,
+    positive number or not the information gain of its node's and its
+    children's counts, an `n` other than the sum of its node's counts,
     children whose counts do not sum to their parent's, a leaf label other
     than the majority label of its counts or, for a tree tagged with its
     vehicle, other than a pattern of that vehicle, a rule on a feature the
@@ -139,8 +143,7 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
                 for s in doc["schema"]
             ]
         )
-        vehicle = _typed(doc.get("vehicle"), (str, type(None)), "vehicle")
-        vehicle = Vehicle[vehicle.upper()] if vehicle else None
+        vehicle = _tag(doc, Vehicle, "vehicle")
         patterns = set(all_patterns(bridges_for(vehicle))) if vehicle else None
         by_id = {node["id"]: node for node in doc["nodes"]}
         # Breadth-first from the root, so every node is listed after its
@@ -199,12 +202,12 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
             gain = _finite(node["gain"], "gain")
             if not gain > 0:
                 raise DataError(f"malformed tree json: gain {gain!r} is not positive")
+            want = information_gain(dist, built[left].distribution, built[right].distribution)
+            if gain != want:
+                raise DataError(f"malformed tree json: gain {gain!r} is not the gain of its counts ({want!r})")
             built[node_id] = Split(rule, gain, dist, built.pop(left), built.pop(right))
 
-        direction = _typed(doc.get("direction"), (str, type(None)), "direction")
-        return DecisionTree(
-            built[0], schema, vehicle=vehicle, direction=Direction[direction.upper()] if direction else None,
-        )
+        return DecisionTree(built[0], schema, vehicle=vehicle, direction=_tag(doc, Direction, "direction"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed tree json: {exc}") from None
 

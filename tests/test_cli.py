@@ -277,6 +277,17 @@ def test_pipeline_rejects_nan_min_gain(tmp_path, capsys):
     cfg.write_text(PIPE_CFG.format(out=tmp_path / "out").replace("min-gain = 0.005", "min-gain = nan"))
     assert main(["pipeline", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == "error: min_gain must be a finite number >= 0, not nan\n"
+    assert list(tmp_path.iterdir()) == [cfg]  # the settings are checked before any file is written
+
+
+def test_pipeline_checks_the_tree_settings_of_a_combo_without_rows(tmp_path, capsys):
+    # The synth corpus has passenger to_us rows only, so no tree is grown
+    # from [train.commercial.to_can]; its bad value still stops the run.
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(PIPE_CFG.format(out=tmp_path / "out") + "\n[train.commercial.to_can]\nmax-depth = -1\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: max_depth must be >= 0, not -1\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_train_rerun_is_byte_identical(corpus, tmp_path):
@@ -344,6 +355,7 @@ def test_an_earlier_data_error_wins_over_a_later_bad_byte(tmp_path):
         (6, "banana-slight delay-slight delay", "pattern 'banana-slight delay-slight delay' has unknown part 'banana'"),
         (6, "delay-slight delay-slight delay-delay",
          "pattern 'delay-slight delay-slight delay-delay' does not fit passenger"),
+        (2, "pa\u017f\u017fenger", "unknown vehicle 'pa\u017f\u017fenger'"),
     ],
 )
 def test_train_rejects_undeclared_level_and_non_finite_value(corpus, tmp_path, capsys, column, value, message):
@@ -449,11 +461,12 @@ def _relabel_banana(leaf):
         ("split", "gain", 0.0, "gain 0.0 is not positive"),
         ("split", "gain", -0.5, "gain -0.5 is not positive"),
         ("leaf", None, _relabel_banana, "leaf label 'banana' is not a passenger pattern"),
+        ("split", "gain", 0.9, "gain 0.9 is not the gain of its counts (0."),
     ],
     ids=["vehicle", "n", "label", "kind", "gain", "threshold", "unknown_feature", "threshold_on_categorical",
          "subset_on_continuous", "n_not_sum", "subset_undeclared", "subset_overlap", "subset_bool", "subset_empty",
          "label_not_majority", "counts_not_children_sum", "negative_count", "negative_n", "zero_gain",
-         "negative_gain", "label_not_a_pattern"],
+         "negative_gain", "label_not_a_pattern", "gain_not_of_counts"],
 )
 def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, message):
     tree = tmp_path / "tree.json"
@@ -561,14 +574,14 @@ def test_config_file_text_is_taken_literally(tmp_path, capsys, content, code, na
 RULE_A = "weekend=1 => PB+17 => delay-slight delay-slight delay"
 RULE_B = "weekend=0 => LQ+17 => slight delay-slight delay-delay"
 
-# Per setting: a valid text, another valid text, and a bad text (None when
-# any text is valid). An empty flag text means the flag with no argument.
+# Per setting: a valid text, another valid text, and then its bad texts (none
+# when any text is valid). An empty flag text means the flag with no argument.
 VALUES = {
-    "start": ("2016-09-05", "2016-09-12", "2016-13-01"),
+    "start": ("2016-09-05", "2016-09-12", "2016-13-01", "20160905", "2016-W36-1"),
     "end": ("2016-10-16", "2016-10-23", "16/10/2016"),
     "seed": ("7", "8", "seven"),
-    "vehicle": ("passenger", "commercial", "bike"),
-    "direction": ("to_us", "to_can", "north"),
+    "vehicle": ("passenger", "commercial", "bike", "pa\u017f\u017fenger", "commerc\u0131al"),
+    "direction": ("to_us", "to_can", "north", "to_u\u017f"),
     "bridge": ("PB", "LQ", "ZZ"),
     "base-pb": ("5", "6.5", "five"),
     "base-rb": ("5", "6.5", "five"),
@@ -576,7 +589,7 @@ VALUES = {
     "jitter": ("1.0", "0.5", "some"),
     "label-flip": ("0.05", "0.1", "few"),
     "rule": (RULE_A, RULE_B, "weekend=1 => PB+17"),
-    "us-holidays": ("2016-09-05", "2016-09-05 2016-11-24", "2016-02-30"),
+    "us-holidays": ("2016-09-05", "2016-09-05 2016-11-24", "2016-02-30", "20160905"),
     "ca-holidays": ("2016-10-10", "2016-07-01, 2016-10-10", "Thanksgiving"),
     "min-samples": ("100", "5", "many"),
     "min-gain": ("0.005", "0", "tiny"),
@@ -584,7 +597,7 @@ VALUES = {
     "trees": ("a.json", "b.json", ""),
     "format": ("dot", "text", "gif"),
 }
-PATHS = ("a%b.csv", "c d.csv", None)  # every other setting is a path
+PATHS = ("a%b.csv", "c d.csv")  # every other setting is a path
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -596,7 +609,8 @@ def test_option_table(command, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "c.cfg"
 
     def run(flags, config):
-        cfg.write_text(f"[{section}]\n" + "".join(f"{key} = {text}\n" for key, text in config.items()))
+        lines = "".join(f"{key} = {text}\n" for key, text in config.items())
+        cfg.write_text(f"[{section}]\n{lines}", encoding="utf-8")
         argv = command.split() + ["--config", str(cfg)]
         for name, text in flags.items():
             argv += [f"--{name}"] + ([text] if text else [])
@@ -613,7 +627,7 @@ def test_option_table(command, tmp_path, monkeypatch, capsys):
 
     required = {s.name: VALUES.get(s.name, PATHS)[0] for s in settings if s.default is cli.REQUIRED}
     for s in settings:
-        a, b, bad = VALUES.get(s.name, PATHS)
+        a, b, *bads = VALUES.get(s.name, PATHS)
         others = {name: text for name, text in required.items() if name != s.name}
         if s.default is cli.REQUIRED:
             assert run(others, {})[:2] == (1, f"error: missing --{s.name}\n")
@@ -626,7 +640,7 @@ def test_option_table(command, tmp_path, monkeypatch, capsys):
                 assert flagged == value(s, b) + value(s, a)
             else:
                 assert flagged == value(s, b)
-        if bad is not None:
+        for bad in bads:
             sources = [({}, {s.name: bad})] + ([({s.name: bad}, {})] if s.flag is not None else [])
             for flags, config in sources:
                 code, err, _ = run({**others, **flags}, config)

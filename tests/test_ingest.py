@@ -242,10 +242,11 @@ _GOOD = {
     "wait_minutes": ["0", "0.0", "12", " 7.5", "1e2", "33.25"],
 }
 _BAD = {
-    "timestamp": ["not-a-date", "2016-08-22T07:05+00:00", ""],
+    "timestamp": ["not-a-date", "2016-08-22T07:05+00:00", "", "20160822T0705", "2016-08-22T0705", "2016-W34-1T07:05",
+                  "20160822"],
     "bridge": ["XX", "P B", ""],
-    "direction": ["north", "to us"],
-    "vehicle_type": ["bus", ""],
+    "direction": ["north", "to us", "to_u\u017f"],
+    "vehicle_type": ["bus", "", "pa\u017f\u017fenger", "commerc\u0131al"],
     "wait_minutes": ["nan", "inf", "-1", "abc", ""],
 }
 
@@ -255,7 +256,9 @@ def _csv_field(draw, text):
 
 
 def _trucks_on_rb(fields):
-    return fields["bridge"].strip().upper() == "RB" and fields["vehicle_type"].strip().upper() == "COMMERCIAL"
+    # Names are ASCII: "commerc\u0131al" names no vehicle, though its upper() is "COMMERCIAL".
+    bridge, vehicle = fields["bridge"].strip(), fields["vehicle_type"].strip()
+    return vehicle.isascii() and (bridge.upper(), vehicle.upper()) == ("RB", "COMMERCIAL")
 
 
 @st.composite
@@ -308,6 +311,9 @@ def test_hourly_waits_reports_the_same_error(text):
         ("2016-08-22T07:05,XX,north,bus,-1", "unknown bridge 'XX'"),
         ("2016-08-22T07:05,RB,north,bus,-1", "unknown direction 'north'"),
         ("2016-08-22T07:05,RB,to_us,bus,-1", "unknown vehicle_type 'bus'"),
+        ("2016-08-22T07:05,RB,to_u\u017f,pa\u017f\u017fenger,-1", "unknown direction 'to_u\u017f'"),
+        ("2016-08-22T07:05,RB,to_us,commerc\u0131al,-1", "unknown vehicle_type 'commerc\u0131al'"),
+        ("20160822T0705,RB,to_us,commercial,1", "malformed timestamp '20160822T0705'"),
         ("2016-08-22T07:05,RB,to_us,commercial,nan", "non-finite wait_minutes 'nan'"),
         ("2016-08-22T07:05,RB,to_us,commercial,-1", "negative wait_minutes '-1'"),
         ("2016-08-22T07:05,RB,to_us,commercial,1", "RB carries no commercial vehicles"),
@@ -383,7 +389,7 @@ _TREE_DOC = {
     ],
     "nodes": [
         {"id": 0, "kind": "split", "rule": {"feature": "weekend", "kind": "subset", "left": [0], "right": [1]},
-         "gain": 0.25, "n": 4, "counts": {_A: 1, _B: 3}, "label": None, "children": [1, 2]},
+         "gain": 0.125, "n": 4, "counts": {_A: 1, _B: 3}, "label": None, "children": [1, 2]},
         {"id": 1, "kind": "split", "rule": {"feature": "temperature_f", "kind": "threshold", "threshold": 50.5},
          "gain": 0.5, "n": 2, "counts": {_A: 1, _B: 1}, "label": None, "children": [3, 4]},
         {"id": 2, "kind": "leaf", "rule": None, "gain": None, "n": 2, "counts": {_B: 2}, "label": _B, "children": None},
@@ -471,6 +477,21 @@ def test_good_texts_of_the_fuzz_test_parse():
     assert parse_holidays(_GOOD_TEXTS["holidays"])[1] == {datetime(2016, 10, 10).date()}
     assert len(read_observations(_GOOD_TEXTS["observations"])) == 2
     assert _import_and_render(json.dumps(_TREE_DOC)).vehicle is Vehicle.PASSENGER
+
+
+@pytest.mark.parametrize(
+    "parse, kind, name, bad, what",
+    [
+        (parse_weather, "weather", "Clear", "Ra\u0131n", "condition"),
+        (parse_holidays, "holidays", "US", "u\u017f", "country"),
+    ],
+    ids=["weather", "holidays"],
+)
+def test_names_are_ascii(parse, kind, name, bad, what):
+    # str.upper() folds "\u0131" to "I" and "\u017f" to "S", so each bad name once read as a member.
+    with pytest.raises(DataError) as exc:
+        parse(_GOOD_TEXTS[kind].replace(f",{name}", f",{bad}", 1))  # on line 2
+    assert str(exc.value) == f"line 2: unknown {what} {bad!r}"
 
 
 # ------------------------------------------------------- reading a file
