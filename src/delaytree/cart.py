@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .errors import Checked
 from .features import CATEGORICAL, CONTINUOUS, FeatureSchema
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
+class ClassDistribution(NamedTuple):
     counts: dict
     total: int
 
@@ -82,8 +81,7 @@ def information_gain(
     return _gain_from_squares(sp, sl, sr, parent.total, left.total, right.total)
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
+class ThresholdRule(NamedTuple):
     feature: str
     threshold: float
 
@@ -94,8 +92,7 @@ class ThresholdRule:
         return f"{self.feature} <= {self.threshold!r}"
 
 
-@dataclass(frozen=True)
-class SubsetRule:
+class SubsetRule(NamedTuple):
     feature: str
     left_levels: tuple
     right_levels: tuple
@@ -116,21 +113,17 @@ class SubsetRule:
 SplitRule = Union[ThresholdRule, SubsetRule]
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
+class SplitCandidate(NamedTuple):
     rule: SplitRule
     gain: float
     left: ClassDistribution
     right: ClassDistribution
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    min_samples: int = 100
-    min_gain: float = 0.005
-    max_depth: Optional[int] = None
+class TrainConfig(Checked, namedtuple("TrainConfig", "min_samples min_gain max_depth", defaults=(100, 0.005, None))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
         if not (self.min_gain >= 0 and math.isfinite(self.min_gain)):
@@ -139,14 +132,12 @@ class TrainConfig:
             raise ValueError(f"max_depth must be >= 0, not {self.max_depth!r}")
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     label: str
     distribution: ClassDistribution
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     rule: SplitRule
     gain: float
     distribution: ClassDistribution
@@ -157,8 +148,7 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(NamedTuple):
     root: TreeNode
     schema: FeatureSchema
     vehicle: Optional[object] = None

@@ -5,41 +5,36 @@ hourly-dist, factors), pipeline. Exit codes: 0 success, 1 usage error,
 2 data error, 3 internal error (any other exception: a bug). Every setting
 is a flag `--name` and a key `name` in the subcommand's section of the INI
 `--config` file: the flag beats the config, which beats the default. DELAYTREE_LOG={error,info,debug} controls
-verbosity.
+verbosity. Each handler imports the `cart`, `report` or `synth` module it
+runs when it runs, so importing this module loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import logging
 import os
 import re
 import sys
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from . import cart, report, synth
 from .errors import DataError, UsageError
 from .features import CATEGORICAL, FEATURE_SCHEMA, label_hours, parse_holidays
-from .ingest import Bridge, Direction, Vehicle, _parse_enum, fromisoformat, hourly_waits, join_weather, parse_weather
+from .ingest import (
+    Bridge, Direction, Vehicle, _parse_enum, bridges_for, fromisoformat, hourly_waits, join_weather, number,
+    parse_weather,
+)
 # Not called here, but perfbench/tracer.py wraps them under these names.
 from .ingest import aggregate_hourly, parse_wait_times  # noqa: F401
 from .patterns import COMBOS, assemble_rows, pattern_frequencies, read_observations, write_observations
 
-logger = logging.getLogger("delaytree")
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _setup_logging() -> None:
-    raw = os.environ.get("DELAYTREE_LOG", "")
-    level = _LOG_LEVELS.get(raw.lower()) if raw else logging.WARNING
-    if level is None:
-        print(f"warning: ignoring DELAYTREE_LOG={raw!r} (want error, info or debug)", file=sys.stderr)
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _info(message: str) -> None:
+    """Print `message` as an INFO line if DELAYTREE_LOG is info or debug."""
+    if os.environ.get("DELAYTREE_LOG", "").lower() in ("info", "debug"):
+        print(f"INFO delaytree: {message}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,13 +139,15 @@ def _words(raw) -> list:
     return words
 
 
-_RULE_SHIFT = re.compile(r"(PB|RB|LQ)\s*([+-]\d+(?:\.\d+)?)", re.IGNORECASE)
+_RULE_SHIFT = re.compile(r"(PB|RB|LQ)\s*([+-]\d+(?:\.\d+)?)", re.IGNORECASE | re.ASCII)
 
 
-def parse_rule(text: str) -> synth.PlantedRule:
-    """`cond & cond => PB+17,LQ+2 => target-pattern-label`; each cond is
-    feature=value or feature=value|value (categorical features only, each
-    feature in one cond and each of its levels once)."""
+def parse_rule(text: str):
+    """`cond & cond => PB+17,LQ+2 => target-pattern-label` as a
+    synth.PlantedRule; each cond is feature=value or feature=value|value
+    (categorical features only, each feature in one cond and each of its
+    levels once)."""
+    from .synth import PlantedRule
     parts = [p.strip() for p in text.split("=>")]
     if len(parts) != 3:
         raise UsageError(f"bad rule {text!r}: want 'condition => shifts => target pattern'")
@@ -183,27 +180,28 @@ def parse_rule(text: str) -> synth.PlantedRule:
             if m is None:
                 raise UsageError(f"bad wait shift {item.strip()!r}; want e.g. PB+17")
             shifts[Bridge[m.group(1).upper()]] = float(m.group(2))
-    return synth.PlantedRule(condition, parts[2], shifts)
+    return PlantedRule(condition, parts[2], shifts)
 
 
+_INT, _FLOAT = partial(number, int), partial(number, float)
 _STREAM = (Setting("vehicle", _member(Vehicle)), Setting("direction", _member(Direction)))
 _SYNTH = (
     Setting("start", _date),
     Setting("end", _date),
-    Setting("seed", int),
+    Setting("seed", _INT),
     *_STREAM,
-    Setting("base-pb", float, None),
-    Setting("base-rb", float, None),
-    Setting("base-lq", float, None),
-    Setting("jitter", float, 0.0),
-    Setting("label-flip", float, 0.0),
+    Setting("base-pb", _FLOAT, None),
+    Setting("base-rb", _FLOAT, None),
+    Setting("base-lq", _FLOAT, None),
+    Setting("jitter", _FLOAT, 0.0),
+    Setting("label-flip", _FLOAT, 0.0),
     Setting("rule", parse_rule, (), {"action": "append"}),
     Setting("us-holidays", _dates, frozenset(), None),
     Setting("ca-holidays", _dates, frozenset(), None),
 )
 _INPUTS = (Setting("wait-times"), Setting("weather"), Setting("holidays"))
 _STDOUT = Setting("out", str, None)  # no --out: write to stdout
-_TREE = (Setting("min-samples", int, 100), Setting("min-gain", float, 0.005), Setting("max-depth", int, None))
+_TREE = (Setting("min-samples", _INT, 100), Setting("min-gain", _FLOAT, 0.005), Setting("max-depth", _INT, None))
 
 
 def _tree_sections(vehicle: Vehicle, direction: Direction) -> list:
@@ -241,18 +239,21 @@ def _emit(text: str, out_path) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _synth_config(o: dict) -> synth.SynthConfig:
+def _generate(o: dict, out_dir):
+    """Write the synthetic feeds of the synth settings `o` under `out_dir`."""
+    from . import synth
     base = {b: o[f"base-{b.name.lower()}"] for b in Bridge if o[f"base-{b.name.lower()}"] is not None}
-    return synth.SynthConfig(
+    cfg = synth.SynthConfig(
         start=o["start"], end=o["end"], seed=o["seed"], direction=o["direction"], vehicle=o["vehicle"],
         base_waits=base, rules=o["rule"], label_flip=o["label-flip"], jitter=o["jitter"],
         us_holidays=o["us-holidays"], ca_holidays=o["ca-holidays"],
     )
+    return synth.generate(cfg, out_dir)
 
 
 def cmd_synth(o, cp, flags) -> int:
-    files = synth.generate(_synth_config(o), o["out-dir"])
-    logger.info("wrote %s, %s, %s, %s", files.wait_times, files.weather, files.holidays, files.emission_log)
+    files = _generate(o, o["out-dir"])
+    _info(f"wrote {files.wait_times}, {files.weather}, {files.holidays}, {files.emission_log}")
     return 0
 
 
@@ -266,10 +267,8 @@ def _ingest_datasets(wait_times_path, weather_path, holidays_path):
     for vehicle, direction in COMBOS:
         ds = assemble_rows(hours, features, direction, vehicle)
         if ds.rows or ds.skipped_incomplete or ds.dropped_all_zero:
-            logger.info(
-                "%s %s: %d rows, %d incomplete hours skipped, %d all-zero hours dropped",
-                vehicle.label, direction.label, len(ds.rows), ds.skipped_incomplete, ds.dropped_all_zero,
-            )
+            _info(f"{vehicle.label} {direction.label}: {len(ds.rows)} rows, {ds.skipped_incomplete} incomplete "
+                  f"hours skipped, {ds.dropped_all_zero} all-zero hours dropped")
         if ds.rows:
             datasets[(vehicle, direction)] = ds
     return datasets, hours
@@ -281,9 +280,10 @@ def cmd_ingest(o, cp, flags) -> int:
     return 0
 
 
-def _train_config(o: dict) -> cart.TrainConfig:
+def _train_config(o: dict):
+    from .cart import TrainConfig
     try:
-        return cart.TrainConfig(o["min-samples"], o["min-gain"], o["max-depth"])
+        return TrainConfig(o["min-samples"], o["min-gain"], o["max-depth"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -297,6 +297,7 @@ def _load_dataset(data_path, vehicle: Vehicle, direction: Direction):
 
 
 def cmd_train(o, cp, flags) -> int:
+    from . import cart, report
     ds = _load_dataset(o["data"], o["vehicle"], o["direction"])
     tree = cart.grow_tree(ds, _train_config(o))
     _emit(report.export_tree(tree, "json"), o["out"])
@@ -304,25 +305,32 @@ def cmd_train(o, cp, flags) -> int:
 
 
 def cmd_render(o, cp, flags) -> int:
+    from . import report
     tree = _parse_file(report.import_tree, o["tree"])
     _emit(report.export_tree(tree, o["format"]), o["out"])
     return 0
 
 
 def cmd_report_pattern_freq(o, cp, flags) -> int:
+    from . import report
     ds = _load_dataset(o["data"], o["vehicle"], o["direction"])
     _emit(report.pattern_frequencies_csv(pattern_frequencies(ds)), o["out"])
     return 0
 
 
 def cmd_report_hourly_dist(o, cp, flags) -> int:
+    from . import report
+    bridge, vehicle = o["bridge"], o["vehicle"]
+    if bridge not in bridges_for(vehicle):  # ingest rejects every row of such a stream
+        raise UsageError(f"bad --bridge {bridge.name!r}: {bridge.name} carries no {vehicle.label} vehicles")
     hours = _parse_file(hourly_waits, o["wait-times"])
-    shares = report.hourly_distribution(hours, o["bridge"], o["direction"], o["vehicle"])
+    shares = report.hourly_distribution(hours, bridge, o["direction"], vehicle)
     _emit(report.hourly_distribution_csv(shares), o["out"])
     return 0
 
 
 def cmd_report_factors(o, cp, flags) -> int:
+    from . import report
     trees, paths = {}, {}
     for path in o["trees"]:
         tree = _parse_file(report.import_tree, path)
@@ -337,11 +345,12 @@ def cmd_report_factors(o, cp, flags) -> int:
 
 
 def cmd_pipeline(o, cp, flags) -> int:
+    from . import cart, report
     # Every tree setting is checked before any file is written.
     train = {combo: _train_config(_resolve(_TREE, cp, _tree_sections(*combo))) for combo in COMBOS}
     out_dir = Path(o["out-dir"])
     if cp.has_section("synth"):
-        files = synth.generate(_synth_config(_resolve(_SYNTH, cp, ["synth"])), out_dir / "data")
+        files = _generate(_resolve(_SYNTH, cp, ["synth"]), out_dir / "data")
         inputs = (files.wait_times, files.weather, files.holidays)
     else:
         paths = _resolve(_INPUTS, cp, ["ingest"])
@@ -365,8 +374,13 @@ def cmd_pipeline(o, cp, flags) -> int:
             shares = report.hourly_distribution(hours, bridge, direction, vehicle)
             _emit(report.hourly_distribution_csv(shares), out_dir / "reports" / f"hourly_dist_{bridge.name}_{stem}.csv")
     _emit(report.factor_summary_csv(report.factor_summary(trained)), out_dir / "reports" / "factors.csv")
-    logger.info("pipeline artifacts under %s", out_dir)
+    _info(f"pipeline artifacts under {out_dir}")
     return 0
+
+
+def _tree_format(raw: str) -> str:
+    from .report import tree_format
+    return tree_format(raw)
 
 
 # Subcommand -> (help, config section, settings, handler). The handler gets
@@ -376,7 +390,7 @@ COMMANDS = {
     "ingest": ("raw feeds -> observations.csv", "ingest", (*_INPUTS, Setting("out")), cmd_ingest),
     "train": ("observations.csv -> tree json", "train", (Setting("data"), *_STREAM, *_TREE, Setting("out")), cmd_train),
     "render": (
-        "tree json -> dot/text", "render", (Setting("tree"), Setting("format", report.tree_format), _STDOUT), cmd_render,
+        "tree json -> dot/text", "render", (Setting("tree"), Setting("format", _tree_format), _STDOUT), cmd_render,
     ),
     "report pattern-freq": (
         "pattern frequency histogram", "report", (Setting("data"), *_STREAM, _STDOUT), cmd_report_pattern_freq,
@@ -415,7 +429,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    raw = os.environ.get("DELAYTREE_LOG", "")
+    if raw and raw.lower() not in ("error", "info", "debug"):
+        print(f"warning: ignoring DELAYTREE_LOG={raw!r} (want error, info or debug)", file=sys.stderr)
     try:
         args = build_parser().parse_args(argv)
         section, settings, handler = args.spec

@@ -1,4 +1,5 @@
-"""Error types shared across the pipeline.
+"""Error types shared across the pipeline, and the base of the records
+that raise them on bad values.
 
 DataError: bad input data (malformed files, invariant violations in feeds).
 UsageError: the caller asked for something unsupported (bad flags, bad config).
@@ -17,3 +18,20 @@ class DataError(Exception):
 
 class UsageError(Exception):
     """Raised when a command, format, or configuration value is not supported."""
+
+
+class Checked:
+    """The first base of a namedtuple subclass whose `_check` raises on bad
+    values. Every way to build one runs it: a call, `_make`, `_replace`
+    (which calls `_make`) and unpickling (which calls `__new__`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -7,13 +7,13 @@ declares them once; FeatureVector's fields are its names, in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, make_dataclass
+from collections import namedtuple
 from datetime import date, datetime
 from enum import IntEnum
 from typing import Iterable
 
-from .errors import DataError
-from .ingest import HOUR_MAX, HOUR_MIN, WeatherRecord, _parse_enum, csv_rows, fromisoformat
+from .errors import Checked, DataError
+from .ingest import HOUR_MAX, HOUR_MIN, WeatherRecord, _parse_enum, csv_rows, fromisoformat, number
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -63,13 +63,10 @@ def calendar_flags(day: date, us: frozenset[date], ca: frozenset[date]) -> tuple
     return weekend, 1 if day in us else 0, 1 if day in ca else 0
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    name: str
-    kind: str
-    levels: tuple | None = None
+class FeatureSpec(Checked, namedtuple("FeatureSpec", "name kind levels", defaults=(None,))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in (CONTINUOUS, CATEGORICAL):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind == CATEGORICAL and not self.levels:
@@ -78,8 +75,9 @@ class FeatureSpec:
     def parse(self, text: str):
         """The value `text` spells: a finite float for a continuous feature, else
         a declared level, of its levels' type. Any other text is a ValueError."""
+        cls = float if self.kind == CONTINUOUS else type(self.levels[0])
         try:
-            value = float(text) if self.kind == CONTINUOUS else type(self.levels[0])(text)
+            value = text if cls is str else number(cls, text)
         except ValueError:
             value = text
         if self.kind == CATEGORICAL:
@@ -135,12 +133,13 @@ FEATURE_SCHEMA = FeatureSchema(
 )
 
 
-# An hour's features, one field per FEATURE_SCHEMA name. Python < 3.12 gives
-# the class module `types`, under which it cannot be pickled.
-FeatureVector = make_dataclass(
-    "FeatureVector", FEATURE_SCHEMA.names, frozen=True, namespace={"__getitem__": lambda self, name: getattr(self, name)}
-)
-FeatureVector.__module__ = __name__
+class FeatureVector(namedtuple("FeatureVector", FEATURE_SCHEMA.names)):
+    """An hour's features, one field per FEATURE_SCHEMA name, in order; `fv[name]` is field `name`."""
+
+    __slots__ = ()
+
+    def __getitem__(self, name: str):
+        return getattr(self, name)
 
 
 def hour_calendar(hour_start: datetime) -> tuple:

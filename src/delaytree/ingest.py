@@ -13,10 +13,9 @@ import math
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import IntEnum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DataError
 
@@ -74,8 +73,7 @@ def bridges_for(vehicle: Vehicle) -> tuple[Bridge, ...]:
     return COMMERCIAL_BRIDGES if vehicle is Vehicle.COMMERCIAL else PASSENGER_BRIDGES
 
 
-@dataclass(frozen=True)
-class RawWaitTimeRecord:
+class RawWaitTimeRecord(NamedTuple):
     timestamp: datetime
     bridge: Bridge
     direction: Direction
@@ -83,8 +81,7 @@ class RawWaitTimeRecord:
     wait_minutes: float
 
 
-@dataclass(frozen=True)
-class WeatherRecord:
+class WeatherRecord(NamedTuple):
     timestamp: datetime
     temperature_f: float
     visibility: int
@@ -129,6 +126,14 @@ def fromisoformat(cls, text: str):
     return cls.fromisoformat(text)
 
 
+def number(cls, text: str):
+    """cls(text), cls int or float, on ASCII text without "_", else a ValueError:
+    int and float alone also read other scripts' digits and "_" as in "1_0"."""
+    if text.isascii() and "_" not in text:
+        return cls(text)
+    raise ValueError(f"{text!r} is not an ASCII number")
+
+
 def _parse_timestamp(raw: str, line: int) -> datetime:
     try:
         ts = fromisoformat(datetime, raw.strip())
@@ -140,8 +145,8 @@ def _parse_timestamp(raw: str, line: int) -> datetime:
 
 
 def _parse_float(raw: str, what: str, line: int) -> float:
-    try:
-        value = float(raw)
+    try:  # number's test inline, on the path of every row of a wait file
+        value = float(raw) if raw.isascii() and "_" not in raw else number(float, raw)
     except ValueError:
         raise DataError(f"malformed {what} {raw!r}", line=line) from None
     if not math.isfinite(value):
@@ -253,7 +258,7 @@ def parse_weather(lines: Iterable[str]) -> list[WeatherRecord]:
         ts = _parse_timestamp(row[0], line)
         temp = _parse_float(row[1], "temperature_f", line)
         try:
-            visibility = int(row[2])
+            visibility = number(int, row[2])
         except ValueError:
             raise DataError(f"malformed visibility {row[2]!r}", line=line) from None
         if not 1 <= visibility <= 10:

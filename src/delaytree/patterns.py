@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from datetime import datetime
 from enum import IntEnum
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DataError
 from .features import FEATURE_SCHEMA, FeatureSchema, FeatureSpec, FeatureVector, hour_calendar
 from .ingest import (
     HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _parse_enum, _window_hour, bridges_for,
-    csv_rows, csv_text, fromisoformat,
+    csv_rows, csv_text, fromisoformat, number,
 )
 
 SLIGHT_MAX = 15.0
@@ -70,14 +68,21 @@ class PatternRow(NamedTuple):
     waits: tuple  # mean wait per bridge, aligned with the dataset's bridges
 
 
-@dataclass
 class PatternDataset:
-    schema: FeatureSchema
-    rows: list[PatternRow]
-    direction: Direction
-    vehicle: Vehicle
-    skipped_incomplete: int = 0
-    dropped_all_zero: int = 0
+    """The rows of one (vehicle, direction), and the hours that assembly
+    skipped or dropped. Its attributes can be set; equal values compare equal."""
+
+    __slots__ = ("schema", "rows", "direction", "vehicle", "skipped_incomplete", "dropped_all_zero")
+
+    def __init__(self, schema: FeatureSchema, rows: list[PatternRow], direction: Direction, vehicle: Vehicle,
+                 skipped_incomplete: int = 0, dropped_all_zero: int = 0):
+        self.schema, self.rows, self.direction, self.vehicle = schema, rows, direction, vehicle
+        self.skipped_incomplete, self.dropped_all_zero = skipped_incomplete, dropped_all_zero
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def bridges(self) -> tuple[Bridge, ...]:
@@ -137,7 +142,6 @@ def write_observations(datasets: list[PatternDataset]) -> str:
     """Render assembled datasets as observations.csv text (wait_rb blank for
     trucks). Datasets are emitted in COMBOS order; rows by hour."""
     order = {combo: i for i, combo in enumerate(COMBOS)}
-    features = attrgetter(*FEATURE_SCHEMA.names)
 
     def rows():
         for ds in sorted(datasets, key=lambda d: order[(d.vehicle, d.direction)]):
@@ -149,7 +153,7 @@ def write_observations(datasets: list[PatternDataset]) -> str:
                     ds.vehicle.label,
                     *[repr(waits[bridge]) if bridge in waits else "" for bridge in Bridge],
                     row.pattern,
-                    *map(FeatureSpec.format, FEATURE_SCHEMA, features(row.features)),
+                    *map(FeatureSpec.format, FEATURE_SCHEMA, row.features),
                 ]
 
     return csv_text(OBSERVATIONS_HEADER, rows())
@@ -175,7 +179,7 @@ def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], P
             vehicle = _parse_enum(Vehicle, row[2], "vehicle", line)
             bridges = bridges_for(vehicle)
             wait_cols = dict(zip(Bridge, row[3:6]))
-            waits = tuple(float(wait_cols[b]) for b in bridges)
+            waits = tuple(number(float, wait_cols[b]) for b in bridges)
         except ValueError as exc:
             raise DataError(f"bad observation row: {exc}", line=line) from None
         if hour_start.tzinfo is not None or _window_hour(hour_start) != hour_start:

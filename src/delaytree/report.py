@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .cart import (
     ClassDistribution, DecisionTree, Leaf, Split, SubsetRule, ThresholdRule, bfs_nodes, information_gain,
@@ -282,8 +281,7 @@ def pattern_frequencies_csv(freqs) -> str:
     return csv_text(["pattern", "count"], freqs)
 
 
-@dataclass(frozen=True)
-class FactorSummary:
+class FactorSummary(NamedTuple):
     vehicle: Optional[Vehicle]
     direction: Optional[Direction]
     patterns: tuple  # (pattern label, leaf sample count), descending count

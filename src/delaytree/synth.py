@@ -12,12 +12,12 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date, datetime, time
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .errors import UsageError
+from .errors import Checked, UsageError
 from .features import HOLIDAYS_HEADER, FeatureVector, build_feature_vector
 from .ingest import (
     HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, Vehicle, WeatherRecord,
@@ -26,8 +26,7 @@ from .ingest import (
 from .patterns import pattern_of
 
 
-@dataclass(frozen=True)
-class PlantedRule:
+class PlantedRule(NamedTuple):
     """Conjunctive condition on categorical features -> wait-shift effect.
 
     When the condition holds, each bridge's wait is base + shift, and the
@@ -49,21 +48,16 @@ class PlantedRule:
 _MAX_DRAW = 13.0
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    start: date
-    end: date
-    seed: int
-    direction: Direction
-    vehicle: Vehicle
-    base_waits: dict
-    rules: tuple = ()
-    label_flip: float = 0.0
-    jitter: float = 0.0
-    us_holidays: frozenset = frozenset()
-    ca_holidays: frozenset = frozenset()
+class SynthConfig(Checked, namedtuple(
+    "SynthConfig", "start end seed direction vehicle base_waits rules label_flip jitter us_holidays ca_holidays",
+    defaults=((), 0.0, 0.0, frozenset(), frozenset()),
+)):
+    """Dates start..end, one stream (direction, vehicle), each of its
+    bridges' base wait in base_waits, and a tuple of PlantedRule."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def _check(self):
         if not 0.0 <= self.label_flip < 1.0:
             raise UsageError("label_flip must be in [0, 1)")
         if not (self.jitter >= 0 and math.isfinite(self.jitter)):
@@ -96,8 +90,7 @@ class SynthConfig:
         return pattern_of([self.base_waits[b] for b in self.bridges])
 
 
-@dataclass(frozen=True)
-class SynthOutput:
+class SynthOutput(NamedTuple):
     wait_times: Path
     weather: Path
     holidays: Path

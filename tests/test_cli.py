@@ -260,8 +260,11 @@ def test_pipeline_smoke(tmp_path):
         (["--min-gain", "nan"], "min_gain must be a finite number >= 0, not nan"),
         (["--min-gain", "inf"], "min_gain must be a finite number >= 0, not inf"),
         (["--max-depth", "-1"], "max_depth must be >= 0, not -1"),
+        (["--min-samples", "\u0661\u0660\u0660"],
+         "bad --min-samples '\u0661\u0660\u0660': '\u0661\u0660\u0660' is not an ASCII number"),
+        (["--max-depth", "1_0"], "bad --max-depth '1_0': '1_0' is not an ASCII number"),
     ],
-    ids=["min-gain-nan", "min-gain-inf", "max-depth-negative"],
+    ids=["min-gain-nan", "min-gain-inf", "max-depth-negative", "min-samples-arabic-indic", "max-depth-underscore"],
 )
 def test_train_rejects_bad_tree_settings(corpus, tmp_path, capsys, flags, message):
     out = tmp_path / "tree.json"
@@ -493,6 +496,39 @@ def test_invalid_log_env_warns_but_runs(corpus, tmp_path, capsys, monkeypatch):
     assert "DELAYTREE_LOG" in capsys.readouterr().err
 
 
+ROWS_LINE = "INFO delaytree: passenger to_us: 630 rows, 0 incomplete hours skipped, 0 all-zero hours dropped\n"
+
+
+@pytest.mark.parametrize(
+    "level, info",
+    [("info", True), ("INFO", True), ("debug", True), ("error", False), ("", False), ("chatty", False)],
+)
+def test_log_levels_give_the_info_lines_and_nothing_else(corpus, tmp_path, capsys, monkeypatch, level, info):
+    monkeypatch.setenv("DELAYTREE_LOG", level)
+    warning = "warning: ignoring DELAYTREE_LOG='chatty' (want error, info or debug)\n" if level == "chatty" else ""
+    data = corpus / "data"
+    assert main(["ingest", "--wait-times", str(data / "wait_times.csv"), "--weather", str(data / "weather.csv"),
+                 "--holidays", str(data / "holidays.csv"), "--out", str(tmp_path / "o.csv")]) == 0
+    assert capsys.readouterr().err == warning + (ROWS_LINE if info else "")
+    cfg = tmp_path / "pipe.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(PIPE_CFG.format(out=out))
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == warning + (f"{ROWS_LINE}INFO delaytree: pipeline artifacts under {out}\n"
+                                                 if info else "")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_hourly_dist_of_a_stream_that_cannot_exist_is_a_usage_error(corpus, tmp_path, capsys, source):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[report]\nbridge = RB\n" if source == "config" else "")
+    argv = ["report", "hourly-dist", "--config", str(cfg), "--wait-times", str(corpus / "data" / "wait_times.csv"),
+            "--vehicle", "commercial", "--direction", "to_us", "--out", str(tmp_path / "dist.csv")]
+    assert main(argv + (["--bridge", "RB"] if source == "flag" else [])) == 1
+    assert capsys.readouterr().err == "error: bad --bridge 'RB': RB carries no commercial vehicles\n"
+    assert not (tmp_path / "dist.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -550,6 +586,8 @@ def test_parse_rule():
         "temperature_f=60 => PB+1 => delay-slight delay-slight delay",  # continuous condition
         "weekend=3 => PB+1 => delay-slight delay-slight delay",  # bad level
         "weekend=1 => ZZ+1 => delay-slight delay-slight delay",  # bad bridge
+        "weekend=1 => PB+\u0661\u0667 => delay-slight delay-slight delay",  # not ASCII digits
+        "weekend=\u0661 => PB+17 => delay-slight delay-slight delay",
     ],
 )
 def test_parse_rule_rejects(text):
@@ -579,21 +617,21 @@ RULE_B = "weekend=0 => LQ+17 => slight delay-slight delay-delay"
 VALUES = {
     "start": ("2016-09-05", "2016-09-12", "2016-13-01", "20160905", "2016-W36-1"),
     "end": ("2016-10-16", "2016-10-23", "16/10/2016"),
-    "seed": ("7", "8", "seven"),
+    "seed": ("7", "8", "seven", "\u0667", "1_0"),
     "vehicle": ("passenger", "commercial", "bike", "pa\u017f\u017fenger", "commerc\u0131al"),
     "direction": ("to_us", "to_can", "north", "to_u\u017f"),
     "bridge": ("PB", "LQ", "ZZ"),
-    "base-pb": ("5", "6.5", "five"),
-    "base-rb": ("5", "6.5", "five"),
-    "base-lq": ("5", "6.5", "five"),
-    "jitter": ("1.0", "0.5", "some"),
-    "label-flip": ("0.05", "0.1", "few"),
+    "base-pb": ("5", "6.5", "five", "\u0665", "5_0"),
+    "base-rb": ("5", "6.5", "five", "\u0665"),
+    "base-lq": ("5", "6.5", "five", "5_0"),
+    "jitter": ("1.0", "0.5", "some", "\u0661.0", "1_0.0"),
+    "label-flip": ("0.05", "0.1", "few", "0.0_5"),
     "rule": (RULE_A, RULE_B, "weekend=1 => PB+17"),
     "us-holidays": ("2016-09-05", "2016-09-05 2016-11-24", "2016-02-30", "20160905"),
     "ca-holidays": ("2016-10-10", "2016-07-01, 2016-10-10", "Thanksgiving"),
-    "min-samples": ("100", "5", "many"),
-    "min-gain": ("0.005", "0", "tiny"),
-    "max-depth": ("3", "4", "deep"),
+    "min-samples": ("100", "5", "many", "\u0661\u0660\u0660", "1_00"),
+    "min-gain": ("0.005", "0", "tiny", "0.00_5", "\u0660"),
+    "max-depth": ("3", "4", "deep", "\u0663", "1_0"),
     "trees": ("a.json", "b.json", ""),
     "format": ("dot", "text", "gif"),
 }

@@ -1,6 +1,5 @@
 """Calendar-derived features and the holiday dates."""
 
-import dataclasses
 import pickle
 from datetime import date, datetime
 
@@ -165,7 +164,7 @@ def test_feature_spec_validation():
 
 
 def test_feature_vector_fields_are_the_schema_in_order():
-    assert tuple(field.name for field in dataclasses.fields(FeatureVector)) == FEATURE_SCHEMA.names
+    assert FeatureVector._fields == FEATURE_SCHEMA.names
 
 
 def test_feature_vector_is_a_frozen_picklable_value():
@@ -176,7 +175,7 @@ def test_feature_vector_is_a_frozen_picklable_value():
     )
     assert fv["season"] == "Fall"
     assert fv == make_fv() and hash(fv) == hash(make_fv()) and fv != make_fv(weekend=1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         fv.weekend = 1
     back = pickle.loads(pickle.dumps(fv))
     assert back == fv and type(back) is FeatureVector

@@ -105,7 +105,7 @@ def test_parse_weather_accepts_subzero_temperature():
     assert records[0].temperature_f == -5.0
 
 
-@pytest.mark.parametrize("vis", ["0", "11", "x"])
+@pytest.mark.parametrize("vis", ["0", "11", "x", "\u0661\u0660", "1_0"])
 def test_parse_weather_rejects_bad_visibility(vis):
     with pytest.raises(DataError):
         parse_weather(WHEADER + f"2016-08-22T07:00,63.5,{vis},0.0,Clear\n")
@@ -315,6 +315,8 @@ def test_hourly_waits_reports_the_same_error(text):
         ("2016-08-22T07:05,RB,to_us,commerc\u0131al,-1", "unknown vehicle_type 'commerc\u0131al'"),
         ("20160822T0705,RB,to_us,commercial,1", "malformed timestamp '20160822T0705'"),
         ("2016-08-22T07:05,RB,to_us,commercial,nan", "non-finite wait_minutes 'nan'"),
+        ("2016-08-22T07:05,RB,to_us,commercial,1_0", "malformed wait_minutes '1_0'"),
+        ("2016-08-22T07:05,RB,to_us,commercial,\u0661", "malformed wait_minutes '\u0661'"),
         ("2016-08-22T07:05,RB,to_us,commercial,-1", "negative wait_minutes '-1'"),
         ("2016-08-22T07:05,RB,to_us,commercial,1", "RB carries no commercial vehicles"),
         ("2016-08-22T05:05,RB,to_us,commercial,1", "RB carries no commercial vehicles"),  # outside 7..21
@@ -492,6 +494,24 @@ def test_names_are_ascii(parse, kind, name, bad, what):
     with pytest.raises(DataError) as exc:
         parse(_GOOD_TEXTS[kind].replace(f",{name}", f",{bad}", 1))  # on line 2
     assert str(exc.value) == f"line 2: unknown {what} {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "parse, kind, good, bad, message",
+    [
+        (parse_weather, "weather", ",60.5,", ",6_0.5,", "malformed temperature_f '6_0.5'"),
+        (parse_weather, "weather", ",10,", ",\u0661\u0660,", "malformed visibility '\u0661\u0660'"),
+        (read_observations, "observations", ",9,Fall,", ",\u0669,Fall,", "month '\u0669' is not a declared level"),
+        (read_observations, "observations", ",63.5,", ",6_3.5,", "temperature_f '6_3.5' is not a finite number"),
+        (read_observations, "observations", ",5.25,", ",5.2_5,", "bad observation row: '5.2_5' is not an ASCII number"),
+    ],
+    ids=["temperature", "visibility", "month", "feature_temperature", "wait"],
+)
+def test_numbers_are_ascii(parse, kind, good, bad, message):
+    # int and float alone read "\u0661\u0660" as 10 and "1_0" as 10.
+    with pytest.raises(DataError) as exc:
+        parse(_GOOD_TEXTS[kind].replace(good, bad, 1))  # on line 2
+    assert str(exc.value) == f"line 2: {message}"
 
 
 # ------------------------------------------------------- reading a file
