@@ -202,49 +202,48 @@ def csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _wait_rows(lines: Iterable[str]) -> Iterator[tuple[int, datetime, Optional[datetime], tuple, float]]:
-    """Yield (line, timestamp, hour, stream, wait) for each row of
+def _wait_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, Optional[datetime], tuple, float]]:
+    """Yield (line, timestamp text, hour, stream, wait) for each row of
     wait_times.csv `lines` (see csv_rows), in file order.
 
     `hour` is the timestamp's calendar hour, or None outside
     HOUR_MIN..HOUR_MAX; `stream` is (bridge, direction, vehicle). Enum
     fields match case-insensitively. Each row is checked in field order:
     timestamp, bridge, direction, vehicle_type, wait_minutes (finite, not
-    negative), then the RB+commercial rule (trucks are not allowed on RB);
+    negative), then that the vehicle uses the bridge (no trucks on RB);
     errors carry the 1-based line number. Each distinct timestamp text and
-    each distinct (bridge, direction, vehicle_type) text is parsed once,
-    and all timestamps of one hour share one `hour` object.
+    each distinct (bridge, direction, vehicle_type) text is parsed once, and
+    a timestamp text keeps only its `hour`, shared by its hour's texts.
     """
-    stamps: dict[str, tuple[datetime, Optional[datetime]]] = {}
+    stamps: dict[str, Optional[datetime]] = {}
     hours: dict[Optional[datetime], Optional[datetime]] = {}
     streams: dict[tuple[str, str, str], tuple[tuple, bool]] = {}
     for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(lines, WAIT_TIMES_HEADER):
-        stamp = stamps.get(raw_ts)
-        if stamp is None:
-            ts = _parse_timestamp(raw_ts, line)
-            hour = _window_hour(ts)
-            stamps[raw_ts] = stamp = (ts, hours.setdefault(hour, hour))
+        hour = stamps.get(raw_ts, False)  # an hour is a datetime or None, so False is "not seen"
+        if hour is False:
+            hour = _window_hour(_parse_timestamp(raw_ts, line))
+            stamps[raw_ts] = hour = hours.setdefault(hour, hour)
         raw_stream = (raw_bridge, raw_direction, raw_vehicle)
         stream = streams.get(raw_stream)
         if stream is None:
             bridge = _parse_enum(Bridge, raw_bridge, "bridge", line)
             direction = _parse_enum(Direction, raw_direction, "direction", line)
             vehicle = _parse_enum(Vehicle, raw_vehicle, "vehicle_type", line)
-            no_trucks = bridge is Bridge.RB and vehicle is Vehicle.COMMERCIAL
-            streams[raw_stream] = stream = ((bridge, direction, vehicle), no_trucks)
+            streams[raw_stream] = stream = ((bridge, direction, vehicle), bridge not in bridges_for(vehicle))
         wait = _parse_float(raw_wait, "wait_minutes", line)
         if not wait >= 0:
             raise DataError(f"negative wait_minutes {raw_wait!r}", line=line)
         if stream[1]:
             raise DataError("RB carries no commercial vehicles", line=line)
-        yield line, stamp[0], stamp[1], stream[0], wait
+        yield line, raw_ts, hour, stream[0], wait
 
 
 def parse_wait_times(lines: Iterable[str]) -> list[RawWaitTimeRecord]:
     """Parse wait_times.csv `lines` (see csv_rows) into records, in file
     order, with the row checks of `_wait_rows`. The pipeline uses
     `hourly_waits` instead, which builds no per-row record."""
-    return [RawWaitTimeRecord(ts, *stream, wait) for _, ts, _, stream, wait in _wait_rows(lines)]
+    rows = _wait_rows(lines)
+    return [RawWaitTimeRecord(_parse_timestamp(ts, line), *stream, wait) for line, ts, _, stream, wait in rows]
 
 
 def parse_weather(lines: Iterable[str]) -> list[WeatherRecord]:

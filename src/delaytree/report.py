@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .cart import (
@@ -23,6 +22,7 @@ from .ingest import HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle,
 from .patterns import DelayCategory4, all_patterns, categorize
 
 TREE_FORMATS = ("json", "dot", "text")
+_canonical = json.JSONEncoder(sort_keys=True).encode  # json text with sorted keys, so `true` is not `1`
 
 
 def _rule_doc(rule) -> dict:
@@ -52,13 +52,13 @@ def export_tree(tree: DecisionTree, format: str) -> str:
     text: indented outline.
     """
     if tree_format(format) == "json":
-        return _to_json(tree)
+        return json.dumps(_json_doc(tree), indent=2) + "\n"
     if format == "dot":
         return _to_dot(tree)
     return _to_text(tree)
 
 
-def _to_json(tree: DecisionTree) -> str:
+def _json_doc(tree: DecisionTree) -> dict:
     nodes = bfs_nodes(tree.root)
     ids = {id(node): i for i, node in enumerate(nodes)}
     docs = []
@@ -76,7 +76,7 @@ def _to_json(tree: DecisionTree) -> str:
                 "children": None if is_leaf else [ids[id(node.left)], ids[id(node.right)]],
             }
         )
-    doc = {
+    return {
         "vehicle": tree.vehicle.label if tree.vehicle is not None else None,
         "direction": tree.direction.label if tree.direction is not None else None,
         "schema": [
@@ -85,27 +85,12 @@ def _to_json(tree: DecisionTree) -> str:
         ],
         "nodes": docs,
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _typed(value, types, what: str):
     """`value` if it is one of `types` (never a bool), else a data error."""
     if isinstance(value, bool) or not isinstance(value, types):
         raise DataError(f"malformed tree json: {what} {value!r} has the wrong type")
-    return value
-
-
-def _finite(value, what: str):
-    """`value` if it is a finite number, else a data error."""
-    if not math.isfinite(_typed(value, (int, float), what)):
-        raise DataError(f"malformed tree json: {what} {value!r} is not finite")
-    return value
-
-
-def _count(value, what: str) -> int:
-    """`value` if it is an int of 0 or more, else a data error."""
-    if _typed(value, int, what) < 0:
-        raise DataError(f"malformed tree json: {what} {value!r} is negative")
     return value
 
 
@@ -119,18 +104,14 @@ def _tag(doc: dict, enum_cls, key: str):
 
 
 def import_tree(lines: Iterable[str]) -> DecisionTree:
-    """Rebuild a DecisionTree from its json export, given as text or as its
-    lines (joined: json reads a whole document, and a tree's is small). A
-    field that the exports and reports read and that has the wrong type is
-    a data error, as are a node kind other than leaf or split, a negative
-    count or `n`, a non-finite threshold, a gain that is not a finite
-    positive number or not the information gain of its node's and its
-    children's counts, an `n` other than the sum of its node's counts,
-    children whose counts do not sum to their parent's, a leaf label other
-    than the majority label of its counts or, for a tree tagged with its
-    vehicle, other than a pattern of that vehicle, a rule on a feature the
-    schema lacks or of the wrong kind for its feature, and a subset rule
-    whose sides are not two nonempty disjoint sets of the feature's levels."""
+    """The inverse of export_tree, on json text or its lines (joined: a tree
+    is small). The tree is built from the node structure, the rules and the
+    leaf counts; the rest is derived as grow_tree derives it (counts and `n`
+    as sums, leaf labels as majorities, gains by information_gain). Wrong
+    types, bad node kinds, ids reached twice or missing, negative counts,
+    rules the schema does not allow, leaf labels that are not a pattern of
+    the tree's vehicle, gains that are not positive and any field that
+    differs from the export of the tree built are data errors."""
     try:
         doc = json.loads(lines if isinstance(lines, str) else "".join(lines))
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -165,23 +146,20 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
         built: dict = {}
         for node_id in reversed(order):
             node = by_id[node_id]
-            counts = {label: _count(c, "count") for label, c in _typed(node["counts"], dict, "counts").items()}
-            dist = ClassDistribution(counts, _count(node["n"], "n"))
-            if dist.total != sum(counts.values()):
-                raise DataError(f"malformed tree json: n {dist.total} is not the sum of its counts")
             if node["kind"] == "leaf":
-                label = _typed(node["label"], str, "label")
-                if label != dist.majority_label():
-                    raise DataError(f"malformed tree json: leaf label {label!r} is not the majority of its counts")
+                counts = {}
+                for label, c in _typed(node["counts"], dict, "counts").items():
+                    if _typed(c, int, "count") < 0:
+                        raise DataError(f"malformed tree json: count {c!r} is negative")
+                    if c:  # grow_tree writes no count of 0 (cart._distribution)
+                        counts[label] = c
+                dist = ClassDistribution(counts, sum(counts.values()))
+                label = dist.majority_label()
                 if patterns is not None and label not in patterns:
                     raise DataError(f"malformed tree json: leaf label {label!r} is not a {vehicle.label} pattern")
                 built[node_id] = Leaf(label, dist)
                 continue
-            left, right = node["children"]
-            sums = Counter(built[left].distribution.counts)
-            sums.update(built[right].distribution.counts)
-            if sums != Counter(counts):
-                raise DataError(f"malformed tree json: children's counts do not sum to the counts of node {node_id!r}")
+            left, right = (built.pop(child) for child in node["children"])
             rule_doc = node["rule"]
             feature = _typed(rule_doc["feature"], str, "feature")
             if feature not in schema.names:
@@ -190,7 +168,9 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
             if rule_doc["kind"] != ("threshold" if kind == CONTINUOUS else "subset"):
                 raise DataError(f"malformed tree json: {rule_doc['kind']!r} rule on {kind} feature {feature!r}")
             if kind == CONTINUOUS:
-                rule = ThresholdRule(feature, _finite(rule_doc["threshold"], "threshold"))
+                rule = ThresholdRule(feature, _typed(rule_doc["threshold"], (int, float), "threshold"))
+                if not math.isfinite(rule.threshold):
+                    raise DataError(f"malformed tree json: threshold {rule.threshold!r} is not finite")
             else:
                 rule = SubsetRule(feature, tuple(rule_doc["left"]), tuple(rule_doc["right"]))
                 levels = {(type(v), v) for v in schema.spec(feature).levels}  # so True is not the level 1
@@ -198,17 +178,35 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
                 if not (left_set and right_set and left_set.isdisjoint(right_set) and left_set | right_set <= levels):
                     raise DataError(f"malformed tree json: subset sides {rule_doc['left']!r} and {rule_doc['right']!r} "
                                     f"are not two nonempty disjoint sets of levels of {feature!r}")
-            gain = _finite(node["gain"], "gain")
+            lc, rc = left.distribution, right.distribution
+            dist = ClassDistribution({k: lc.counts.get(k, 0) + rc.counts.get(k, 0) for k in lc.counts | rc.counts},
+                                     lc.total + rc.total)
+            gain = information_gain(dist, lc, rc)
             if not gain > 0:
-                raise DataError(f"malformed tree json: gain {gain!r} is not positive")
-            want = information_gain(dist, built[left].distribution, built[right].distribution)
-            if gain != want:
-                raise DataError(f"malformed tree json: gain {gain!r} is not the gain of its counts ({want!r})")
-            built[node_id] = Split(rule, gain, dist, built.pop(left), built.pop(right))
+                raise DataError(f"malformed tree json: node {node_id!r} splits its counts with a gain of {gain!r}")
+            built[node_id] = Split(rule, gain, dist, left, right)
 
-        return DecisionTree(built[0], schema, vehicle=vehicle, direction=_tag(doc, Direction, "direction"))
+        tree = DecisionTree(built[0], schema, vehicle=vehicle, direction=_tag(doc, Direction, "direction"))
+        _same_as_export(doc, _json_doc(tree))
+        return tree
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed tree json: {exc}") from None
+
+
+def _same_as_export(doc: dict, export: dict) -> None:
+    """A data error at the first field where the tree json `doc` differs from
+    `export`, the json of its tree: nodes children first, then the tags and
+    the schema."""
+    nodes = doc["nodes"]
+    if len(nodes) != len(export["nodes"]):
+        raise DataError(f"malformed tree json: {len(nodes)} nodes are listed but node 0 reaches {len(export['nodes'])}")
+    pairs = [(f"node {i} ", nodes[i], export["nodes"][i]) for i in reversed(range(len(nodes)))]
+    for where, stated, derived in pairs + [("", {**doc, "nodes": None}, {**export, "nodes": None})]:
+        if _canonical(stated) != _canonical(derived):
+            for key in sorted(stated.keys() | derived.keys()):
+                was, want = (_canonical(d[key]) if key in d else "absent" for d in (stated, derived))
+                if was != want:
+                    raise DataError(f"malformed tree json: {where}{key} is {was}, derived {want}")
 
 
 def _dot_escape(text: str) -> str:

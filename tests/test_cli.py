@@ -432,14 +432,36 @@ def _relabel_banana(leaf):
     leaf["label"] = "banana"
 
 
+def _add_unreached_leaf(doc):
+    """A copy of the last node under a new id that no split names."""
+    doc["nodes"].append(dict(doc["nodes"][-1], id=len(doc["nodes"])))
+
+
+def _equal_shares(doc):
+    """Both leaves of the root hold the two patterns half and half, so the
+    root's split gains nothing; each leaf is still its own majority."""
+    for leaf, n in zip(doc["nodes"][1:], (10, 4)):
+        leaf["counts"] = {pattern: n // 2 for pattern in leaf["counts"]}
+        leaf["n"] = n
+        leaf["label"] = min(leaf["counts"])
+
+
+# Node 0 of the corpus tree splits its 630 rows on weekend into leaves 1
+# (450 rows) and 2 (180); each message is the whole error line.
+_ROOT_COUNTS = '{"delay-slight delay-slight delay": 194, "slight delay-slight delay-slight delay": 436}'
+_RAISED_COUNTS = '{"delay-slight delay-slight delay": 194, "slight delay-slight delay-slight delay": 936}'
+_ROOT_GAIN = "0.3355283446712018"
+_LEAF_1_LABEL = '"slight delay-slight delay-slight delay"'
+
+
 @pytest.mark.parametrize(
     "node, key, value, message",
     [
         (None, "vehicle", 5, "vehicle 5 has the wrong type"),
-        ("split", "n", "5", "n '5' has the wrong type"),
-        ("leaf", "label", [1], "label [1] has the wrong type"),
+        ("split", "n", "5", 'node 0 n is "5", derived 630'),
+        ("leaf", "label", [1], f"node 1 label is [1], derived {_LEAF_1_LABEL}"),
         ("split", "kind", "banana", "node kind 'banana' is neither leaf nor split"),
-        ("split", "gain", math.nan, "gain nan is not finite"),
+        ("split", "gain", math.nan, f"node 0 gain is NaN, derived {_ROOT_GAIN}"),
         ("split", "rule", {"feature": "temperature_f", "kind": "threshold", "threshold": math.inf},
          "threshold inf is not finite"),
         ("split", "rule", {"feature": "nope", "kind": "threshold", "threshold": 1.0},
@@ -448,7 +470,7 @@ def _relabel_banana(leaf):
          "'threshold' rule on categorical feature 'weekend'"),
         ("split", "rule", {"feature": "temperature_f", "kind": "subset", "left": [1.0], "right": [2.0]},
          "'subset' rule on continuous feature 'temperature_f'"),
-        ("leaf", "n", 5, "n 5 is not the sum of its counts"),
+        ("leaf", "n", 5, "node 1 n is 5, derived 450"),
         ("split", "rule", {"feature": "weekend", "kind": "subset", "left": [7, "x"], "right": [1]},
          "subset sides [7, 'x'] and [1] are not two nonempty disjoint sets of levels of 'weekend'"),
         ("split", "rule", {"feature": "weekend", "kind": "subset", "left": [0, 1], "right": [0, 1]},
@@ -457,19 +479,29 @@ def _relabel_banana(leaf):
          "subset sides [False] and [1] are not two nonempty disjoint sets of levels of 'weekend'"),
         ("split", "rule", {"feature": "weekend", "kind": "subset", "left": [], "right": [0, 1]},
          "subset sides [] and [0, 1] are not two nonempty disjoint sets of levels of 'weekend'"),
-        ("leaf", "label", "banana", "leaf label 'banana' is not the majority of its counts"),
-        ("leaf", None, _raise_by_500, "children's counts do not sum to the counts of node "),
+        ("leaf", "label", "banana", f'node 1 label is "banana", derived {_LEAF_1_LABEL}'),
+        ("leaf", None, _raise_by_500, f"node 0 counts is {_ROOT_COUNTS}, derived {_RAISED_COUNTS}"),
         ("leaf", "counts", {"x": -3}, "count -3 is negative"),
-        ("leaf", "n", -1, "n -1 is negative"),
-        ("split", "gain", 0.0, "gain 0.0 is not positive"),
-        ("split", "gain", -0.5, "gain -0.5 is not positive"),
+        ("leaf", "n", -1, "node 1 n is -1, derived 450"),
+        ("split", "gain", 0.0, f"node 0 gain is 0.0, derived {_ROOT_GAIN}"),
+        ("split", "gain", -0.5, f"node 0 gain is -0.5, derived {_ROOT_GAIN}"),
         ("leaf", None, _relabel_banana, "leaf label 'banana' is not a passenger pattern"),
-        ("split", "gain", 0.9, "gain 0.9 is not the gain of its counts (0."),
+        ("split", "gain", 0.9, f"node 0 gain is 0.9, derived {_ROOT_GAIN}"),
+        ("leaf", "id", 0, "3 nodes are listed but node 0 reaches 1"),
+        (None, None, _add_unreached_leaf, "4 nodes are listed but node 0 reaches 3"),
+        ("split", "children", [True, 2], "node 0 children is [true, 2], derived [1, 2]"),
+        ("split", "label", "banana", 'node 0 label is "banana", derived null'),
+        ("leaf", "gain", 0.5, "node 1 gain is 0.5, derived null"),
+        ("leaf", "rule", {"feature": "weekend", "kind": "subset", "left": [0], "right": [1]},
+         'node 1 rule is {"feature": "weekend", "kind": "subset", "left": [0], "right": [1]}, derived null'),
+        ("leaf", "children", [1, 2], "node 1 children is [1, 2], derived null"),
+        (None, None, _equal_shares, "node 0 splits its counts with a gain of 0.0"),
     ],
     ids=["vehicle", "n", "label", "kind", "gain", "threshold", "unknown_feature", "threshold_on_categorical",
          "subset_on_continuous", "n_not_sum", "subset_undeclared", "subset_overlap", "subset_bool", "subset_empty",
          "label_not_majority", "counts_not_children_sum", "negative_count", "negative_n", "zero_gain",
-         "negative_gain", "label_not_a_pattern", "gain_not_of_counts"],
+         "negative_gain", "label_not_a_pattern", "gain_not_of_counts", "id_of_node_1_is_0", "unreached_leaf",
+         "child_id_true", "split_label", "leaf_gain", "leaf_rule", "leaf_children", "equal_shares"],
 )
 def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, message):
     tree = tmp_path / "tree.json"
@@ -484,7 +516,7 @@ def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, 
     tree.write_text(json.dumps(doc))
     for argv in (["render", "--tree", str(tree), "--format", "text"], ["report", "factors", "--trees", str(tree)]):
         assert main(argv) == 2
-        assert f"{tree}: malformed tree json: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"data error: {tree}: malformed tree json: {message}\n"
 
 
 def test_invalid_log_env_warns_but_runs(corpus, tmp_path, capsys, monkeypatch):

@@ -30,6 +30,7 @@ from delaytree.ingest import (
     parse_weather,
     RawWaitTimeRecord,
     _lines,
+    _wait_rows,
 )
 from delaytree.features import parse_holidays
 from delaytree.patterns import OBSERVATIONS_HEADER, read_observations
@@ -582,6 +583,25 @@ def test_parsing_a_file_holds_its_groups_not_its_text(tmp_path):
         tracemalloc.stop()
     assert sum(map(len, hours.values())) == 9
     assert peak < path.stat().st_size / 2
+
+
+def test_a_timestamp_text_keeps_only_its_hour():
+    # 30,000 distinct timestamp texts, one a second from 07:00:00, in 9 hours.
+    def lines():
+        yield HEADER
+        for i in range(30_000):
+            yield f"2016-08-22T{7 + i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d},PB,to_us,passenger,{i % 97 / 4}\n"
+
+    tracemalloc.start()
+    try:
+        hours = {id(hour) for _, _, hour, _, _ in _wait_rows(lines())}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hours) == 9
+    # The memo of each text: the text, a dict entry and a shared hour (about
+    # 100 bytes), not also a datetime and a tuple (about 200).
+    assert peak < 150 * 30_000
 
 
 # --------------------------------------------------------------- join

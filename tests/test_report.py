@@ -2,11 +2,14 @@
 factor summaries."""
 
 import json
+import math
 import random
 import re
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaytree import cart, report
 from delaytree.cart import TrainConfig
@@ -138,6 +141,41 @@ def test_import_rejects_cyclic_shared_or_missing_children(children, message):
 def test_import_rejects_json_nested_deeper_than_the_recursion_limit():
     with pytest.raises(DataError, match="malformed tree json"):
         report.import_tree("[" * 100_000)
+
+
+_MUTANTS = (None, True, 0, -1, 1.5, "x", [], {}, [0], math.nan, 1e308)
+
+
+def _fields(doc):
+    """(dict, key) of every top-level key, node key and rule key of a tree json."""
+    yield from ((doc, key) for key in doc)
+    for node in doc["nodes"]:
+        yield from ((node, key) for key in node)
+        if node["rule"] is not None:
+            yield from ((node["rule"], key) for key in node["rule"])
+
+
+# Each example imports its tree's json once per field and value (11 values
+# on each of up to about 200 fields), so trees stay small and examples few;
+# the mutants are imported as compact json, which json writes faster than
+# indented.
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), min_samples=st.integers(4, 30))
+def test_import_is_the_inverse_of_export_under_every_single_field_mutation(seed, min_samples):
+    tree = cart.grow_tree(random_training_set(seed, max_rows=40), TrainConfig(min_samples=min_samples, min_gain=0.0))
+    text = report.export_tree(tree, "json")
+    assert report.export_tree(report.import_tree(text), "json") == text
+    doc = json.loads(text)
+    for container, key in list(_fields(doc)):
+        original = container[key]
+        for value in _MUTANTS:
+            container[key] = value
+            try:
+                back = report.import_tree(json.dumps(doc))
+            except DataError:
+                continue
+            assert report.export_tree(back, "json") == json.dumps(doc, indent=2) + "\n"
+        container[key] = original
 
 
 def test_render_and_import_deeper_than_the_recursion_limit(chain_tree):
