@@ -260,9 +260,10 @@ def cmd_synth(o, cp, flags) -> int:
 def _ingest_datasets(wait_times_path, weather_path, holidays_path):
     """Parse and aggregate + join + label + assemble all four combos."""
     hours = _parse_file(hourly_waits, wait_times_path)
-    weather = _parse_file(parse_weather, weather_path)
+    # The join runs inside the weather file's error prefix: a stale hour is its fault.
+    weather = _parse_file(lambda lines: join_weather(hours, parse_weather(lines)), weather_path)
     us, ca = _parse_file(parse_holidays, holidays_path)
-    features = label_hours(join_weather(hours, weather), us, ca)
+    features = label_hours(weather, us, ca)
     datasets = {}
     for vehicle, direction in COMBOS:
         ds = assemble_rows(hours, features, direction, vehicle)

@@ -343,7 +343,7 @@ def join_weather(hours: HourlyMeans, weather: list[WeatherRecord]) -> dict[datet
     The match is the most recent record timestamped before the end of the
     hour; a record inside the hour itself counts as the exact match.
     Anything staler than WEATHER_JOIN_WINDOW is an error naming the first
-    such hour.
+    such hour and the latest record before it.
     """
     recs = sorted(weather, key=lambda w: w.timestamp)
     stamps = [w.timestamp for w in recs]
@@ -351,6 +351,7 @@ def join_weather(hours: HourlyMeans, weather: list[WeatherRecord]) -> dict[datet
     for hour in sorted(set().union(*hours.values())):
         idx = bisect_right(stamps, hour + timedelta(hours=1) - timedelta(microseconds=1))
         if idx == 0 or hour - recs[idx - 1].timestamp > WEATHER_JOIN_WINDOW:
-            raise DataError(f"no weather within {WEATHER_JOIN_WINDOW} of {hour.isoformat()}")
+            latest = f"latest earlier record at {recs[idx - 1].timestamp.isoformat()}" if idx else "no earlier record"
+            raise DataError(f"no weather within {WEATHER_JOIN_WINDOW} of {hour.isoformat()}; {latest}")
         joined[hour] = recs[idx - 1]
     return joined

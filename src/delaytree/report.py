@@ -87,10 +87,15 @@ def _json_doc(tree: DecisionTree) -> dict:
     }
 
 
+def _cut(text: str) -> str:
+    """`text`, or its first 99 characters and "…" when it is longer than 100."""
+    return text if len(text) <= 100 else text[:99] + "…"
+
+
 def _typed(value, types, what: str):
     """`value` if it is one of `types` (never a bool), else a data error."""
     if isinstance(value, bool) or not isinstance(value, types):
-        raise DataError(f"malformed tree json: {what} {value!r} has the wrong type")
+        raise DataError(f"malformed tree json: {what} {_cut(repr(value))} has the wrong type")
     return value
 
 
@@ -100,7 +105,7 @@ def _tag(doc: dict, enum_cls, key: str):
     try:
         return _parse_enum(enum_cls, name, key) if name else None
     except DataError as exc:
-        raise DataError(f"malformed tree json: {exc}") from None
+        raise DataError(f"malformed tree json: {_cut(str(exc))}") from None
 
 
 def import_tree(lines: Iterable[str]) -> DecisionTree:
@@ -114,7 +119,7 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
     differs from the export of the tree built are data errors."""
     try:
         doc = json.loads(lines if isinstance(lines, str) else "".join(lines))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4,300 digits
         raise DataError(f"malformed tree json: {exc}") from None
     try:
         schema = FeatureSchema(
@@ -132,15 +137,15 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
         order = [0]
         reached = {0}
         for node_id in order:
+            if node_id not in by_id:
+                raise DataError(f"malformed tree json: no node has id {_cut(repr(node_id))}")
             node = by_id[node_id]
             if node["kind"] not in ("leaf", "split"):
-                raise DataError(f"malformed tree json: node kind {node['kind']!r} is neither leaf nor split")
+                raise DataError(f"malformed tree json: node kind {_cut(repr(node['kind']))} is neither leaf nor split")
             if node["kind"] == "split":
                 for child in node["children"]:
                     if child in reached:
-                        raise DataError(f"malformed tree json: node {child!r} is reached twice")
-                    if child not in by_id:
-                        raise DataError(f"malformed tree json: no node has id {child!r}")
+                        raise DataError(f"malformed tree json: node {_cut(repr(child))} is reached twice")
                     reached.add(child)
                     order.append(child)
         built: dict = {}
@@ -150,23 +155,25 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
                 counts = {}
                 for label, c in _typed(node["counts"], dict, "counts").items():
                     if _typed(c, int, "count") < 0:
-                        raise DataError(f"malformed tree json: count {c!r} is negative")
+                        raise DataError(f"malformed tree json: count {_cut(repr(c))} is negative")
                     if c:  # grow_tree writes no count of 0 (cart._distribution)
                         counts[label] = c
                 dist = ClassDistribution(counts, sum(counts.values()))
                 label = dist.majority_label()
                 if patterns is not None and label not in patterns:
-                    raise DataError(f"malformed tree json: leaf label {label!r} is not a {vehicle.label} pattern")
+                    raise DataError(f"malformed tree json: leaf label {_cut(repr(label))} "
+                                    f"is not a {vehicle.label} pattern")
                 built[node_id] = Leaf(label, dist)
                 continue
             left, right = (built.pop(child) for child in node["children"])
             rule_doc = node["rule"]
             feature = _typed(rule_doc["feature"], str, "feature")
             if feature not in schema.names:
-                raise DataError(f"malformed tree json: rule feature {feature!r} is not in the schema")
+                raise DataError(f"malformed tree json: rule feature {_cut(repr(feature))} is not in the schema")
             kind = schema.spec(feature).kind
             if rule_doc["kind"] != ("threshold" if kind == CONTINUOUS else "subset"):
-                raise DataError(f"malformed tree json: {rule_doc['kind']!r} rule on {kind} feature {feature!r}")
+                raise DataError(f"malformed tree json: {_cut(repr(rule_doc['kind']))} rule "
+                                f"on {kind} feature {_cut(repr(feature))}")
             if kind == CONTINUOUS:
                 rule = ThresholdRule(feature, _typed(rule_doc["threshold"], (int, float), "threshold"))
                 if not math.isfinite(rule.threshold):
@@ -176,21 +183,23 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
                 levels = {(type(v), v) for v in schema.spec(feature).levels}  # so True is not the level 1
                 left_set, right_set = ({(type(v), v) for v in side} for side in (rule.left_levels, rule.right_levels))
                 if not (left_set and right_set and left_set.isdisjoint(right_set) and left_set | right_set <= levels):
-                    raise DataError(f"malformed tree json: subset sides {rule_doc['left']!r} and {rule_doc['right']!r} "
-                                    f"are not two nonempty disjoint sets of levels of {feature!r}")
+                    raise DataError(f"malformed tree json: subset sides {_cut(repr(rule_doc['left']))} and "
+                                    f"{_cut(repr(rule_doc['right']))} are not two nonempty disjoint sets of levels "
+                                    f"of {_cut(repr(feature))}")
             lc, rc = left.distribution, right.distribution
             dist = ClassDistribution({k: lc.counts.get(k, 0) + rc.counts.get(k, 0) for k in lc.counts | rc.counts},
                                      lc.total + rc.total)
             gain = information_gain(dist, lc, rc)
             if not gain > 0:
-                raise DataError(f"malformed tree json: node {node_id!r} splits its counts with a gain of {gain!r}")
+                raise DataError(f"malformed tree json: node {_cut(repr(node_id))} "
+                                f"splits its counts with a gain of {gain!r}")
             built[node_id] = Split(rule, gain, dist, left, right)
 
         tree = DecisionTree(built[0], schema, vehicle=vehicle, direction=_tag(doc, Direction, "direction"))
         _same_as_export(doc, _json_doc(tree))
         return tree
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"malformed tree json: {exc}") from None
+        raise DataError(f"malformed tree json: {_cut(str(exc))}") from None
 
 
 def _same_as_export(doc: dict, export: dict) -> None:
@@ -206,7 +215,7 @@ def _same_as_export(doc: dict, export: dict) -> None:
             for key in sorted(stated.keys() | derived.keys()):
                 was, want = (_canonical(d[key]) if key in d else "absent" for d in (stated, derived))
                 if was != want:
-                    raise DataError(f"malformed tree json: {where}{key} is {was}, derived {want}")
+                    raise DataError(f"malformed tree json: {where}{key} is {_cut(was)}, derived {_cut(want)}")
 
 
 def _dot_escape(text: str) -> str:

@@ -4,11 +4,14 @@ Generation is a pure function of the config: one random.Random(seed)
 (Mersenne Twister, documented and stable across platforms) drives weather,
 label flips and wait jitter in a fixed traversal order, so the emitted
 files are byte-identical run to run.
+
+The wait, weather and log rows are written as preformatted text lines, not
+through csv.writer: no field needs quoting, since each is an enum name, a
+fixed ISO timestamp, a pattern label or a formatted finite number.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import random
@@ -121,20 +124,27 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = random.Random(cfg.seed)
+    normal = rng.normalvariate
     base = cfg.base_pattern()
+    jitter = cfg.jitter
+    # Each bridge's row tail after the timestamp, and its minute texts.
+    streams = [
+        (bridge, f",{bridge.name},{cfg.direction.label},{cfg.vehicle.label},",
+         (":00",) if bridge is Bridge.RB else tuple(f":{minute:02d}" for minute in range(0, 60, 5)))
+        for bridge in cfg.bridges
+    ]
 
     wait_buf = io.StringIO()
     weather_buf = io.StringIO()
     log_buf = io.StringIO()
-    wait_csv = csv.writer(wait_buf, lineterminator="\n")
-    weather_csv = csv.writer(weather_buf, lineterminator="\n")
-    log_csv = csv.writer(log_buf, lineterminator="\n")
-    wait_csv.writerow(WAIT_TIMES_HEADER)
-    weather_csv.writerow(WEATHER_HEADER)
-    log_csv.writerow(["hour_start", "intended_pattern", "flipped"])
+    write_wait = wait_buf.write
+    write_wait(",".join(WAIT_TIMES_HEADER) + "\n")
+    weather_buf.write(",".join(WEATHER_HEADER) + "\n")
+    log_buf.write("hour_start,intended_pattern,flipped\n")
 
     for ordinal in range(cfg.start.toordinal(), cfg.end.toordinal() + 1):
         day = date.fromordinal(ordinal)
+        day_text = day.isoformat()
         for hour in range(HOUR_MIN, HOUR_MAX + 1):
             hour_start = datetime.combine(day, time(hour))
             temp = _temperature(day, hour, rng)
@@ -146,8 +156,8 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
             else:
                 condition = Condition.CLEAR
                 visibility = 10
-            stamp = hour_start.isoformat(timespec="minutes")
-            weather_csv.writerow([stamp, f"{temp:.1f}", visibility, f"{precip:.2f}", condition.label])
+            prefix = f"{day_text}T{hour:02d}"
+            weather_buf.write(f"{prefix}:00,{temp:.1f},{visibility},{precip:.2f},{condition.label}\n")
 
             weather_rec = WeatherRecord(hour_start, temp, visibility, precip, condition)
             fv = build_feature_vector(hour_start, weather_rec, cfg.us_holidays, cfg.ca_holidays)
@@ -158,24 +168,13 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
                 waits = _shifted_waits(cfg, None) if rule else _shifted_waits(cfg, cfg.rules[0])
             else:
                 waits = _shifted_waits(cfg, rule)
-            log_csv.writerow([stamp, intended, int(flipped)])
+            log_buf.write(f"{prefix}:00,{intended},{int(flipped)}\n")
 
-            for bridge in cfg.bridges:
+            for bridge, tail, minutes in streams:
                 level = waits[bridge]
-                minutes = [0] if bridge is Bridge.RB else range(0, 60, 5)
                 for minute in minutes:
-                    value = level
-                    if cfg.jitter > 0:
-                        value = max(0.0, level + rng.normalvariate(0.0, cfg.jitter))
-                    wait_csv.writerow(
-                        [
-                            hour_start.replace(minute=minute).isoformat(timespec="minutes"),
-                            bridge.name,
-                            cfg.direction.label,
-                            cfg.vehicle.label,
-                            f"{value:.2f}",
-                        ]
-                    )
+                    value = max(0.0, level + normal(0.0, jitter)) if jitter > 0 else level
+                    write_wait(f"{prefix}{minute}{tail}{value:.2f}\n")
 
     holidays = [(d.isoformat(), "US") for d in cfg.us_holidays] + [(d.isoformat(), "CA") for d in cfg.ca_holidays]
     out = SynthOutput(

@@ -210,6 +210,34 @@ def test_ingest_rerun_is_byte_identical(corpus, tmp_path):
     assert a.read_bytes() == (corpus / "observations.csv").read_bytes()
 
 
+def _weather_rows(corpus, tmp_path, *rows):
+    """A weather.csv of the corpus's header and its data rows numbered `rows`."""
+    lines = (corpus / "data" / "weather.csv").read_text().splitlines(keepends=True)
+    weather = tmp_path / "weather.csv"
+    weather.write_text("".join([lines[0]] + [lines[row] for row in rows]))
+    return weather
+
+
+def test_ingest_names_the_weather_file_of_a_stale_hour(corpus, tmp_path, capsys):
+    weather = _weather_rows(corpus, tmp_path, 1)  # 2016-09-05T07:00 only
+    data = corpus / "data"
+    assert main(["ingest", "--wait-times", str(data / "wait_times.csv"), "--weather", str(weather),
+                 "--holidays", str(data / "holidays.csv"), "--out", str(tmp_path / "obs.csv")]) == 2
+    assert capsys.readouterr().err == (f"data error: {weather}: no weather within 3:00:00 of 2016-09-05T11:00:00; "
+                                       "latest earlier record at 2016-09-05T07:00:00\n")
+
+
+def test_pipeline_names_the_weather_file_without_an_earlier_record(corpus, tmp_path, capsys):
+    weather = _weather_rows(corpus, tmp_path, 5)  # 2016-09-05T11:00 only
+    data = corpus / "data"
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(f"[pipeline]\nout-dir = {tmp_path / 'out'}\n\n[ingest]\nwait-times = {data / 'wait_times.csv'}\n"
+                   f"weather = {weather}\nholidays = {data / 'holidays.csv'}\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"data error: {weather}: no weather within 3:00:00 of 2016-09-05T07:00:00; "
+                                       "no earlier record\n")
+
+
 def test_config_supplies_values_and_flags_override(corpus, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text(
@@ -446,6 +474,16 @@ def _equal_shares(doc):
         leaf["label"] = min(leaf["counts"])
 
 
+def _no_nodes(doc):
+    """The document {"schema": [], "nodes": []}: no node is the root."""
+    doc.clear()
+    doc.update(schema=[], nodes=[])
+
+
+def _deep_list(depth):
+    return [] if depth == 0 else [_deep_list(depth - 1)]
+
+
 # Node 0 of the corpus tree splits its 630 rows on weekend into leaves 1
 # (450 rows) and 2 (180); each message is the whole error line.
 _ROOT_COUNTS = '{"delay-slight delay-slight delay": 194, "slight delay-slight delay-slight delay": 436}'
@@ -496,12 +534,18 @@ _LEAF_1_LABEL = '"slight delay-slight delay-slight delay"'
          'node 1 rule is {"feature": "weekend", "kind": "subset", "left": [0], "right": [1]}, derived null'),
         ("leaf", "children", [1, 2], "node 1 children is [1, 2], derived null"),
         (None, None, _equal_shares, "node 0 splits its counts with a gain of 0.0"),
+        (None, None, _no_nodes, "no node has id 0"),
+        # A stated or derived value longer than 100 characters shows its first 99 and "…".
+        ("leaf", "gain", _deep_list(500), "node 1 gain is " + "[" * 99 + "…, derived null"),
+        ("split", "kind", "x" * 10_000, "node kind '" + "x" * 98 + "… is neither leaf nor split"),
+        ("leaf", "label", "x" * 10_000, f'node 1 label is "{"x" * 98}…, derived {_LEAF_1_LABEL}'),
     ],
     ids=["vehicle", "n", "label", "kind", "gain", "threshold", "unknown_feature", "threshold_on_categorical",
          "subset_on_continuous", "n_not_sum", "subset_undeclared", "subset_overlap", "subset_bool", "subset_empty",
          "label_not_majority", "counts_not_children_sum", "negative_count", "negative_n", "zero_gain",
          "negative_gain", "label_not_a_pattern", "gain_not_of_counts", "id_of_node_1_is_0", "unreached_leaf",
-         "child_id_true", "split_label", "leaf_gain", "leaf_rule", "leaf_children", "equal_shares"],
+         "child_id_true", "split_label", "leaf_gain", "leaf_rule", "leaf_children", "equal_shares", "no_root",
+         "deep_list_gain", "long_kind", "long_label"],
 )
 def test_mistyped_tree_json_exits_2(corpus, tmp_path, capsys, node, key, value, message):
     tree = tmp_path / "tree.json"

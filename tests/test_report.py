@@ -143,6 +143,13 @@ def test_import_rejects_json_nested_deeper_than_the_recursion_limit():
         report.import_tree("[" * 100_000)
 
 
+def test_import_rejects_an_integer_longer_than_int_reads():
+    # Python (3.10.7 and later) reads at most 4,300 digits into an int;
+    # json.loads then raises a plain ValueError, not its JSONDecodeError.
+    with pytest.raises(DataError, match="malformed tree json"):
+        report.import_tree('{"nodes": 1' + "0" * 5000 + "}")
+
+
 _MUTANTS = (None, True, 0, -1, 1.5, "x", [], {}, [0], math.nan, 1e308)
 
 

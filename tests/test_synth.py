@@ -4,21 +4,28 @@ The log is cross-checked against patterns reconstructed from the generated
 CSVs through the real ingestion path."""
 
 import csv
+import hashlib
 import io
+import tempfile
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delaytree import synth
 from delaytree.cart import ClassDistribution, gini
 from delaytree.errors import UsageError
 from delaytree.features import label_hours, parse_holidays
 from delaytree.ingest import (
+    WAIT_TIMES_HEADER,
+    WEATHER_HEADER,
     Bridge,
     Direction,
     Vehicle,
     aggregate_hourly,
+    bridges_for,
     floor_hour,
     join_weather,
     parse_wait_times,
@@ -120,6 +127,108 @@ def test_generate_deterministic_bytes(tmp_path):
     b = synth.generate(cfg, tmp_path / "b")
     for name in ("wait_times", "weather", "holidays", "emission_log"):
         assert getattr(a, name).read_bytes() == getattr(b, name).read_bytes()
+
+
+# The sha256 of each file generate writes, as the csv.writer generator wrote
+# them: a change of draw order, formatting or row order fails here. The
+# passenger days hold a weekend, a holiday, flips and rain; the commercial
+# days hold snow, which fires their rule, and waits that jitter clips to 0.
+GOLDEN = {
+    "passenger": (
+        dict(start=date(2016, 9, 1), end=date(2016, 9, 6), seed=3, direction=Direction.TO_US,
+             vehicle=Vehicle.PASSENGER, base_waits={Bridge.PB: 5.0, Bridge.RB: 1.0, Bridge.LQ: 8.0},
+             rules=(weekend_rule(),), label_flip=0.2, jitter=1.5,
+             us_holidays=frozenset({date(2016, 9, 5)}), ca_holidays=frozenset({date(2016, 9, 5)})),
+        {
+            "wait_times": "6b7597aa742713a87a748983aafebbf6c25e6191e53407f65d6901b2031343bb",
+            "weather": "a5833989879fe9367de07eb1246cbfe2410871ebb27086e56a3f67a5c2d135a8",
+            "holidays": "3c5e3f03a510efcc6e291ac7133a2ad3e0e14588c1f4cfc4f3d3b10502d1f351",
+            "emission_log": "b1913cc0e3f62f8c927cc28a5a3c3618fda3549a89410e829bb5a6b0edbf83dc",
+        },
+    ),
+    "commercial": (
+        dict(start=date(2016, 12, 30), end=date(2017, 1, 2), seed=9, direction=Direction.TO_CAN,
+             vehicle=Vehicle.COMMERCIAL, base_waits={Bridge.PB: 12.0, Bridge.LQ: 0.5},
+             rules=(synth.PlantedRule({"condition": ("Snow", "Rain")}, "heavy delay-slight delay", {Bridge.PB: 25.0}),),
+             label_flip=0.1, jitter=2.0, us_holidays=frozenset({date(2017, 1, 2)}),
+             ca_holidays=frozenset({date(2016, 12, 26), date(2017, 1, 2)})),
+        {
+            "wait_times": "62adb1c4bceb09ce424ced871e4c0845af32f2c39668ac10bb00d337545ecced",
+            "weather": "b87eb251cabbb80db5275a3eb4af057db368569f97d0d064c2bde8ddf8af31c7",
+            "holidays": "5cfcaf1004b2fd517f27eac864060ac718db9efbc53f52a2a0586f7a945ef2b9",
+            "emission_log": "9d2b4e8f6a528ba22d9e210912fde217f51a2804e4dbf6641a6a94327a7af734",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generate_golden_bytes(tmp_path, name):
+    kwargs, digests = GOLDEN[name]
+    out = synth.generate(synth.SynthConfig(**kwargs), tmp_path)
+    assert {f: hashlib.sha256(getattr(out, f).read_bytes()).hexdigest() for f in out._fields} == digests
+
+
+# Base waits at the edges of the wait format: zero, negative zero (which
+# jitter 0 writes as -0.00), a 301-digit number and values that round at
+# the second decimal.
+_WAITS = st.sampled_from([0.0, -0.0, 1e300, 0.005, 14.995]) | st.floats(0.0, 1e6)
+
+
+def _csv_writer_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vehicle=st.sampled_from(Vehicle),
+    direction=st.sampled_from(Direction),
+    waits=st.lists(_WAITS, min_size=3, max_size=3),
+    jitter=st.just(0.0) | st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**32),
+    start=st.dates(date(1, 1, 1), date(9999, 12, 29)),
+)
+@example(vehicle=Vehicle.PASSENGER, direction=Direction.TO_US, waits=[0.0, -0.0, 1e300], jitter=0.0, seed=1,
+         start=date(2016, 1, 4))
+@example(vehicle=Vehicle.COMMERCIAL, direction=Direction.TO_CAN, waits=[1e300, 0.0, 0.0], jitter=2.0, seed=5,
+         start=date(2016, 1, 4))
+def test_generate_writes_the_text_csv_writer_writes(vehicle, direction, waits, jitter, seed, start):
+    """Each file generate writes line by line is the text csv.writer writes
+    of its rows, with the header's width: no field needed quoting. The wait
+    rows are every (day, hour, bridge, minute) in order, RB at :00 only, and
+    with jitter 0 each is its bridge's base wait. Three days of hours all
+    but always hold weather rows with and without precipitation."""
+    base_waits = dict(zip(bridges_for(vehicle), waits))
+    cfg = synth.SynthConfig(start=start, end=start + timedelta(days=2), seed=seed, direction=direction,
+                            vehicle=vehicle, base_waits=base_waits, jitter=jitter)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = synth.generate(cfg, tmp)
+        texts = {f: getattr(out, f).read_text(encoding="utf-8") for f in ("wait_times", "weather", "emission_log")}
+    headers = {"wait_times": WAIT_TIMES_HEADER, "weather": WEATHER_HEADER,
+               "emission_log": ["hour_start", "intended_pattern", "flipped"]}
+    rows = {}
+    for name, text in texts.items():
+        lines = text.splitlines(keepends=True)
+        rows[name] = list(csv.reader(lines))
+        assert rows[name][0] == headers[name]
+        assert len(rows[name]) == len(lines)
+        for row, line in zip(rows[name], lines):  # line by line, so a failure shows one short line
+            assert len(row) == len(headers[name])
+            assert _csv_writer_text([row]) == line
+
+    days = [start + timedelta(days=i) for i in range(3)]
+    keys = [
+        (f"{day.isoformat()}T{hour:02d}:{minute:02d}", bridge.name, direction.label, vehicle.label)
+        for day in days for hour in range(7, 22) for bridge in bridges_for(vehicle)
+        for minute in ((0,) if bridge is Bridge.RB else range(0, 60, 5))
+    ]
+    assert [tuple(row[:4]) for row in rows["wait_times"][1:]] == keys
+    for row in rows["wait_times"][1:]:
+        assert row[4] == (f"{float(row[4]):.2f}" if jitter else f"{base_waits[Bridge[row[1]]]:.2f}")
+    hours = [f"{day.isoformat()}T{hour:02d}:00" for day in days for hour in range(7, 22)]
+    assert [row[0] for row in rows["weather"][1:]] == [row[0] for row in rows["emission_log"][1:]] == hours
 
 
 def test_generate_different_seeds_differ(tmp_path):
