@@ -16,6 +16,11 @@ class DataError(Exception):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+def cut(text: str) -> str:
+    """How a message shows a value: `text`, or past 100 characters its first 99 and "…"."""
+    return text if len(text) <= 100 else text[:99] + "…"
+
+
 class UsageError(Exception):
     """Raised when a command, format, or configuration value is not supported."""
 

@@ -12,7 +12,7 @@ from datetime import date, datetime
 from enum import IntEnum
 from typing import Iterable
 
-from .errors import Checked, DataError
+from .errors import Checked, DataError, cut
 from .ingest import HOUR_MAX, HOUR_MIN, WeatherRecord, _parse_enum, csv_rows, fromisoformat, number
 
 CONTINUOUS = "continuous"
@@ -52,7 +52,7 @@ def parse_holidays(lines: Iterable[str]) -> tuple[frozenset[date], frozenset[dat
         try:
             day = fromisoformat(date, row[0].strip())
         except ValueError:
-            raise DataError(f"malformed date {row[0]!r}", line=line) from None
+            raise DataError(f"malformed date {cut(repr(row[0]))}", line=line) from None
         dates[_parse_enum(Country, row[1], "country", line)].add(day)
     return frozenset(dates[Country.US]), frozenset(dates[Country.CA])
 
@@ -83,10 +83,10 @@ class FeatureSpec(Checked, namedtuple("FeatureSpec", "name kind levels", default
         if self.kind == CATEGORICAL:
             if value in self.levels:
                 return value
-            raise ValueError(f"{self.name} {value!r} is not a declared level")
+            raise ValueError(f"{self.name} {cut(repr(value))} is not a declared level")
         if isinstance(value, float) and math.isfinite(value):
             return value
-        raise ValueError(f"{self.name} {value!r} is not a finite number")
+        raise ValueError(f"{self.name} {cut(repr(value))} is not a finite number")
 
     def format(self, value) -> str:
         """The text `parse` reads back as `value`: repr, exact for every

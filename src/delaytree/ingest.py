@@ -13,11 +13,12 @@ import math
 import re
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from datetime import datetime, timedelta
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import DataError
+from .errors import DataError, cut
 
 HOUR_MIN = 7
 HOUR_MAX = 21
@@ -99,7 +100,7 @@ def _parse_enum(enum_cls, raw: str, what: str, line: Optional[int] = None):
     name = raw.strip().upper()
     if raw.isascii() and name in enum_cls.__members__:
         return enum_cls[name]
-    raise DataError(f"unknown {what} {raw!r}", line=line)
+    raise DataError(f"unknown {what} {cut(repr(raw))}", line=line)
 
 
 # The texts Python 3.10's fromisoformat reads; 3.11 reads more, such as
@@ -138,9 +139,9 @@ def _parse_timestamp(raw: str, line: int) -> datetime:
     try:
         ts = fromisoformat(datetime, raw.strip())
     except ValueError:
-        raise DataError(f"malformed timestamp {raw!r}", line=line) from None
+        raise DataError(f"malformed timestamp {cut(repr(raw))}", line=line) from None
     if ts.tzinfo is not None:
-        raise DataError(f"timestamp {raw!r} carries a zone; feeds are naive local time", line=line)
+        raise DataError(f"timestamp {cut(repr(raw))} carries a zone; feeds are naive local time", line=line)
     return ts
 
 
@@ -148,9 +149,9 @@ def _parse_float(raw: str, what: str, line: int) -> float:
     try:  # number's test inline, on the path of every row of a wait file
         value = float(raw) if raw.isascii() and "_" not in raw else number(float, raw)
     except ValueError:
-        raise DataError(f"malformed {what} {raw!r}", line=line) from None
+        raise DataError(f"malformed {what} {cut(repr(raw))}", line=line) from None
     if not math.isfinite(value):
-        raise DataError(f"non-finite {what} {raw!r}", line=line)
+        raise DataError(f"non-finite {what} {cut(repr(raw))}", line=line)
     return value
 
 
@@ -232,7 +233,7 @@ def _wait_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, Optional[dateti
             streams[raw_stream] = stream = ((bridge, direction, vehicle), bridge not in bridges_for(vehicle))
         wait = _parse_float(raw_wait, "wait_minutes", line)
         if not wait >= 0:
-            raise DataError(f"negative wait_minutes {raw_wait!r}", line=line)
+            raise DataError(f"negative wait_minutes {cut(repr(raw_wait))}", line=line)
         if stream[1]:
             raise DataError("RB carries no commercial vehicles", line=line)
         yield line, raw_ts, hour, stream[0], wait
@@ -259,12 +260,12 @@ def parse_weather(lines: Iterable[str]) -> list[WeatherRecord]:
         try:
             visibility = number(int, row[2])
         except ValueError:
-            raise DataError(f"malformed visibility {row[2]!r}", line=line) from None
+            raise DataError(f"malformed visibility {cut(repr(row[2]))}", line=line) from None
         if not 1 <= visibility <= 10:
-            raise DataError(f"visibility {visibility} outside 1..10", line=line)
+            raise DataError(f"visibility {cut(str(visibility))} outside 1..10", line=line)
         precip = _parse_float(row[3], "precipitation_in", line)
         if not precip >= 0:
-            raise DataError(f"negative precipitation_in {row[3]!r}", line=line)
+            raise DataError(f"negative precipitation_in {cut(repr(row[3]))}", line=line)
         condition = _parse_enum(Condition, row[4], "condition", line)
         records.append(WeatherRecord(ts, temp, visibility, precip, condition))
     return records
@@ -282,58 +283,49 @@ def _window_hour(ts: datetime) -> Optional[datetime]:
 def hourly_waits(lines: Iterable[str]) -> HourlyMeans:
     """wait_times.csv `lines` (see csv_rows) straight to their hourly means,
     in one pass: equal to aggregate_hourly(parse_wait_times(lines)), with the
-    same errors, but each row is grouped as it is read, no per-row record is
-    kept and each group's samples are one array of doubles."""
-    groups: dict[tuple, array] = {}
-    first_lines: dict[tuple, int] = {}
-    for line, _, hour, stream, wait in _wait_rows(lines):
+    same errors, but each row is grouped under its stream and hour as it is
+    read, no per-row record is kept and each group is one array of doubles."""
+    groups: defaultdict[tuple, dict[datetime, array]] = defaultdict(dict)
+    for _, _, hour, stream, wait in _wait_rows(lines):
         if hour is None:
             continue
-        key = (hour, stream)
-        values = groups.get(key)
+        hours = groups[stream]
+        values = hours.get(hour)
         if values is None:
-            groups[key] = array("d", (wait,))
-            first_lines[key] = line
+            hours[hour] = array("d", (wait,))
         else:
             values.append(wait)
-    return _hourly_means(groups, first_lines)
-
-
-def aggregate_hourly(records: list[RawWaitTimeRecord]) -> HourlyMeans:
-    """Average wait samples per (calendar hour, bridge, direction, vehicle).
-
-    Hours outside 7..21 are dropped. The table is independent of input
-    order (see `_hourly_means`).
-    """
-    groups: dict[tuple, list[float]] = {}
-    for rec in records:
-        hour = _window_hour(rec.timestamp)
-        if hour is not None:
-            groups.setdefault((hour, (rec.bridge, rec.direction, rec.vehicle)), []).append(rec.wait_minutes)
     return _hourly_means(groups)
 
 
-def _hourly_means(groups: dict[tuple, Sequence[float]], first_lines: Optional[dict] = None) -> HourlyMeans:
-    """The table of each (hour, (bridge, direction, vehicle)) group's mean,
-    filled in key order. Sums use math.fsum, which is exact, so the order
-    of the samples cannot change any mean. The rounded sum and the division
-    are two roundings, which can put a mean just outside its samples' range,
-    so it is clamped into [min, max]. A sum past the float range is a data
-    error at the line of the group's first sample, when `first_lines` knows it.
-    """
+def aggregate_hourly(records: list[RawWaitTimeRecord]) -> HourlyMeans:
+    """Average wait samples per (bridge, direction, vehicle) stream and
+    calendar hour, grouped as the table is. Hours outside 7..21 are dropped.
+    The table is independent of input order (see `_hourly_means`)."""
+    groups: defaultdict[tuple, dict[datetime, list[float]]] = defaultdict(dict)
+    for rec in records:
+        hour = _window_hour(rec.timestamp)
+        if hour is not None:
+            groups[rec.bridge, rec.direction, rec.vehicle].setdefault(hour, []).append(rec.wait_minutes)
+    return _hourly_means(groups)
+
+
+def _hourly_means(groups: dict[tuple, dict[datetime, Sequence[float]]]) -> HourlyMeans:
+    """The table of the mean of each stream's hours, streams and hours both
+    ascending. math.fsum is exact, so the order of the samples cannot change
+    a mean; its rounded sum and the division can put a mean just outside its
+    samples' range, so it is clamped into [min, max]. A sum past the float
+    range (samples near 1.8e308) gives the exact mean, which lies between
+    the samples."""
     table: HourlyMeans = {}
-    for key in sorted(groups):
-        values = groups[key]
-        hour, (bridge, direction, vehicle) = key
-        try:
-            total = math.fsum(values)
-        except OverflowError:
-            raise DataError(
-                f"the {len(values)} wait_minutes of {bridge.name} {direction.label} {vehicle.label} "
-                f"in hour {hour.isoformat(timespec='minutes')} overflow their sum",
-                line=first_lines.get(key) if first_lines else None,
-            ) from None
-        table.setdefault(key[1], {})[hour] = min(max(total / len(values), min(values)), max(values))
+    for stream in sorted(groups):
+        table[stream] = series = {}
+        for hour, values in sorted(groups[stream].items()):
+            try:
+                series[hour] = min(max(math.fsum(values) / len(values), min(values)), max(values))
+            except OverflowError:
+                from fractions import Fraction  # no command loads it, unless a sum overflows
+                series[hour] = float(sum(map(Fraction, values)) / len(values))
     return table
 
 

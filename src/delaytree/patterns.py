@@ -15,7 +15,7 @@ from datetime import datetime
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
-from .errors import DataError
+from .errors import DataError, cut
 from .features import FEATURE_SCHEMA, FeatureSchema, FeatureSpec, FeatureVector, hour_calendar
 from .ingest import (
     HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _parse_enum, _window_hour, bridges_for,
@@ -181,16 +181,16 @@ def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], P
             wait_cols = dict(zip(Bridge, row[3:6]))
             waits = tuple(number(float, wait_cols[b]) for b in bridges)
         except ValueError as exc:
-            raise DataError(f"bad observation row: {exc}", line=line) from None
+            raise DataError(f"bad observation row: {cut(str(exc))}", line=line) from None
         if hour_start.tzinfo is not None or _window_hour(hour_start) != hour_start:
             raise DataError(f"hour_start {row[0]!r} is not a naive whole hour in {HOUR_MIN}..{HOUR_MAX}", line=line)
         pattern = row[6]
         parts = pattern.split("-")
         for part in parts:
             if part not in _PARTS:
-                raise DataError(f"pattern {pattern!r} has unknown part {part!r}", line=line)
+                raise DataError(f"pattern {cut(repr(pattern))} has unknown part {cut(repr(part))}", line=line)
         if len(parts) != len(bridges):
-            raise DataError(f"pattern {pattern!r} does not fit {vehicle.label}", line=line)
+            raise DataError(f"pattern {cut(repr(pattern))} does not fit {vehicle.label}", line=line)
         try:
             values = list(map(FeatureSpec.parse, FEATURE_SCHEMA, row[7:]))
         except ValueError as exc:

@@ -16,7 +16,7 @@ from .cart import (
     ClassDistribution, DecisionTree, Leaf, Split, SubsetRule, ThresholdRule, bfs_nodes, information_gain,
     internal_features,
 )
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, cut
 from .features import CONTINUOUS, FeatureSchema, FeatureSpec
 from .ingest import HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _parse_enum, bridges_for, csv_text
 from .patterns import DelayCategory4, all_patterns, categorize
@@ -87,15 +87,10 @@ def _json_doc(tree: DecisionTree) -> dict:
     }
 
 
-def _cut(text: str) -> str:
-    """`text`, or its first 99 characters and "…" when it is longer than 100."""
-    return text if len(text) <= 100 else text[:99] + "…"
-
-
 def _typed(value, types, what: str):
     """`value` if it is one of `types` (never a bool), else a data error."""
     if isinstance(value, bool) or not isinstance(value, types):
-        raise DataError(f"malformed tree json: {what} {_cut(repr(value))} has the wrong type")
+        raise DataError(f"{what} {cut(repr(value))} has the wrong type")
     return value
 
 
@@ -104,8 +99,8 @@ def _tag(doc: dict, enum_cls, key: str):
     name = _typed(doc.get(key), (str, type(None)), key)
     try:
         return _parse_enum(enum_cls, name, key) if name else None
-    except DataError as exc:
-        raise DataError(f"malformed tree json: {_cut(str(exc))}") from None
+    except DataError as exc:  # cut as a whole, as the generic message is
+        raise DataError(cut(str(exc))) from None
 
 
 def import_tree(lines: Iterable[str]) -> DecisionTree:
@@ -118,9 +113,18 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
     the tree's vehicle, gains that are not positive and any field that
     differs from the export of the tree built are data errors."""
     try:
-        doc = json.loads(lines if isinstance(lines, str) else "".join(lines))
-    except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4,300 digits
+        try:
+            doc = json.loads(lines if isinstance(lines, str) else "".join(lines))
+        except (ValueError, RecursionError) as exc:  # ValueError: also an int past 4,300 digits
+            raise DataError(str(exc)) from None
+        return _tree_of(doc)
+    except DataError as exc:
         raise DataError(f"malformed tree json: {exc}") from None
+
+
+def _tree_of(doc) -> DecisionTree:
+    """The tree that the json document `doc` describes (see import_tree); a
+    data error, without the "malformed tree json" prefix, if it is none."""
     try:
         schema = FeatureSchema(
             [
@@ -138,14 +142,14 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
         reached = {0}
         for node_id in order:
             if node_id not in by_id:
-                raise DataError(f"malformed tree json: no node has id {_cut(repr(node_id))}")
+                raise DataError(f"no node has id {cut(repr(node_id))}")
             node = by_id[node_id]
             if node["kind"] not in ("leaf", "split"):
-                raise DataError(f"malformed tree json: node kind {_cut(repr(node['kind']))} is neither leaf nor split")
+                raise DataError(f"node kind {cut(repr(node['kind']))} is neither leaf nor split")
             if node["kind"] == "split":
                 for child in node["children"]:
                     if child in reached:
-                        raise DataError(f"malformed tree json: node {_cut(repr(child))} is reached twice")
+                        raise DataError(f"node {cut(repr(child))} is reached twice")
                     reached.add(child)
                     order.append(child)
         built: dict = {}
@@ -155,51 +159,47 @@ def import_tree(lines: Iterable[str]) -> DecisionTree:
                 counts = {}
                 for label, c in _typed(node["counts"], dict, "counts").items():
                     if _typed(c, int, "count") < 0:
-                        raise DataError(f"malformed tree json: count {_cut(repr(c))} is negative")
+                        raise DataError(f"count {cut(repr(c))} is negative")
                     if c:  # grow_tree writes no count of 0 (cart._distribution)
                         counts[label] = c
                 dist = ClassDistribution(counts, sum(counts.values()))
                 label = dist.majority_label()
                 if patterns is not None and label not in patterns:
-                    raise DataError(f"malformed tree json: leaf label {_cut(repr(label))} "
-                                    f"is not a {vehicle.label} pattern")
+                    raise DataError(f"leaf label {cut(repr(label))} is not a {vehicle.label} pattern")
                 built[node_id] = Leaf(label, dist)
                 continue
             left, right = (built.pop(child) for child in node["children"])
             rule_doc = node["rule"]
             feature = _typed(rule_doc["feature"], str, "feature")
             if feature not in schema.names:
-                raise DataError(f"malformed tree json: rule feature {_cut(repr(feature))} is not in the schema")
+                raise DataError(f"rule feature {cut(repr(feature))} is not in the schema")
             kind = schema.spec(feature).kind
             if rule_doc["kind"] != ("threshold" if kind == CONTINUOUS else "subset"):
-                raise DataError(f"malformed tree json: {_cut(repr(rule_doc['kind']))} rule "
-                                f"on {kind} feature {_cut(repr(feature))}")
+                raise DataError(f"{cut(repr(rule_doc['kind']))} rule on {kind} feature {cut(repr(feature))}")
             if kind == CONTINUOUS:
                 rule = ThresholdRule(feature, _typed(rule_doc["threshold"], (int, float), "threshold"))
                 if not math.isfinite(rule.threshold):
-                    raise DataError(f"malformed tree json: threshold {rule.threshold!r} is not finite")
+                    raise DataError(f"threshold {rule.threshold!r} is not finite")
             else:
                 rule = SubsetRule(feature, tuple(rule_doc["left"]), tuple(rule_doc["right"]))
                 levels = {(type(v), v) for v in schema.spec(feature).levels}  # so True is not the level 1
                 left_set, right_set = ({(type(v), v) for v in side} for side in (rule.left_levels, rule.right_levels))
                 if not (left_set and right_set and left_set.isdisjoint(right_set) and left_set | right_set <= levels):
-                    raise DataError(f"malformed tree json: subset sides {_cut(repr(rule_doc['left']))} and "
-                                    f"{_cut(repr(rule_doc['right']))} are not two nonempty disjoint sets of levels "
-                                    f"of {_cut(repr(feature))}")
+                    raise DataError(f"subset sides {cut(repr(rule_doc['left']))} and {cut(repr(rule_doc['right']))} "
+                                    f"are not two nonempty disjoint sets of levels of {cut(repr(feature))}")
             lc, rc = left.distribution, right.distribution
             dist = ClassDistribution({k: lc.counts.get(k, 0) + rc.counts.get(k, 0) for k in lc.counts | rc.counts},
                                      lc.total + rc.total)
             gain = information_gain(dist, lc, rc)
             if not gain > 0:
-                raise DataError(f"malformed tree json: node {_cut(repr(node_id))} "
-                                f"splits its counts with a gain of {gain!r}")
+                raise DataError(f"node {cut(repr(node_id))} splits its counts with a gain of {gain!r}")
             built[node_id] = Split(rule, gain, dist, left, right)
 
         tree = DecisionTree(built[0], schema, vehicle=vehicle, direction=_tag(doc, Direction, "direction"))
         _same_as_export(doc, _json_doc(tree))
         return tree
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"malformed tree json: {_cut(str(exc))}") from None
+        raise DataError(cut(str(exc))) from None
 
 
 def _same_as_export(doc: dict, export: dict) -> None:
@@ -208,14 +208,14 @@ def _same_as_export(doc: dict, export: dict) -> None:
     the schema."""
     nodes = doc["nodes"]
     if len(nodes) != len(export["nodes"]):
-        raise DataError(f"malformed tree json: {len(nodes)} nodes are listed but node 0 reaches {len(export['nodes'])}")
+        raise DataError(f"{len(nodes)} nodes are listed but node 0 reaches {len(export['nodes'])}")
     pairs = [(f"node {i} ", nodes[i], export["nodes"][i]) for i in reversed(range(len(nodes)))]
     for where, stated, derived in pairs + [("", {**doc, "nodes": None}, {**export, "nodes": None})]:
         if _canonical(stated) != _canonical(derived):
             for key in sorted(stated.keys() | derived.keys()):
                 was, want = (_canonical(d[key]) if key in d else "absent" for d in (stated, derived))
                 if was != want:
-                    raise DataError(f"malformed tree json: {where}{key} is {_cut(was)}, derived {_cut(want)}")
+                    raise DataError(f"{where}{key} is {cut(was)}, derived {cut(want)}")
 
 
 def _dot_escape(text: str) -> str:

@@ -2,13 +2,16 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from delaytree import cli
 from delaytree.cli import main, parse_rule
 from delaytree.errors import DataError, UsageError
-from delaytree.ingest import Bridge, hourly_waits
+from delaytree.features import HOLIDAYS_HEADER
+from delaytree.ingest import WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, hourly_waits
+from delaytree.patterns import OBSERVATIONS_HEADER
 
 PIPE_CFG = """
 [pipeline]
@@ -336,8 +339,6 @@ def test_data_error_names_file_and_line(corpus, tmp_path, capsys):
     for content in (
         b"timestamp,bridge,direction,vehicle_type,wait_minutes\nnope,PB,to_us,passenger,1\n",
         b"timestamp,bridge,direction,vehicle_type,wait_minutes\n\xff\n",  # not UTF-8
-        b"timestamp,bridge,direction,vehicle_type,wait_minutes\n"  # the hour's sum overflows
-        b"2016-09-05T08:00,PB,to_us,passenger,1e308\n2016-09-05T08:05,PB,to_us,passenger,1e308\n",
     ):
         bad.write_bytes(content)
         rc = main(["ingest", "--wait-times", str(bad), "--weather", str(corpus / "data" / "weather.csv"),
@@ -345,6 +346,47 @@ def test_data_error_names_file_and_line(corpus, tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert "bad.csv" in err and "line 2" in err
+
+
+# One good row of each CSV format.
+_CSV_ROWS = {
+    "wait_times.csv": (WAIT_TIMES_HEADER, "2016-09-05T08:00,PB,to_us,passenger,1"),
+    "weather.csv": (WEATHER_HEADER, "2016-09-05T08:00,60.5,10,0.1,Rain"),
+    "holidays.csv": (HOLIDAYS_HEADER, "2016-09-05,US"),
+    "observations.csv": (
+        OBSERVATIONS_HEADER,
+        "2016-09-05T08:00,to_us,passenger,20.0,5.25,0.0,delay-slight delay-slight delay,"
+        "9,Fall,Early_morning,0,1,0,63.5,9,0.1,Rain",
+    ),
+}
+# A 5,000-character field of letters, of digits (past the float range, and
+# past the 4,300 digits int reads on Python 3.11+) or a negative number.
+_FILLERS = {"letters": "x" * 5000, "digits": "9" * 5000, "negative": "-1." + "0" * 4997}
+_LONG_FIELDS = [
+    (name, column, kind)
+    for name, (header, _) in _CSV_ROWS.items()
+    for column in range(len(header))
+    for kind in ("letters", "digits")
+] + [("wait_times.csv", 4, "negative"), ("weather.csv", 3, "negative")]
+
+
+@pytest.mark.parametrize(
+    "name, column, kind", _LONG_FIELDS,
+    ids=[f"{name[:-4]}-{_CSV_ROWS[name][0][column]}-{kind}" for name, column, kind in _LONG_FIELDS],
+)
+def test_a_long_field_gives_a_short_message(tmp_path, monkeypatch, capsys, name, column, kind):
+    monkeypatch.chdir(tmp_path)
+    for file, (header, row) in _CSV_ROWS.items():
+        if file == name:
+            row = ",".join(_FILLERS[kind] if i == column else field for i, field in enumerate(row.split(",")))
+        Path(file).write_text(f"{','.join(header)}\n{row}\n")
+    if name == "observations.csv":
+        argv = ["train", "--data", name, "--vehicle", "passenger", "--direction", "to_us"]
+    else:
+        argv = ["ingest", "--wait-times", "wait_times.csv", "--weather", "weather.csv", "--holidays", "holidays.csv"]
+    assert main([*argv, "--out", "out.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {name}: line 2: ") and err.count("\n") == 1 and len(err) < 300, err
 
 
 WAIT_HEADER = b"timestamp,bridge,direction,vehicle_type,wait_minutes\n"

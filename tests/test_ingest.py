@@ -3,19 +3,22 @@ nearest-predecessor behavior is checked against a linear-scan oracle, and
 every parser is fuzzed: any text gives a value or a DataError."""
 
 import copy
+import csv
 import io
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
 from datetime import datetime, timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaytree.cli import _parse_file
+from delaytree.cli import _parse_file, main
 from delaytree.errors import DataError
 from delaytree.ingest import (
     Bridge,
@@ -204,17 +207,26 @@ def test_aggregate_permutation_invariant_and_conserving(records, rnd):
         assert math.isclose(mean, math.fsum(group) / len(group))
 
 
-def test_overflowing_hour_is_a_data_error():
-    text = HEADER + "2016-08-22T07:05,PB,to_us,passenger,1\n" + "".join(
-        f"2016-08-22T08:{m:02d},PB,to_us,passenger,1e308\n" for m in (5, 10)
-    )
-    message = "the 2 wait_minutes of PB to_us passenger in hour 2016-08-22T08:00 overflow their sum"
-    with pytest.raises(DataError) as one_pass:
-        hourly_waits(text)
-    assert str(one_pass.value) == f"line 3: {message}"  # the hour's first sample
-    with pytest.raises(DataError) as two_step:
-        aggregate_hourly(parse_wait_times(text))
-    assert str(two_step.value) == message  # records carry no line
+@pytest.mark.parametrize(
+    "samples, mean",
+    [([1e308] * 2, 1e308), ([sys.float_info.max] * 11 + [0.0], float(Fraction(sys.float_info.max) * 11 / 12))],
+    ids=["two_1e308", "eleven_max_and_a_zero"],
+)
+def test_an_hour_past_the_float_sum_range_has_its_exact_mean(tmp_path, samples, mean):
+    # math.fsum raises OverflowError on these sums; the mean itself is finite.
+    text = HEADER + "".join(f"2016-09-05T08:{5 * i:02d},PB,to_us,passenger,{w!r}\n" for i, w in enumerate(samples))
+    text += "2016-09-05T08:00,RB,to_us,passenger,1\n2016-09-05T08:00,LQ,to_us,passenger,1\n"
+    table = hourly_waits(text)
+    assert table[PB_CAR] == {datetime(2016, 9, 5, 8): mean}
+    assert aggregate_hourly(parse_wait_times(text)) == table
+    files = {"wait-times": text, "weather": WHEADER + "2016-09-05T08:00,60.5,10,0.00,Clear\n",
+             "holidays": "date,country\n"}
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    out = tmp_path / "observations.csv"
+    assert main(["ingest", *(f"--{name}={tmp_path / name}" for name in files), "--out", str(out)]) == 0
+    [row] = csv.DictReader(io.StringIO(out.read_text()))
+    assert float(row["wait_pb"]) == mean
 
 
 @given(st.text(alphabet="ab,\"\r\n\x0c\u2028"), st.integers(1, 8))
@@ -303,6 +315,18 @@ def test_hourly_waits_reports_the_same_error(text):
     with pytest.raises(DataError) as two_step:
         aggregate_hourly(parse_wait_times(text))
     assert str(one_pass.value) == str(two_step.value)
+
+
+@given(st.lists(_wait_row(), max_size=40), st.randoms())
+def test_streams_and_hours_ascend_whatever_the_row_order(rows, rnd):
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    texts = [HEADER + "".join(row + "\n" for row in order) for order in (rows, shuffled)]
+    tables = [hourly_waits(texts[0]), hourly_waits(texts[1]), aggregate_hourly(parse_wait_times(texts[1]))]
+    for table in tables:
+        assert list(table) == sorted(table)
+        assert all(list(series) == sorted(series) for series in table.values())
+    assert tables[0] == tables[1] == tables[2]
 
 
 @pytest.mark.parametrize(
