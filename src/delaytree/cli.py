@@ -21,11 +21,11 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, cut
 from .features import CATEGORICAL, FEATURE_SCHEMA, label_hours, parse_holidays
 from .ingest import (
-    Bridge, Direction, Vehicle, _parse_enum, bridges_for, fromisoformat, hourly_waits, join_weather, number,
-    parse_weather,
+    Bridge, Direction, Vehicle, _hourly_means, _parse_enum, _wait_groups, bridges_for, fromisoformat, hourly_waits,
+    join_weather, number, parse_weather,
 )
 # Not called here, but perfbench/tracer.py wraps them under these names.
 from .ingest import aggregate_hourly, parse_wait_times  # noqa: F401
@@ -62,7 +62,7 @@ def _config(path) -> configparser.ConfigParser:
         try:
             cp.read_string(Path(path).read_text(encoding="utf-8"))
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise UsageError(f"bad config file {path}: {exc}") from None
+            raise UsageError(f"bad config file {path}: {cut(str(exc))}") from None
     return cp
 
 
@@ -70,7 +70,7 @@ def _convert(setting: Setting, raw, where: str):
     try:
         return setting.convert(raw)
     except ValueError as exc:
-        raise UsageError(f"bad {where} {raw!r}: {exc}") from None
+        raise UsageError(f"bad {where} {cut(repr(raw))}: {cut(str(exc))}") from None
 
 
 def _resolve(settings, cp: configparser.ConfigParser, sections: list, flags: Optional[dict] = None) -> dict:
@@ -150,35 +150,35 @@ def parse_rule(text: str):
     from .synth import PlantedRule
     parts = [p.strip() for p in text.split("=>")]
     if len(parts) != 3:
-        raise UsageError(f"bad rule {text!r}: want 'condition => shifts => target pattern'")
+        raise UsageError(f"bad rule {cut(repr(text))}: want 'condition => shifts => target pattern'")
     condition = {}
     if parts[0]:
         for clause in parts[0].split("&"):
             name, sep, values = clause.partition("=")
             name = name.strip()
             if not sep or not name:
-                raise UsageError(f"bad rule condition {clause.strip()!r}")
+                raise UsageError(f"bad rule condition {cut(repr(clause.strip()))}")
             try:
                 spec = FEATURE_SCHEMA.spec(name)
             except KeyError:
-                raise UsageError(f"unknown feature {name!r} in rule condition") from None
+                raise UsageError(f"unknown feature {cut(repr(name))} in rule condition") from None
             if spec.kind != CATEGORICAL:
                 raise UsageError(f"rule conditions must use categorical features, not {name!r}")
             if name in condition:
-                raise UsageError(f"bad rule condition {clause.strip()!r}: {name} has a condition already")
+                raise UsageError(f"bad rule condition {cut(repr(clause.strip()))}: {name} has a condition already")
             try:
                 allowed = tuple(spec.parse(v.strip()) for v in values.split("|"))
             except ValueError as exc:
-                raise UsageError(f"bad rule condition {clause.strip()!r}: {exc}") from None
+                raise UsageError(f"bad rule condition {cut(repr(clause.strip()))}: {exc}") from None
             if len(set(allowed)) != len(allowed):
-                raise UsageError(f"bad rule condition {clause.strip()!r}: a level repeats")
+                raise UsageError(f"bad rule condition {cut(repr(clause.strip()))}: a level repeats")
             condition[name] = allowed
     shifts = {}
     if parts[1]:
         for item in parts[1].split(","):
             m = _RULE_SHIFT.fullmatch(item.strip())
             if m is None:
-                raise UsageError(f"bad wait shift {item.strip()!r}; want e.g. PB+17")
+                raise UsageError(f"bad wait shift {cut(repr(item.strip()))}; want e.g. PB+17")
             shifts[Bridge[m.group(1).upper()]] = float(m.group(2))
     return PlantedRule(condition, parts[2], shifts)
 
@@ -230,6 +230,69 @@ def _parse_file(parser, path):
         raise DataError(f"{path}: {exc}") from None
 
 
+_CHUNK_MIN = 1 << 20  # the least bytes per chunk: from 1 MiB, two chunks beat one process on 2 CPUs
+
+
+def _hourly_waits_file(path):
+    """_parse_file(hourly_waits, path), the same table or first error. Where os.fork exists, a
+    regular file with no '"' (a quoted field may hold a newline) is cut after newlines into a chunk
+    per usable CPU, at most one per _CHUNK_MIN bytes; a forked child parses each chunk but the first."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    size = os.path.getsize(path) if hasattr(os, "fork") and os.path.isfile(path) else 0
+    n, cuts = min(cpus, size // _CHUNK_MIN), []  # (byte offset, lines before it) of each chunk's start
+    if n > 1:
+        with open(path, "rb") as file:
+            cuts.append((len(head := file.readline()), 1))
+            pos = lines = file.seek(0)  # the header line is scanned for '"' too
+            while (block := file.read(_CHUNK_MIN)) and b'"' not in block:
+                while len(cuts) < n and (end := block.find(b"\n", max(size * len(cuts) // n - pos, 0)) + 1):
+                    cuts.append((pos + end, lines + block.count(b"\n", 0, end)))
+                lines, pos = lines + block.count(b"\n"), pos + len(block)
+    if len(cuts) < 2 or block:  # a '"' stops the scan with the block that holds it
+        return _parse_file(hourly_waits, path)
+    import pickle
+    import signal
+    from itertools import chain, islice
+
+    def chunk(i):  # (groups, error) of chunk i, whose line r is the file's line `before + r - 1`
+        (start, before), count = cuts[i], (cuts[i + 1][1] - cuts[i][1] if i + 1 < len(cuts) else None)
+        try:
+            with open(path, "rb") as file:
+                file.seek(start)
+                return _wait_groups(_utf8_lines(chain((head,), islice(file, count)))), None
+        except DataError as exc:
+            return None, DataError(f"{path}: line {before + exc.line - 1}: {exc.message}")
+        except Exception as exc:
+            return None, exc
+
+    children, groups = [], {}
+    try:
+        for i in range(1, len(cuts)):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(read)  # so that, with the parent gone, a write fails instead of waiting
+                    with open(write, "wb") as out:
+                        pickle.dump(chunk(i), out, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))  # EOFError, exit 3, if a child ends with no result
+        for part, error in chain([chunk(0)], (pickle.load(pipe) for _, pipe in children)):
+            if error is not None:
+                raise error
+            for stream, hours in part.items():
+                into = groups.setdefault(stream, {})
+                for hour, values in hours.items():
+                    into[hour] = into[hour] + values if hour in into else values
+        return _hourly_means(groups)
+    finally:
+        for pid, pipe in children:  # a child whose result was read is exiting already
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -258,20 +321,18 @@ def cmd_synth(o, cp, flags) -> int:
 
 
 def _ingest_datasets(wait_times_path, weather_path, holidays_path):
-    """Parse and aggregate + join + label + assemble all four combos."""
-    hours = _parse_file(hourly_waits, wait_times_path)
+    """Parse and aggregate + join + label + assemble all four combos, with rows or without."""
+    hours = _hourly_waits_file(wait_times_path)
     # The join runs inside the weather file's error prefix: a stale hour is its fault.
     weather = _parse_file(lambda lines: join_weather(hours, parse_weather(lines)), weather_path)
     us, ca = _parse_file(parse_holidays, holidays_path)
     features = label_hours(weather, us, ca)
     datasets = {}
     for vehicle, direction in COMBOS:
-        ds = assemble_rows(hours, features, direction, vehicle)
+        ds = datasets[(vehicle, direction)] = assemble_rows(hours, features, direction, vehicle)
         if ds.rows or ds.skipped_incomplete or ds.dropped_all_zero:
             _info(f"{vehicle.label} {direction.label}: {len(ds.rows)} rows, {ds.skipped_incomplete} incomplete "
                   f"hours skipped, {ds.dropped_all_zero} all-zero hours dropped")
-        if ds.rows:
-            datasets[(vehicle, direction)] = ds
     return datasets, hours
 
 
@@ -324,7 +385,7 @@ def cmd_report_hourly_dist(o, cp, flags) -> int:
     bridge, vehicle = o["bridge"], o["vehicle"]
     if bridge not in bridges_for(vehicle):  # ingest rejects every row of such a stream
         raise UsageError(f"bad --bridge {bridge.name!r}: {bridge.name} carries no {vehicle.label} vehicles")
-    hours = _parse_file(hourly_waits, o["wait-times"])
+    hours = _hourly_waits_file(o["wait-times"])
     shares = report.hourly_distribution(hours, bridge, o["direction"], vehicle)
     _emit(report.hourly_distribution_csv(shares), o["out"])
     return 0
@@ -357,19 +418,20 @@ def cmd_pipeline(o, cp, flags) -> int:
         paths = _resolve(_INPUTS, cp, ["ingest"])
         inputs = (paths["wait-times"], paths["weather"], paths["holidays"])
 
-    datasets, hours = _ingest_datasets(*inputs)
+    assembled, hours = _ingest_datasets(*inputs)
+    datasets = {combo: ds for combo, ds in assembled.items() if ds.rows}
     if not datasets:
-        raise DataError("no observations survived ingestion; nothing to train on")
+        raise DataError(f"{inputs[0]}: no observations survived ingestion; nothing to train on "
+                        f"({sum(ds.skipped_incomplete for ds in assembled.values())} incomplete hours skipped, "
+                        f"{sum(ds.dropped_all_zero for ds in assembled.values())} all-zero hours dropped)")
     _emit(write_observations(list(datasets.values())), out_dir / "observations.csv")
 
     trained = {}
     for (vehicle, direction), ds in datasets.items():
-        tree = cart.grow_tree(ds, train[(vehicle, direction)])
-        trained[(vehicle, direction)] = tree
+        tree = trained[(vehicle, direction)] = cart.grow_tree(ds, train[(vehicle, direction)])
         stem = f"{vehicle.label}_{direction.label}"
-        _emit(report.export_tree(tree, "json"), out_dir / "trees" / f"tree_{stem}.json")
-        _emit(report.export_tree(tree, "dot"), out_dir / "trees" / f"tree_{stem}.dot")
-        _emit(report.export_tree(tree, "text"), out_dir / "trees" / f"tree_{stem}.txt")
+        for fmt, suffix in (("json", "json"), ("dot", "dot"), ("text", "txt")):
+            _emit(report.export_tree(tree, fmt), out_dir / "trees" / f"tree_{stem}.{suffix}")
         _emit(report.pattern_frequencies_csv(pattern_frequencies(ds)), out_dir / "reports" / f"pattern_freq_{stem}.csv")
         for bridge in ds.bridges:
             shares = report.hourly_distribution(hours, bridge, direction, vehicle)

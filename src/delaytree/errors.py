@@ -12,7 +12,7 @@ class DataError(Exception):
     """Raised when an input file or record violates the data contract."""
 
     def __init__(self, message, *, line=None):
-        self.line = line
+        self.line, self.message = line, message  # the message without "line N: "
         super().__init__(message if line is None else f"line {line}: {message}")
 
 

@@ -212,18 +212,22 @@ def _wait_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, Optional[dateti
     fields match case-insensitively. Each row is checked in field order:
     timestamp, bridge, direction, vehicle_type, wait_minutes (finite, not
     negative), then that the vehicle uses the bridge (no trucks on RB);
-    errors carry the 1-based line number. Each distinct timestamp text and
-    each distinct (bridge, direction, vehicle_type) text is parsed once, and
-    a timestamp text keeps only its `hour`, shared by its hour's texts.
+    errors carry the 1-based line number. Each distinct (bridge, direction,
+    vehicle_type) text is parsed once, and so is each timestamp text, but a
+    date, any one character, an hour 00..23 and minutes 00..59 is keyed by
+    its first 13 characters, which fix its hour (and read as it as a text).
+    A timestamp keeps only its `hour`, shared by its hour's texts.
     """
+    hour_minute = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}.(?:[01][0-9]|2[0-3]):[0-5][0-9]", re.DOTALL).fullmatch
     stamps: dict[str, Optional[datetime]] = {}
     hours: dict[Optional[datetime], Optional[datetime]] = {}
     streams: dict[tuple[str, str, str], tuple[tuple, bool]] = {}
     for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(lines, WAIT_TIMES_HEADER):
-        hour = stamps.get(raw_ts, False)  # an hour is a datetime or None, so False is "not seen"
+        key = raw_ts[:13] if hour_minute(raw_ts) else raw_ts
+        hour = stamps.get(key, False)  # an hour is a datetime or None, so False is "not seen"
         if hour is False:
             hour = _window_hour(_parse_timestamp(raw_ts, line))
-            stamps[raw_ts] = hour = hours.setdefault(hour, hour)
+            stamps[key] = hour = hours.setdefault(hour, hour)
         raw_stream = (raw_bridge, raw_direction, raw_vehicle)
         stream = streams.get(raw_stream)
         if stream is None:
@@ -281,10 +285,14 @@ def _window_hour(ts: datetime) -> Optional[datetime]:
 
 
 def hourly_waits(lines: Iterable[str]) -> HourlyMeans:
-    """wait_times.csv `lines` (see csv_rows) straight to their hourly means,
-    in one pass: equal to aggregate_hourly(parse_wait_times(lines)), with the
-    same errors, but each row is grouped under its stream and hour as it is
-    read, no per-row record is kept and each group is one array of doubles."""
+    """wait_times.csv `lines` (see csv_rows) straight to their hourly means:
+    aggregate_hourly(parse_wait_times(lines)), with the same errors."""
+    return _hourly_means(_wait_groups(lines))
+
+
+def _wait_groups(lines: Iterable[str]) -> defaultdict[tuple, dict[datetime, array]]:
+    """The window's samples of wait_times.csv `lines` (see csv_rows) as {stream: {hour:
+    array of doubles}}, or `_wait_rows`' first error; a file's parts merge array by array."""
     groups: defaultdict[tuple, dict[datetime, array]] = defaultdict(dict)
     for _, _, hour, stream, wait in _wait_rows(lines):
         if hour is None:
@@ -295,7 +303,7 @@ def hourly_waits(lines: Iterable[str]) -> HourlyMeans:
             hours[hour] = array("d", (wait,))
         else:
             values.append(wait)
-    return _hourly_means(groups)
+    return groups
 
 
 def aggregate_hourly(records: list[RawWaitTimeRecord]) -> HourlyMeans:

@@ -39,7 +39,7 @@ def _rule_doc(rule) -> dict:
 def tree_format(format: str) -> str:
     """format itself if export_tree supports it; otherwise a UsageError."""
     if format not in TREE_FORMATS:
-        raise UsageError(f"unknown tree format {format!r}; expected one of {TREE_FORMATS}")
+        raise UsageError(f"unknown tree format {cut(repr(format))}; expected one of {TREE_FORMATS}")
     return format
 
 

@@ -386,7 +386,7 @@ def test_a_long_field_gives_a_short_message(tmp_path, monkeypatch, capsys, name,
         argv = ["ingest", "--wait-times", "wait_times.csv", "--weather", "weather.csv", "--holidays", "holidays.csv"]
     assert main([*argv, "--out", "out.txt"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {name}: line 2: ") and err.count("\n") == 1 and len(err) < 300, err
+    assert err.startswith(f"data error: {name}: line 2: ") and err.count("\n") == 1 and len(err) < 300, err[:300]
 
 
 WAIT_HEADER = b"timestamp,bridge,direction,vehicle_type,wait_minutes\n"
@@ -801,3 +801,56 @@ def test_option_table(command, tmp_path, monkeypatch, capsys):
             for flags, config in sources:
                 code, err, _ = run({**others, **flags}, config)
                 assert code == 1 and s.name in err, (flags, config, err)
+
+
+_CONVERTED = [
+    (command, s.name) for command, (_, _, settings, _) in cli.COMMANDS.items() for s in settings
+    if s.convert not in (str, cli._words)
+]
+
+
+@pytest.mark.parametrize(
+    "command, name", _CONVERTED + [("synth", None)], ids=[f"{c}-{n}" for c, n in _CONVERTED] + ["config-file"]
+)
+def test_a_long_setting_gives_a_short_message(command, name, tmp_path, monkeypatch, capsys):
+    """A 5,000-character value of a setting, as a flag and as a config value,
+    or a duplicated 5,000-character config key, is shown cut."""
+    summary, section, settings, _ = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, (summary, section, settings, lambda o, cp, flags: 0))
+    long, cfg = "x" * 5000, tmp_path / "c.cfg"
+    argv = command.split() + ["--config", str(cfg)]
+    for s in settings:
+        if s.default is cli.REQUIRED and s.name != name:
+            argv += [f"--{s.name}", VALUES.get(s.name, PATHS)[0]]
+    runs = [(argv, f"[{section}]\n{long} = 1\n{long} = 2\n")] if name is None else [(argv, f"[{section}]\n{name} = {long}\n")]
+    if name is not None and next(s for s in settings if s.name == name).flag is not None:
+        runs.append((argv + [f"--{name}", long], ""))
+    for args, config in runs:
+        cfg.write_text(config, encoding="utf-8")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300, err[:300]
+
+
+@pytest.mark.parametrize(
+    "rows, skipped, dropped",
+    [
+        (["2016-09-05T06:59,PB,to_us,passenger,1", "2016-09-05T22:00,LQ,to_can,commercial,0"], 0, 0),
+        (["2016-09-05T08:00,PB,to_us,passenger,1", "2016-09-05T08:00,PB,to_us,commercial,0",
+          "2016-09-05T08:10,LQ,to_us,commercial,0"], 1, 1),
+    ],
+    ids=["every_row_outside_the_window", "an_incomplete_and_an_all_zero_hour"],
+)
+def test_pipeline_without_observations_names_the_wait_file_and_the_hours_it_lost(tmp_path, capsys, rows, skipped,
+                                                                                   dropped):
+    wait, weather, holidays = (tmp_path / name for name in ("wait_times.csv", "weather.csv", "holidays.csv"))
+    wait.write_text("\n".join([",".join(WAIT_TIMES_HEADER), *rows, ""]))
+    weather.write_text(",".join(WEATHER_HEADER) + "\n2016-09-05T08:00,60.5,10,0.1,Rain\n")
+    holidays.write_text(",".join(HOLIDAYS_HEADER) + "\n")
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(f"[ingest]\nwait-times = {wait}\nweather = {weather}\nholidays = {holidays}\n")
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {wait}: no observations survived ingestion; nothing to train on ({skipped} incomplete "
+        f"hours skipped, {dropped} all-zero hours dropped)\n"
+    )

@@ -7,18 +7,22 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from datetime import datetime, timedelta
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaytree.cli import _parse_file, main
+from delaytree import cli
+from delaytree.cli import _hourly_waits_file, _parse_file, main
 from delaytree.errors import DataError
 from delaytree.ingest import (
     Bridge,
@@ -33,7 +37,9 @@ from delaytree.ingest import (
     parse_weather,
     RawWaitTimeRecord,
     _lines,
+    _parse_timestamp,
     _wait_rows,
+    _window_hour,
 )
 from delaytree.features import parse_holidays
 from delaytree.patterns import OBSERVATIONS_HEADER, read_observations
@@ -394,6 +400,51 @@ def test_any_text_gives_hours_or_a_data_error(text):
             pass
 
 
+# Timestamp texts near the form whose first 13 characters fix the hour: a
+# minute or an hour out of range, leading spaces (the last one is a date, ":"
+# and an hour behind three spaces), other separators, a zone, and forms only
+# Python 3.11 reads.
+_NEAR_HOUR_MINUTE = [
+    "2016-08-22T07:60", "2016-08-22T24:00", "2016-08-22T23:59", "2016-08-22 07:05", "2016-08-22\n07:05",
+    "2016-08-22-07:05", "2016-08-22+07:05", "2016-08-2207:05", " 2016-08-22T07:05", "   2016-08-22:07",
+    "   2016-08-22T07", "2016-08-22T07:05Z", "2016-08-22T07:05+01:00", "2016-08-22T7:05", "2016-02-30T07:05",
+    "2016-08-22T07:05:00", "2016-08-22T07:05:60", "2016-08-22T0705", "2016-W34-1T07:05", "2016-08-22T07",
+]
+
+
+@given(
+    st.one_of(
+        st.sampled_from(_GOOD["timestamp"] + _BAD["timestamp"] + _NEAR_HOUR_MINUTE),
+        st.builds(
+            "{}-{}-{}{}{}:{}".format, st.sampled_from(["2016", "0001", "9999", "１２３４"]),
+            st.sampled_from(["02", "08", "12", "13"]), st.sampled_from(["22", "29", "30", "31"]),
+            st.characters(exclude_characters="\x00"), st.sampled_from(["00", "07", "21", "23", "24", " 7"]),
+            st.sampled_from(["00", "30", "59", "60", "5 "]),
+        ),
+        st.text(st.characters(exclude_characters="\x00"), max_size=20),
+    ),
+    st.sampled_from(["00", "05", "59"]),
+    st.booleans(),
+)
+def test_a_timestamp_gets_the_hour_it_parses_to_after_one_with_its_first_13_characters(text, minutes, with_minutes):
+    """Before `text` comes its first 13 characters, with `minutes` after a
+    ":" or alone, if that text is valid."""
+    def outcome(ts):
+        try:
+            return _window_hour(_parse_timestamp(ts, 1))
+        except DataError as exc:
+            return exc.message
+
+    other = text[:13] + ":" + minutes if with_minutes else text[:13]
+    quoted = ['"' + ts.replace('"', '""') + '",PB,to_us,passenger,1\n' for ts in (other, text)
+              if ts is text or not isinstance(outcome(ts), str)]
+    try:
+        got = list(_wait_rows([HEADER, *quoted]))[-1][2]
+    except DataError as exc:
+        got = exc.message
+    assert got == outcome(text)
+
+
 # A small good text for each of the other parsers, which the fuzz test below
 # mangles field by field (CSV) or value by value (tree json).
 _GOOD_TEXTS = {
@@ -626,6 +677,170 @@ def test_a_timestamp_text_keeps_only_its_hour():
     # The memo of each text: the text, a dict entry and a shared hour (about
     # 100 bytes), not also a datetime and a tuple (about 200).
     assert peak < 150 * 30_000
+
+
+# ---------------------------------------------- reading a file in chunks
+
+
+@contextmanager
+def _chunks(count, size, forks=None):
+    """A file of `size` bytes read in `count` chunks: count usable CPUs and
+    a chunk minimum of size // count. os.fork appends to `forks`, if given."""
+    fork = os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CHUNK_MIN", max(1, size // count))
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        if forks is not None:
+            mp.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+        yield
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _table_or_error(read, path):
+    """Each stream's hours and means in order, or the data error's message."""
+    try:
+        return [(stream, list(series.items())) for stream, series in read(path).items()]
+    except DataError as exc:
+        return str(exc)
+
+
+@st.composite
+def _wait_file(draw):
+    """wait_times.csv bytes: unquoted rows and blank lines, up to two bad
+    rows anywhere, lines ended by "\n" or "\r\n", now and then no final
+    newline, and a byte that is not UTF-8, a '"' or a quoted field that
+    holds a newline at the start of a row (a '"' keeps the file in one
+    chunk)."""
+    unquoted = _wait_row().map(lambda row: row.replace('"', ""))
+    lines = draw(st.lists(st.one_of(unquoted, st.just("")), max_size=40))
+    for row in draw(st.lists(_wait_row(bad=True).map(lambda row: row.replace('"', "")), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), row)
+    lines = [line.encode() for line in [HEADER.rstrip("\n"), *lines]]
+    if lines[1:] and draw(st.booleans()):
+        at = draw(st.integers(1, len(lines) - 1))
+        odd = draw(st.sampled_from([b"\xff", b'"', b'"x\ny",']))
+        cut = 0 if odd == b'"x\ny",' else draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:cut] + odd + lines[at][cut:]
+    data = b"".join(line + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
+    return data.rstrip(b"\r\n") if draw(st.booleans()) else data
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wait_file(), st.integers(2, 5))
+def test_a_file_in_chunks_gives_the_table_or_the_first_error_of_one_pass(data, count):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "wait_times.csv")
+        path.write_bytes(data)
+        with _chunks(count, len(data)):
+            assert _table_or_error(_hourly_waits_file, path) == _table_or_error(partial(_parse_file, hourly_waits), path)
+    _no_child_left()
+
+
+def _rows(hours):
+    """Two rows per hour from 2016-08-22T07:00, one per passenger to_us bridge."""
+    return b"".join(
+        f"2016-08-22T{7 + h % 15:02d}:{h % 60:02d},{bridge},to_us,passenger,{h % 7}\n".encode()
+        for h in range(hours) for bridge in ("PB", "LQ")
+    )
+
+
+@pytest.mark.parametrize("quote", [None, "header", "last_row"])
+def test_a_file_in_three_chunks_is_read_by_two_children_unless_it_holds_a_quote(tmp_path, quote):
+    path = tmp_path / "wait_times.csv"
+    header, rows = HEADER.encode(), _rows(600)
+    if quote == "header":
+        header = b'"timestamp"' + header[len(b"timestamp"):]
+    elif quote == "last_row":
+        rows += b'"2016-08-22T08:00",PB,to_us,passenger,1\n'
+    path.write_bytes(header + rows)
+    forks = []
+    with _chunks(3, path.stat().st_size, forks):
+        assert _hourly_waits_file(path) == _parse_file(hourly_waits, path)
+    assert len(forks) == (0 if quote else 2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "where, line", [("first", 2), ("last", 1202)], ids=["in_the_first_chunk", "in_the_last_chunk"]
+)
+def test_a_data_error_in_any_chunk_names_its_line_and_leaves_no_child(tmp_path, where, line):
+    path = tmp_path / "wait_times.csv"
+    bad = b"2016-08-22T07:00,PB,to_us,passenger,-1\n"
+    path.write_bytes(HEADER.encode() + (bad + _rows(600) if where == "first" else _rows(600) + bad))
+    forks = []
+    with _chunks(3, path.stat().st_size, forks), pytest.raises(DataError) as exc:
+        _hourly_waits_file(path)
+    assert str(exc.value) == f"{path}: line {line}: negative wait_minutes '-1'"
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_a_child_that_ends_with_no_result_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    import pickle
+
+    def fail(*args):
+        raise RuntimeError("no pickle")
+
+    path = tmp_path / "wait_times.csv"
+    path.write_bytes(HEADER.encode() + _rows(600))
+    monkeypatch.setattr(pickle, "dump", fail)  # each child fails, and exits, before it writes
+    with _chunks(2, path.stat().st_size):
+        assert main(["report", "hourly-dist", "--wait-times", str(path), "--bridge", "PB",
+                     "--vehicle", "passenger", "--direction", "to_us"]) == 3
+    assert capsys.readouterr().err == "internal error: EOFError: Ran out of input\n"
+    _no_child_left()
+
+
+# A process that reads a file in two chunks, with a grouping that sleeps: for
+# a minute in the parent, for half a second in the child, which then writes a
+# result larger than a pipe's buffer. It prints the child's pid.
+_KILLED_PARENT = """
+import os, sys, time
+from array import array
+from delaytree import cli
+parent, fork = os.getpid(), os.fork
+def groups(lines):
+    time.sleep(60 if os.getpid() == parent else 0.5)
+    return {("s",): {0: array("d", bytes(800_000))}}
+def announce():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+cli._wait_groups, cli._CHUNK_MIN, os.fork = groups, 1, announce
+os.sched_getaffinity = lambda pid: {0, 1}
+cli._hourly_waits_file(sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads a process's state under /proc")
+def test_a_child_whose_parent_is_killed_exits_once_its_chunk_is_read(tmp_path):
+    import signal
+    import subprocess
+    import time
+
+    path = tmp_path / "wait_times.csv"
+    path.write_bytes(HEADER.encode() + _rows(600))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT, str(path)], stdout=subprocess.PIPE, env=env)
+    pid = int(proc.stdout.readline())
+    proc.kill()
+    proc.wait()
+    proc.stdout.close()
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:  # the state follows the command name in parentheses
+            if Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] == "Z":
+                return
+        except FileNotFoundError:
+            return
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    pytest.fail(f"the child {pid} still runs 10 s after its parent was killed")
 
 
 # --------------------------------------------------------------- join

@@ -30,7 +30,8 @@ def test_cli_loads_no_handler_module_and_no_dataclass_or_logging_machinery():
     # A module that `site` already imported on this host is not added, so the
     # guard compares with a bare start of the same interpreter.
     added = set(_added_modules("import delaytree.cli"))
-    unwanted = {"delaytree.cart", "delaytree.report", "delaytree.synth", "dataclasses", "inspect", "logging", "json"}
+    unwanted = {"delaytree.cart", "delaytree.report", "delaytree.synth", "dataclasses", "inspect", "logging", "json",
+                "pickle"}
     assert added & unwanted == set()
 
 
