@@ -60,9 +60,10 @@ def _config(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
-            cp.read_string(Path(path).read_text(encoding="utf-8"))
+            cp.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise UsageError(f"bad config file {path}: {cut(str(exc))}") from None
+            message = " ".join(map(str.strip, str(exc).splitlines()))  # configparser's can span lines
+            raise UsageError(f"bad config file {path}: {cut(message)}") from None
     return cp
 
 
@@ -267,35 +268,50 @@ def _hourly_waits_file(path):
 
     children, groups = [], {}
     try:
-        for i in range(1, len(cuts)):
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:
+        try:
+            for i in range(1, len(cuts)):
+                read, write = os.pipe()
                 try:
-                    os.close(read)  # so that, with the parent gone, a write fails instead of waiting
-                    with open(write, "wb") as out:
-                        pickle.dump(chunk(i), out, pickle.HIGHEST_PROTOCOL)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, open(read, "rb")))  # EOFError, exit 3, if a child ends with no result
-        for part, error in chain([chunk(0)], (pickle.load(pipe) for _, pipe in children)):
-            if error is not None:
-                raise error
-            for stream, hours in part.items():
-                into = groups.setdefault(stream, {})
-                for hour, values in hours.items():
-                    into[hour] = into[hour] + values if hour in into else values
-        return _hourly_means(groups)
+                    pid = os.fork()
+                except OSError:
+                    os.close(read), os.close(write)
+                    raise
+                if pid == 0:
+                    try:
+                        os.close(read)  # so that, with the parent gone, a write fails instead of waiting
+                        with open(write, "wb") as out:
+                            pickle.dump(chunk(i), out, pickle.HIGHEST_PROTOCOL)
+                    finally:
+                        os._exit(0)
+                os.close(write)
+                children.append((pid, open(read, "rb")))  # EOFError, exit 3, if a child ends with no result
+        except OSError:  # no pipe or no process to be had: no input is at fault, so this process reads it all
+            pass
+        else:
+            for part, error in chain([chunk(0)], (pickle.load(pipe) for _, pipe in children)):
+                if error is not None:
+                    raise error
+                for stream, hours in part.items():
+                    into = groups.setdefault(stream, {})
+                    for hour, values in hours.items():
+                        into[hour] = into[hour] + values if hour in into else values
+            return _hourly_means(groups)
     finally:
         for pid, pipe in children:  # a child whose result was read is exiting already
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    return _parse_file(hourly_waits, path)
 
 
 def _emit(text: str, out_path) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, say: the exit's flush of what is left then writes to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise DataError(f"<stdout>: {exc}") from None
     else:
         path = Path(out_path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -321,18 +337,22 @@ def cmd_synth(o, cp, flags) -> int:
 
 
 def _ingest_datasets(wait_times_path, weather_path, holidays_path):
-    """Parse and aggregate + join + label + assemble all four combos, with rows or without."""
+    """Parse and aggregate + join + label + assemble the combos that have rows; a data error if none has."""
     hours = _hourly_waits_file(wait_times_path)
     # The join runs inside the weather file's error prefix: a stale hour is its fault.
     weather = _parse_file(lambda lines: join_weather(hours, parse_weather(lines)), weather_path)
     us, ca = _parse_file(parse_holidays, holidays_path)
     features = label_hours(weather, us, ca)
-    datasets = {}
-    for vehicle, direction in COMBOS:
-        ds = datasets[(vehicle, direction)] = assemble_rows(hours, features, direction, vehicle)
+    assembled = [assemble_rows(hours, features, direction, vehicle) for vehicle, direction in COMBOS]
+    for ds in assembled:
         if ds.rows or ds.skipped_incomplete or ds.dropped_all_zero:
-            _info(f"{vehicle.label} {direction.label}: {len(ds.rows)} rows, {ds.skipped_incomplete} incomplete "
+            _info(f"{ds.vehicle.label} {ds.direction.label}: {len(ds.rows)} rows, {ds.skipped_incomplete} incomplete "
                   f"hours skipped, {ds.dropped_all_zero} all-zero hours dropped")
+    datasets = {(ds.vehicle, ds.direction): ds for ds in assembled if ds.rows}
+    if not datasets:
+        raise DataError(f"{wait_times_path}: no observations survived ingestion; nothing to train on "
+                        f"({sum(ds.skipped_incomplete for ds in assembled)} incomplete hours skipped, "
+                        f"{sum(ds.dropped_all_zero for ds in assembled)} all-zero hours dropped)")
     return datasets, hours
 
 
@@ -418,12 +438,7 @@ def cmd_pipeline(o, cp, flags) -> int:
         paths = _resolve(_INPUTS, cp, ["ingest"])
         inputs = (paths["wait-times"], paths["weather"], paths["holidays"])
 
-    assembled, hours = _ingest_datasets(*inputs)
-    datasets = {combo: ds for combo, ds in assembled.items() if ds.rows}
-    if not datasets:
-        raise DataError(f"{inputs[0]}: no observations survived ingestion; nothing to train on "
-                        f"({sum(ds.skipped_incomplete for ds in assembled.values())} incomplete hours skipped, "
-                        f"{sum(ds.dropped_all_zero for ds in assembled.values())} all-zero hours dropped)")
+    datasets, hours = _ingest_datasets(*inputs)
     _emit(write_observations(list(datasets.values())), out_dir / "observations.csv")
 
     trained = {}

@@ -57,12 +57,6 @@ def parse_holidays(lines: Iterable[str]) -> tuple[frozenset[date], frozenset[dat
     return frozenset(dates[Country.US]), frozenset(dates[Country.CA])
 
 
-def calendar_flags(day: date, us: frozenset[date], ca: frozenset[date]) -> tuple[int, int, int]:
-    """(weekend, us_holiday, canada_holiday) flags for a calendar date."""
-    weekend = 1 if day.weekday() >= 5 else 0
-    return weekend, 1 if day in us else 0, 1 if day in ca else 0
-
-
 class FeatureSpec(Checked, namedtuple("FeatureSpec", "name kind levels", defaults=(None,))):
     __slots__ = ()
 
@@ -145,20 +139,15 @@ class FeatureVector(namedtuple("FeatureVector", FEATURE_SCHEMA.names)):
 def hour_calendar(hour_start: datetime) -> tuple:
     """The features an hour gives by itself, the first four of
     FEATURE_SCHEMA: month, season, hour interval and weekend."""
-    weekend = calendar_flags(hour_start.date(), frozenset(), frozenset())[0]
+    weekend = int(hour_start.weekday() >= 5)
     return hour_start.month, season_of(hour_start.month), hour_interval_of(hour_start.hour), weekend
 
 
-def build_feature_vector(
-    hour_start: datetime,
-    weather: WeatherRecord,
-    us: frozenset[date],
-    ca: frozenset[date],
-) -> FeatureVector:
+def build_feature_vector(hour_start: datetime, weather: WeatherRecord,
+                         us: frozenset[date], ca: frozenset[date]) -> FeatureVector:
     """The hour's features in FEATURE_SCHEMA order."""
-    _, us_flag, ca_flag = calendar_flags(hour_start.date(), us, ca)
     return FeatureVector(
-        *hour_calendar(hour_start), us_flag, ca_flag,
+        *hour_calendar(hour_start), int(hour_start.date() in us), int(hour_start.date() in ca),
         weather.temperature_f, weather.visibility, weather.precipitation_in, weather.condition.label,
     )
 

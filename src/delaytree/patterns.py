@@ -13,6 +13,7 @@ import itertools
 import math
 from datetime import datetime
 from enum import IntEnum
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .errors import DataError, cut
@@ -141,20 +142,17 @@ OBSERVATIONS_HEADER = [
 def write_observations(datasets: list[PatternDataset]) -> str:
     """Render assembled datasets as observations.csv text (wait_rb blank for
     trucks). Datasets are emitted in COMBOS order; rows by hour."""
-    order = {combo: i for i, combo in enumerate(COMBOS)}
+    texts: dict[int, list[str]] = {}  # by the vector's id, as 1 == 1.0 == True print differently
 
     def rows():
-        for ds in sorted(datasets, key=lambda d: order[(d.vehicle, d.direction)]):
+        for ds in sorted(datasets, key=lambda d: COMBOS.index((d.vehicle, d.direction))):
             for row in ds.rows:
                 waits = dict(zip(ds.bridges, row.waits))
-                yield [
-                    row.hour_start.isoformat(timespec="minutes"),
-                    ds.direction.label,
-                    ds.vehicle.label,
-                    *[repr(waits[bridge]) if bridge in waits else "" for bridge in Bridge],
-                    row.pattern,
-                    *map(FeatureSpec.format, FEATURE_SCHEMA, row.features),
-                ]
+                if id(row.features) not in texts:
+                    texts[id(row.features)] = [*map(FeatureSpec.format, FEATURE_SCHEMA, row.features)]
+                yield [row.hour_start.isoformat(timespec="minutes"), ds.direction.label, ds.vehicle.label,
+                       *[repr(waits[bridge]) if bridge in waits else "" for bridge in Bridge], row.pattern,
+                       *texts[id(row.features)]]
 
     return csv_text(OBSERVATIONS_HEADER, rows())
 
@@ -168,34 +166,41 @@ def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], P
     by its FEATURE_SCHEMA spec, and the calendar features must be the ones
     hour_start gives (see hour_calendar). Waits must be finite and not
     negative, and the pattern label must have one merged part name per
-    bridge of the row's vehicle and be the label of the row's waits.
+    bridge of the row's vehicle and be the label of the row's waits. The
+    rows of an hour share one hour_start and one FeatureVector, as from
+    label_hours: each hour text and each tuple of feature texts is parsed once.
     """
-    datasets: dict[tuple[Vehicle, Direction], PatternDataset] = {}
+    @cache
+    def hour(text):  # hour_start, and its calendar if it is a naive whole hour in the window, else None
+        hour_start = fromisoformat(datetime, text)
+        whole = hour_start.tzinfo is None and _window_hour(hour_start) == hour_start
+        return hour_start, hour_calendar(hour_start) if whole else None
+
+    features = cache(lambda texts: FeatureVector(*map(FeatureSpec.parse, FEATURE_SCHEMA, texts)))
+    rows: dict[tuple[Vehicle, Direction], list[PatternRow]] = {}
     first_lines: dict[tuple, int] = {}
     for line, row in csv_rows(lines, OBSERVATIONS_HEADER):
         try:
-            hour_start = fromisoformat(datetime, row[0])
+            hour_start, calendar = hour(row[0])
             direction = _parse_enum(Direction, row[1], "direction", line)
             vehicle = _parse_enum(Vehicle, row[2], "vehicle", line)
-            bridges = bridges_for(vehicle)
-            wait_cols = dict(zip(Bridge, row[3:6]))
-            waits = tuple(number(float, wait_cols[b]) for b in bridges)
+            waits = tuple(number(float, row[2 + bridge]) for bridge in bridges_for(vehicle))  # wait_pb is row[3]
         except ValueError as exc:
             raise DataError(f"bad observation row: {cut(str(exc))}", line=line) from None
-        if hour_start.tzinfo is not None or _window_hour(hour_start) != hour_start:
+        if calendar is None:
             raise DataError(f"hour_start {row[0]!r} is not a naive whole hour in {HOUR_MIN}..{HOUR_MAX}", line=line)
         pattern = row[6]
         parts = pattern.split("-")
         for part in parts:
             if part not in _PARTS:
                 raise DataError(f"pattern {cut(repr(pattern))} has unknown part {cut(repr(part))}", line=line)
-        if len(parts) != len(bridges):
+        if len(parts) != len(waits):
             raise DataError(f"pattern {cut(repr(pattern))} does not fit {vehicle.label}", line=line)
         try:
-            values = list(map(FeatureSpec.parse, FEATURE_SCHEMA, row[7:]))
+            fv = features(tuple(row[7:]))
         except ValueError as exc:
             raise DataError(str(exc), line=line) from None
-        for spec, value, want in zip(FEATURE_SCHEMA, values, hour_calendar(hour_start)):
+        for spec, value, want in zip(FEATURE_SCHEMA, fv, calendar):
             if value != want:
                 raise DataError(f"{spec.name} {value!r} contradicts hour_start {row[0]!r}: want {want!r}", line=line)
         if not all(map(math.isfinite, waits)):
@@ -204,11 +209,8 @@ def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], P
             raise DataError(f"waits {waits!r} include a negative wait", line=line)
         if pattern != pattern_of(waits):
             raise DataError(f"pattern {pattern!r} is not the label of waits {waits!r}", line=line)
-        key = (vehicle, direction, hour_start)
-        if key in first_lines:
-            raise DataError(f"{vehicle.label} {direction.label} {row[0]!r} repeats line {first_lines[key]}", line=line)
-        first_lines[key] = line
-        if (vehicle, direction) not in datasets:
-            datasets[(vehicle, direction)] = PatternDataset(FEATURE_SCHEMA, [], direction, vehicle)
-        datasets[(vehicle, direction)].rows.append(PatternRow(FeatureVector(*values), pattern, hour_start, waits))
-    return datasets
+        first = first_lines.setdefault((vehicle, direction, hour_start), line)
+        if first != line:
+            raise DataError(f"{vehicle.label} {direction.label} {row[0]!r} repeats line {first}", line=line)
+        rows.setdefault((vehicle, direction), []).append(PatternRow(fv, pattern, hour_start, waits))
+    return {(v, d): PatternDataset(FEATURE_SCHEMA, r, d, v) for (v, d), r in rows.items()}

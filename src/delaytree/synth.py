@@ -177,14 +177,8 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
                     write_wait(f"{prefix}{minute}{tail}{value:.2f}\n")
 
     holidays = [(d.isoformat(), "US") for d in cfg.us_holidays] + [(d.isoformat(), "CA") for d in cfg.ca_holidays]
-    out = SynthOutput(
-        wait_times=out_dir / "wait_times.csv",
-        weather=out_dir / "weather.csv",
-        holidays=out_dir / "holidays.csv",
-        emission_log=out_dir / "emission_log.csv",
-    )
-    out.wait_times.write_text(wait_buf.getvalue(), encoding="utf-8")
-    out.weather.write_text(weather_buf.getvalue(), encoding="utf-8")
-    out.holidays.write_text(csv_text(HOLIDAYS_HEADER, sorted(holidays)), encoding="utf-8")
-    out.emission_log.write_text(log_buf.getvalue(), encoding="utf-8")
+    holiday_buf = io.StringIO(csv_text(HOLIDAYS_HEADER, sorted(holidays)))
+    out = SynthOutput(*(out_dir / f"{name}.csv" for name in SynthOutput._fields))
+    for path, buf in zip(out, (wait_buf, weather_buf, holiday_buf, log_buf)):
+        path.write_text(buf.getvalue(), encoding="utf-8")
     return out

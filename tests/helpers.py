@@ -9,14 +9,16 @@ salt changes per process.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from datetime import datetime
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from delaytree import cart
 from delaytree.cart import TrainingSet
-from delaytree.errors import UsageError
+from delaytree.errors import DataError, UsageError, cut
 from delaytree.features import (
     CATEGORICAL,
     CONTINUOUS,
@@ -24,7 +26,13 @@ from delaytree.features import (
     FeatureSchema,
     FeatureSpec,
     FeatureVector,
+    hour_calendar,
 )
+from delaytree.ingest import (
+    HOUR_MAX, HOUR_MIN, Bridge, Direction, Vehicle, _parse_enum, _window_hour, bridges_for, csv_rows, fromisoformat,
+    number,
+)
+from delaytree.patterns import _PARTS, OBSERVATIONS_HEADER, PatternDataset, PatternRow, pattern_of
 
 PATTERN_A = "delay-slight delay-slight delay"
 PATTERN_B = "slight delay-slight delay-slight delay"
@@ -204,3 +212,53 @@ def brute_force_best_split(rows, schema: FeatureSchema) -> Optional[cart.SplitCa
     if best is None or not best.gain > 0.0:
         return None
     return best
+
+
+def read_observations_row_by_row(lines: Iterable[str]) -> dict:
+    """Reference for patterns.read_observations: the reader as it was before
+    it parsed each hour text and each tuple of feature texts once. Every row
+    is parsed and checked on its own and gets its own FeatureVector; the
+    checks, their order and their messages are the ones read_observations
+    must keep."""
+    datasets: dict = {}
+    first_lines: dict = {}
+    for line, row in csv_rows(lines, OBSERVATIONS_HEADER):
+        try:
+            hour_start = fromisoformat(datetime, row[0])
+            direction = _parse_enum(Direction, row[1], "direction", line)
+            vehicle = _parse_enum(Vehicle, row[2], "vehicle", line)
+            bridges = bridges_for(vehicle)
+            wait_cols = dict(zip(Bridge, row[3:6]))
+            waits = tuple(number(float, wait_cols[b]) for b in bridges)
+        except ValueError as exc:
+            raise DataError(f"bad observation row: {cut(str(exc))}", line=line) from None
+        if hour_start.tzinfo is not None or _window_hour(hour_start) != hour_start:
+            raise DataError(f"hour_start {row[0]!r} is not a naive whole hour in {HOUR_MIN}..{HOUR_MAX}", line=line)
+        pattern = row[6]
+        parts = pattern.split("-")
+        for part in parts:
+            if part not in _PARTS:
+                raise DataError(f"pattern {cut(repr(pattern))} has unknown part {cut(repr(part))}", line=line)
+        if len(parts) != len(bridges):
+            raise DataError(f"pattern {cut(repr(pattern))} does not fit {vehicle.label}", line=line)
+        try:
+            values = list(map(FeatureSpec.parse, FEATURE_SCHEMA, row[7:]))
+        except ValueError as exc:
+            raise DataError(str(exc), line=line) from None
+        for spec, value, want in zip(FEATURE_SCHEMA, values, hour_calendar(hour_start)):
+            if value != want:
+                raise DataError(f"{spec.name} {value!r} contradicts hour_start {row[0]!r}: want {want!r}", line=line)
+        if not all(map(math.isfinite, waits)):
+            raise DataError(f"waits {waits!r} are not all finite numbers", line=line)
+        if any(w < 0 for w in waits):
+            raise DataError(f"waits {waits!r} include a negative wait", line=line)
+        if pattern != pattern_of(waits):
+            raise DataError(f"pattern {pattern!r} is not the label of waits {waits!r}", line=line)
+        key = (vehicle, direction, hour_start)
+        if key in first_lines:
+            raise DataError(f"{vehicle.label} {direction.label} {row[0]!r} repeats line {first_lines[key]}", line=line)
+        first_lines[key] = line
+        if (vehicle, direction) not in datasets:
+            datasets[(vehicle, direction)] = PatternDataset(FEATURE_SCHEMA, [], direction, vehicle)
+        datasets[(vehicle, direction)].rows.append(PatternRow(FeatureVector(*values), pattern, hour_start, waits))
+    return datasets

@@ -4,11 +4,18 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete. Tolerances are pinned here, not configurable.
 """
 
+import hashlib
+import os
 import random
+import shutil
+import subprocess
 import time
 from contextlib import contextmanager
 from datetime import date, datetime
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from delaytree import cart, report, synth
 from delaytree.cart import ClassDistribution, Leaf, Split, TrainConfig
@@ -257,6 +264,43 @@ def test_criterion_6_pipeline_determinism(tmp_path):
         assert any(p.suffix == ".dot" for p in rel_a)
         for rel in rel_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), f"{rel} differs"
+
+
+def _digests(root) -> dict:
+    """The sha256 of each file under `root`, by its path under `root`."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_every_python_on_path_writes_the_pipeline_bytes_this_one_writes(tmp_path):
+    """The pipeline under each of python3.10 to python3.13 on PATH that
+    starts (the child needs only the standard library) writes the files this
+    interpreter writes."""
+    started = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            done = subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                                  capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.returncode == 0 and done.stdout.split() == ["3", str(minor)]:
+            started.append(exe)
+    if not started:
+        pytest.skip("no python3.10 to python3.13 on PATH starts")
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(PIPELINE_CFG)
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "here")]) == 0
+    want = _digests(tmp_path / "here")
+    env = dict(os.environ, PYTHONPATH=str(Path(cart.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    for i, exe in enumerate(started):
+        out = tmp_path / f"python_{i}"
+        done = subprocess.run([exe, "-m", "delaytree", "pipeline", "--config", str(cfg), "--out-dir", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert (done.returncode, done.stderr) == (0, ""), exe
+        assert _digests(out) == want, exe
 
 
 # ------------------------------------------------------------------ 7

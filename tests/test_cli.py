@@ -843,14 +843,65 @@ def test_a_long_setting_gives_a_short_message(command, name, tmp_path, monkeypat
 )
 def test_pipeline_without_observations_names_the_wait_file_and_the_hours_it_lost(tmp_path, capsys, rows, skipped,
                                                                                    dropped):
+    """And ingest, which shares the check: the same message, exit 2, no file written."""
     wait, weather, holidays = (tmp_path / name for name in ("wait_times.csv", "weather.csv", "holidays.csv"))
     wait.write_text("\n".join([",".join(WAIT_TIMES_HEADER), *rows, ""]))
     weather.write_text(",".join(WEATHER_HEADER) + "\n2016-09-05T08:00,60.5,10,0.1,Rain\n")
     holidays.write_text(",".join(HOLIDAYS_HEADER) + "\n")
     cfg = tmp_path / "pipe.cfg"
     cfg.write_text(f"[ingest]\nwait-times = {wait}\nweather = {weather}\nholidays = {holidays}\n")
+    message = (f"data error: {wait}: no observations survived ingestion; nothing to train on ({skipped} incomplete "
+               f"hours skipped, {dropped} all-zero hours dropped)\n")
     assert main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        f"data error: {wait}: no observations survived ingestion; nothing to train on ({skipped} incomplete "
-        f"hours skipped, {dropped} all-zero hours dropped)\n"
-    )
+    assert capsys.readouterr().err == message
+    observations = tmp_path / "observations.csv"
+    argv = ["ingest", "--wait-times", str(wait), "--weather", str(weather), "--holidays", str(holidays)]
+    assert main(argv + ["--out", str(observations)]) == 2
+    assert capsys.readouterr().err == message
+    assert not observations.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("start = 2016-01-01\n",
+         "File contains no section headers. file: 'nosec.cfg', line: 1 'start = 2016-01-01\\n'"),
+        ("[train]\ndata\nvehicle = passenger\n", "Source contains parsing errors: 'nosec.cfg' [line  2]: 'data\\n'"),
+    ],
+    ids=["no_section_header", "a_line_without_a_value"],
+)
+def test_a_bad_config_file_is_one_line_that_names_the_file(tmp_path, monkeypatch, capsys, content, message):
+    monkeypatch.chdir(tmp_path)
+    Path("nosec.cfg").write_text(content, encoding="utf-8")
+    assert main(["train", "--config", "nosec.cfg"]) == 1
+    assert capsys.readouterr().err == f"error: bad config file nosec.cfg: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "pattern-freq", "--data", "{obs}", "--vehicle", "passenger", "--direction", "to_us"],
+        ["render", "--tree", "{tree}", "--format", "dot"],
+    ],
+    ids=["less_than_a_buffer", "more_than_a_buffer"],
+)
+def test_a_closed_stdout_is_a_data_error_that_names_it(corpus, tmp_path, argv):
+    import errno
+    import os
+    import subprocess
+    import sys
+
+    tree = tmp_path / "tree.json"  # grown in full, so that its dot text fills more than a buffer
+    assert main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger", "--direction", "to_us",
+                 "--min-samples", "1", "--min-gain", "0", "--out", str(tree)]) == 0
+    argv = [arg.format(obs=corpus / "observations.csv", tree=tree) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    read, write = os.pipe()
+    os.close(read)  # every write to stdout fails with EPIPE
+    try:
+        done = subprocess.run([sys.executable, "-m", "delaytree", *argv], stdout=write, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr == f"data error: <stdout>: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"

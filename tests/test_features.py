@@ -1,7 +1,7 @@
 """Calendar-derived features and the holiday dates."""
 
 import pickle
-from datetime import date, datetime
+from datetime import date, datetime, time
 
 import pytest
 from hypothesis import given
@@ -15,7 +15,6 @@ from delaytree.features import (
     FeatureSpec,
     FeatureVector,
     build_feature_vector,
-    calendar_flags,
     hour_interval_of,
     parse_holidays,
     season_of,
@@ -78,16 +77,24 @@ US_CAL = frozenset({date(2016, 9, 5)})
 CA_CAL = frozenset({date(2017, 7, 1)})
 
 
+def calendar_flags(day: date) -> tuple:
+    """(weekend, us_holiday, canada_holiday) of an hour of `day`, as build_feature_vector gives them."""
+    hour_start = datetime.combine(day, time(8))
+    fv = build_feature_vector(hour_start, WeatherRecord(hour_start, 60.0, 10, 0.0, Condition.CLEAR), US_CAL, CA_CAL)
+    return fv.weekend, fv.us_holiday, fv.canada_holiday
+
+
 def test_calendar_flags_weekend():
-    assert calendar_flags(date(2016, 8, 27), US_CAL, CA_CAL)[0] == 1  # Saturday
-    assert calendar_flags(date(2016, 8, 28), US_CAL, CA_CAL)[0] == 1  # Sunday
-    assert calendar_flags(date(2016, 8, 24), US_CAL, CA_CAL)[0] == 0  # Wednesday
+    assert calendar_flags(date(2016, 8, 27))[0] == 1  # Saturday
+    assert calendar_flags(date(2016, 8, 28))[0] == 1  # Sunday
+    assert calendar_flags(date(2016, 8, 24))[0] == 0  # Wednesday
 
 
 def test_calendar_flags_holidays():
-    assert calendar_flags(date(2017, 7, 1), US_CAL, CA_CAL) == (1, 0, 1)
-    assert calendar_flags(date(2016, 9, 5), US_CAL, CA_CAL) == (0, 1, 0)
-    assert calendar_flags(date(2016, 9, 6), US_CAL, CA_CAL) == (0, 0, 0)
+    assert calendar_flags(date(2017, 7, 1)) == (1, 0, 1)
+    assert calendar_flags(date(2016, 9, 5)) == (0, 1, 0)
+    assert calendar_flags(date(2016, 9, 6)) == (0, 0, 0)
+    assert all(type(flag) is int for flag in calendar_flags(date(2017, 7, 1)))
 
 
 def test_parse_holidays():

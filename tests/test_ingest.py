@@ -779,6 +779,41 @@ def test_a_data_error_in_any_chunk_names_its_line_and_leaves_no_child(tmp_path, 
     _no_child_left()
 
 
+@pytest.mark.parametrize("fails", ["pipe", "fork"])
+def test_a_second_pipe_or_fork_that_fails_ends_the_first_child_and_reads_the_file_here(tmp_path, monkeypatch, capsys,
+                                                                                       fails):
+    import errno
+
+    path = tmp_path / "wait_times.csv"
+    path.write_bytes(HEADER.encode() + _rows(600))
+    argv = ["report", "hourly-dist", "--wait-times", str(path), "--bridge", "PB", "--vehicle", "passenger",
+            "--direction", "to_us"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+    forks, calls = [], []
+    with _chunks(3, path.stat().st_size, forks):
+        real = getattr(os, fails)  # os.fork records each child in `forks`
+
+        def second_fails():
+            calls.append(fails)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(os, fails, second_fails)
+        assert _hourly_waits_file(path) == _parse_file(hourly_waits, path)
+        _no_child_left()
+        assert len(forks) == 1
+        calls.clear()
+        assert main(argv) == 0
+        _no_child_left()
+    assert capsys.readouterr() == (want, "")
+    assert len(forks) == 2
+    if fds:  # no pipe end is left open; listing the directory opens one more
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+
 def test_a_child_that_ends_with_no_result_is_an_internal_error(tmp_path, monkeypatch, capsys):
     import pickle
 

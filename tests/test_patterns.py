@@ -5,20 +5,23 @@ Derived pattern labels are verified against a table-driven oracle that maps
 waits to merged categories through explicit interval bounds, independent of
 categorize()."""
 
+import itertools
 import random
-from datetime import datetime
+from datetime import date, datetime
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytree.errors import DataError
-from delaytree.features import FEATURE_SCHEMA, hour_interval_of
-from delaytree.ingest import Bridge, Direction, Vehicle
+from delaytree.features import FEATURE_SCHEMA, build_feature_vector, hour_interval_of
+from delaytree.ingest import Bridge, Condition, Direction, Vehicle, WeatherRecord, bridges_for
 from delaytree.patterns import (
     COMBOS,
+    OBSERVATIONS_HEADER,
     DelayCategory4,
     PatternDataset,
+    PatternRow,
     all_patterns,
     assemble_rows,
     categorize,
@@ -28,7 +31,7 @@ from delaytree.patterns import (
     write_observations,
 )
 
-from helpers import hourly_table, make_fv
+from helpers import hourly_table, make_fv, read_observations_row_by_row
 
 
 def merged_label_oracle(wait: float) -> str:
@@ -381,6 +384,132 @@ def test_observations_rejects_a_repeated_hour():
     with pytest.raises(DataError) as exc:
         read_observations("\n".join(lines) + "\n")
     assert str(exc.value) == f"line {len(lines)}: passenger to_us '2016-08-22T08:00' repeats line 2"
+
+
+def test_the_rows_of_an_hour_share_one_feature_vector_and_one_hour_start():
+    parsed = read_observations(write_observations(list(_assembled_pair())))
+    passenger = parsed[(Vehicle.PASSENGER, Direction.TO_US)].rows[0]
+    truck = parsed[(Vehicle.COMMERCIAL, Direction.TO_US)].rows[0]
+    assert passenger.hour_start == truck.hour_start == datetime(2016, 8, 22, 8)
+    assert passenger.features is truck.features
+    assert passenger.hour_start is truck.hour_start
+
+
+def test_write_observations_prints_each_row_by_its_own_vector_and_hour():
+    # Equal vectors whose values print differently, and one vector shared by two hours.
+    one_float, one_int, shared = make_fv(temperature_f=1.0), make_fv(temperature_f=1), make_fv()
+    assert one_float == one_int
+    waits = (20.0, 5.0, 0.0)
+    rows = [PatternRow(fv, pattern_of(waits), datetime(2016, 9, 5, hour), waits)
+            for fv, hour in ((one_float, 10), (one_int, 11), (shared, 12), (shared, 13))]
+    lines = write_observations([_dataset(rows)]).splitlines()[1:]
+    column = OBSERVATIONS_HEADER.index("temperature_f")
+    assert [line.split(",")[column] for line in lines] == ["1.0", "1", "60.0", "60.0"]
+    assert [line.split(",")[0] for line in lines] == [f"2016-09-05T{hour}:00" for hour in (10, 11, 12, 13)]
+
+
+# One fault per check of read_observations, in the order it checks, each as
+# (column, text) for the passenger to_us row at 8:00 of _assembled_pair.
+_FAULTS = [
+    (0, "x"), (2, "bike"), (0, "2016-08-22T08:30"), (6, "slight delay-x"), (6, "delay-slight delay"), (7, "13"),
+    (9, "Night"), (4, "nan"), (3, "-4.0"), (6, "heavy delay-heavy delay-heavy delay"),
+]
+
+
+def test_a_row_with_two_faults_gives_the_row_by_row_readers_message():
+    lines = write_observations(list(_assembled_pair())).splitlines()
+    for faults in itertools.combinations(_FAULTS, 2):
+        fields = lines[1].split(",")
+        for column, text in faults:
+            fields[column] = text
+        text = "\n".join([lines[0], ",".join(fields), *lines[2:], ""])
+        message = _read_or_message(read_observations, text)
+        assert message == _read_or_message(read_observations_row_by_row, text), faults
+        assert message.startswith("line 2: "), faults
+
+
+# Hours of a Monday (a US holiday or not) and a Saturday, and two weathers:
+# hours of one interval and weather on one day have equal feature texts.
+_HOURS = [datetime(2016, 8, day, hour) for day in (22, 27) for hour in (7, 8, 9, 21)]
+_WEATHERS = [WeatherRecord(_HOURS[0], 60.0, 10, 0.0, Condition.CLEAR),
+             WeatherRecord(_HOURS[0], 1 / 3, 4, 0.25, Condition.RAIN)]
+_WAITS = (0.0, 5.0, 15.0, 20.0, 1 / 3, 31.0)
+
+
+@st.composite
+def _observations(draw):
+    """Datasets as read_observations gives them: up to four combos with rows
+    over some of _HOURS, each hour's FeatureVector shared by its rows."""
+    us = frozenset({date(2016, 8, 22)} if draw(st.booleans()) else ())
+    hours = sorted(draw(st.lists(st.sampled_from(_HOURS), min_size=1, max_size=5, unique=True)))
+    features = {hour: build_feature_vector(hour, draw(st.sampled_from(_WEATHERS)), us, frozenset()) for hour in hours}
+    datasets = {}
+    for vehicle, direction in draw(st.lists(st.sampled_from(COMBOS), min_size=1, unique=True)):
+        rows = []
+        for hour in draw(st.lists(st.sampled_from(hours), min_size=1, unique=True).map(sorted)):
+            waits = tuple(draw(st.sampled_from(_WAITS)) for _ in bridges_for(vehicle))
+            rows.append(PatternRow(features[hour], pattern_of(waits), hour, waits))
+        datasets[(vehicle, direction)] = PatternDataset(FEATURE_SCHEMA, rows, direction, vehicle)
+    return datasets
+
+
+# Texts each column may be mangled to, besides the column's texts in other rows.
+_MANGLES = (
+    ["2016-08-22T08:30", "2016-08-22T22:00", "2016-08-22T08:00+00:00", "2016-08-22 08:00", "2016-08-23T08:00",
+     "2016-08-27T08:00:00", "22/08/2016", ""],
+    ["north", "TO_CAN", " to_us", ""],
+    ["bike", "COMMERCIAL", ""],
+    *[["-4.0", "nan", "inf", "1e999", "", "5", "x"]] * 3,
+    ["delay", "heavy delay-heavy delay-heavy delay", "no delay-slight delay", "slight delay-x", ""],
+    ["1", "8", "13", "8.0", ""],
+    ["Fall", "Summer", "summer"],
+    ["Night", "Morning", "Early_morning"],
+    *[["0", "1", "2", "True", "1.0"]] * 3,
+    ["nan", "inf", "1e999", "60", "-0.0", "x"],
+    ["0", "4", "10", "11"],
+    ["", "0.25", "-1"],
+    ["Snow", "rain", "Fog"],
+)
+
+
+@st.composite
+def _mangled(draw, text):
+    """observations.csv `text` with one to three rows given one or two other
+    field texts, and now and then a row repeated."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(1, len(lines) - 1))
+        fields = lines[at].split(",")
+        for column in draw(st.lists(st.integers(0, len(OBSERVATIONS_HEADER) - 1), min_size=1, max_size=2, unique=True)):
+            others = [line.split(",")[column] for line in lines[1:]]
+            fields[column] = draw(st.sampled_from(_MANGLES[column]) | st.sampled_from(others))
+        lines[at] = ",".join(fields)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(lines[1:])))
+    return "".join(line + "\n" for line in lines)
+
+
+def _read_or_message(read, text):
+    """Each dataset's combo and rows, as exact reprs, or the data error's message."""
+    try:
+        return [(combo, ds.direction, ds.vehicle, [repr(row) for row in ds.rows]) for combo, ds in read(text).items()]
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_observations(), st.data())
+def test_observations_read_as_the_row_by_row_reader_reads_them(datasets, data):
+    text = write_observations(list(datasets.values()))
+    back = read_observations(text)
+    assert back == datasets
+    first = {}  # the first row read of each hour
+    for ds in back.values():
+        for row in ds.rows:
+            hour = first.setdefault(row.hour_start, row)
+            assert hour.features is row.features and hour.hour_start is row.hour_start
+    mangled = data.draw(_mangled(text))
+    assert _read_or_message(read_observations, mangled) == _read_or_message(read_observations_row_by_row, mangled)
 
 
 def test_observations_write_is_deterministic():
