@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import os
 import re
 import sys
@@ -24,8 +25,8 @@ from typing import Callable, NamedTuple, Optional
 from .errors import DataError, UsageError, cut
 from .features import CATEGORICAL, FEATURE_SCHEMA, label_hours, parse_holidays
 from .ingest import (
-    Bridge, Direction, Vehicle, _hourly_means, _parse_enum, _wait_groups, bridges_for, fromisoformat, hourly_waits,
-    join_weather, number, parse_weather,
+    Bridge, Direction, Vehicle, _hourly_waits_file, _parse_enum, _parse_file, bridges_for, fromisoformat, join_weather,
+    number, parse_weather,
 )
 # Not called here, but perfbench/tracer.py wraps them under these names.
 from .ingest import aggregate_hourly, parse_wait_times  # noqa: F401
@@ -210,102 +211,10 @@ def _tree_sections(vehicle: Vehicle, direction: Direction) -> list:
     return [f"train.{vehicle.label}.{direction.label}", "train"]
 
 
-def _utf8_lines(file):
-    """The lines of a binary file, each decoded as UTF-8 when it is read. A
-    UTF-8 sequence never holds the byte of "\\n", so these are the lines of
-    the file's decoded text, split where io.StringIO splits them."""
-    for line, raw in enumerate(file, 1):
-        try:
-            yield raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError("not UTF-8 text", line=line) from None
-
-
-def _parse_file(parser, path):
-    """Parse a file one line at a time, prefixing any data error with the
-    path. A line that is not UTF-8 is a data error when the parser reaches it."""
-    try:
-        with open(path, "rb") as file:
-            return parser(_utf8_lines(file))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-_CHUNK_MIN = 1 << 20  # the least bytes per chunk: from 1 MiB, two chunks beat one process on 2 CPUs
-
-
-def _hourly_waits_file(path):
-    """_parse_file(hourly_waits, path), the same table or first error. Where os.fork exists, a
-    regular file with no '"' (a quoted field may hold a newline) is cut after newlines into a chunk
-    per usable CPU, at most one per _CHUNK_MIN bytes; a forked child parses each chunk but the first."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    size = os.path.getsize(path) if hasattr(os, "fork") and os.path.isfile(path) else 0
-    n, cuts = min(cpus, size // _CHUNK_MIN), []  # (byte offset, lines before it) of each chunk's start
-    if n > 1:
-        with open(path, "rb") as file:
-            cuts.append((len(head := file.readline()), 1))
-            pos = lines = file.seek(0)  # the header line is scanned for '"' too
-            while (block := file.read(_CHUNK_MIN)) and b'"' not in block:
-                while len(cuts) < n and (end := block.find(b"\n", max(size * len(cuts) // n - pos, 0)) + 1):
-                    cuts.append((pos + end, lines + block.count(b"\n", 0, end)))
-                lines, pos = lines + block.count(b"\n"), pos + len(block)
-    if len(cuts) < 2 or block:  # a '"' stops the scan with the block that holds it
-        return _parse_file(hourly_waits, path)
-    import pickle
-    import signal
-    from itertools import chain, islice
-
-    def chunk(i):  # (groups, error) of chunk i, whose line r is the file's line `before + r - 1`
-        (start, before), count = cuts[i], (cuts[i + 1][1] - cuts[i][1] if i + 1 < len(cuts) else None)
-        try:
-            with open(path, "rb") as file:
-                file.seek(start)
-                return _wait_groups(_utf8_lines(chain((head,), islice(file, count)))), None
-        except DataError as exc:
-            return None, DataError(f"{path}: line {before + exc.line - 1}: {exc.message}")
-        except Exception as exc:
-            return None, exc
-
-    children, groups = [], {}
-    try:
-        try:
-            for i in range(1, len(cuts)):
-                read, write = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read), os.close(write)
-                    raise
-                if pid == 0:
-                    try:
-                        os.close(read)  # so that, with the parent gone, a write fails instead of waiting
-                        with open(write, "wb") as out:
-                            pickle.dump(chunk(i), out, pickle.HIGHEST_PROTOCOL)
-                    finally:
-                        os._exit(0)
-                os.close(write)
-                children.append((pid, open(read, "rb")))  # EOFError, exit 3, if a child ends with no result
-        except OSError:  # no pipe or no process to be had: no input is at fault, so this process reads it all
-            pass
-        else:
-            for part, error in chain([chunk(0)], (pickle.load(pipe) for _, pipe in children)):
-                if error is not None:
-                    raise error
-                for stream, hours in part.items():
-                    into = groups.setdefault(stream, {})
-                    for hour, values in hours.items():
-                        into[hour] = into[hour] + values if hour in into else values
-            return _hourly_means(groups)
-    finally:
-        for pid, pipe in children:  # a child whose result was read is exiting already
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return _parse_file(hourly_waits, path)
-
-
 def _emit(text: str, out_path) -> None:
     if out_path is None:
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise DataError(f"<stdout>: {OSError(errno.EBADF, os.strerror(errno.EBADF))}")
         try:
             sys.stdout.write(text)
             sys.stdout.flush()

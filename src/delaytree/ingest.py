@@ -1,5 +1,5 @@
-"""Raw feed ingestion: wait-time and weather CSV parsing, hourly aggregation,
-and the weather join of each hour.
+"""Raw feed ingestion: reading input files, wait-time and weather CSV parsing,
+hourly aggregation (a large wait file on every CPU) and the weather join.
 
 Timestamps are naive local civil time throughout; neither feed carries a
 zone and no conversion is performed. Only hours 7..21 survive aggregation.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
 from array import array
 from bisect import bisect_right
@@ -155,20 +156,6 @@ def _parse_float(raw: str, what: str, line: int) -> float:
     return value
 
 
-def _lines(text: str, piece: int = 1 << 16) -> Iterator[str]:
-    """The adaptor for callers that hand csv_rows a `str` instead of lines:
-    the lines of `text`, each with its "\\n", as iterating
-    io.StringIO(text) gives them. io.StringIO copies its text at four bytes
-    per character, so it gets whole lines of about `piece` characters at a
-    time: 64 K keeps each copy small, where 1 M pieces (4 MB copies) made
-    peak RSS step by 2-3 MB with the heap's layout."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + piece) + 1 or len(text)
-        yield from io.StringIO(text[start:end])
-        start = end
-
-
 def csv_rows(lines: Iterable[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line, fields) for each data row of CSV `lines` whose first row
     is `header`. `lines` is CSV text, or its lines each ended by "\\n" (a
@@ -176,7 +163,7 @@ def csv_rows(lines: Iterable[str], header: list[str]) -> Iterator[tuple[int, lis
     physical line of the row, which a quoted field may carry over several
     lines. Blank lines are skipped; every other row must have exactly
     len(header) fields. Text the csv module cannot read is a data error."""
-    rows = csv.reader(_lines(lines) if isinstance(lines, str) else lines)
+    rows = csv.reader(io.StringIO(lines) if isinstance(lines, str) else lines)
     try:
         first = next(rows, None)
         if first is None or [c.strip() for c in first] != header:
@@ -201,6 +188,27 @@ def csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _utf8_lines(file):
+    """The lines of a binary file, each decoded as UTF-8 when it is read. A
+    UTF-8 sequence never holds the byte of "\\n", so these are the lines of
+    the file's decoded text, split where io.StringIO splits them."""
+    for line, raw in enumerate(file, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError("not UTF-8 text", line=line) from None
+
+
+def _parse_file(parser, path):
+    """Parse a file one line at a time, prefixing any data error with the
+    path. A line that is not UTF-8 is a data error when the parser reaches it."""
+    try:
+        with open(path, "rb") as file:
+            return parser(_utf8_lines(file))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _wait_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, Optional[datetime], tuple, float]]:
@@ -335,6 +343,85 @@ def _hourly_means(groups: dict[tuple, dict[datetime, Sequence[float]]]) -> Hourl
                 from fractions import Fraction  # no command loads it, unless a sum overflows
                 series[hour] = float(sum(map(Fraction, values)) / len(values))
     return table
+
+
+_CHUNK_MIN = 1 << 20  # the least bytes per chunk: from 1 MiB, two chunks beat one process on 2 CPUs
+
+
+def _hourly_waits_file(path):
+    """_parse_file(hourly_waits, path), the same table or first error. Where os.fork exists, a
+    regular file with no '"' (a quoted field may hold a newline) is cut after newlines into a chunk
+    per usable CPU, at most one per _CHUNK_MIN bytes; a forked child parses each chunk but the first."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    size = os.path.getsize(path) if hasattr(os, "fork") and os.path.isfile(path) else 0
+    n, cuts = min(cpus, size // _CHUNK_MIN), []  # (byte offset, lines before it) of each chunk's start
+    if n > 1:
+        with open(path, "rb") as file:
+            cuts.append((len(head := file.readline()), 1))
+            pos = lines = file.seek(0)  # the header line is scanned for '"' too
+            while (block := file.read(_CHUNK_MIN)) and b'"' not in block:
+                while len(cuts) < n and (end := block.find(b"\n", max(size * len(cuts) // n - pos, 0)) + 1):
+                    cuts.append((pos + end, lines + block.count(b"\n", 0, end)))
+                lines, pos = lines + block.count(b"\n"), pos + len(block)
+    if len(cuts) < 2 or block:  # a '"' stops the scan with the block that holds it
+        return _parse_file(hourly_waits, path)
+    import pickle
+    import signal
+    from itertools import chain, islice
+
+    def chunk(i):  # (groups, error) of chunk i, whose line r is the file's line `before + r - 1`
+        (start, before), count = cuts[i], (cuts[i + 1][1] - cuts[i][1] if i + 1 < len(cuts) else None)
+        try:
+            with open(path, "rb") as file:
+                file.seek(start)
+                return _wait_groups(_utf8_lines(chain((head,), islice(file, count)))), None
+        except DataError as exc:
+            return None, DataError(f"{path}: line {before + exc.line - 1}: {exc.message}")
+        except Exception as exc:
+            return None, exc
+
+    children, groups, parent = [], {}, os.getpid()
+    try:
+        try:
+            for i in range(1, len(cuts)):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read), os.close(write)
+                    raise
+                if pid == 0:
+                    try:
+                        os.close(read)  # so that, with the parent gone, a write fails instead of waiting
+                        import ctypes  # only here: about 5 ms a child
+                        prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux: SIGKILL this child when its
+                        if prctl is not None:  # parent dies (PR_SET_PDEATHSIG), not at the end of its chunk
+                            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+                            prctl(1, signal.SIGKILL)
+                        if os.getppid() == parent:  # else the parent died before prctl
+                            with open(write, "wb") as out:
+                                pickle.dump(chunk(i), out, pickle.HIGHEST_PROTOCOL)
+                    finally:
+                        os._exit(0)
+                os.close(write)
+                children.append((pid, open(read, "rb")))  # EOFError, exit 3, if a child ends with no result
+        except OSError:  # no pipe or no process to be had: no input is at fault, so this process reads it all
+            pass
+        else:
+            for part, error in chain([chunk(0)], (pickle.load(pipe) for _, pipe in children)):
+                if error is not None:
+                    raise error
+                for stream, hours in part.items():
+                    into = groups.setdefault(stream, {})
+                    for hour, values in hours.items():
+                        into[hour] = into[hour] + values if hour in into else values
+            return _hourly_means(groups)
+    finally:
+        for pid, pipe in children:  # a child whose result was read is exiting already
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return _parse_file(hourly_waits, path)
 
 
 def join_weather(hours: HourlyMeans, weather: list[WeatherRecord]) -> dict[datetime, WeatherRecord]:

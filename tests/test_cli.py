@@ -197,6 +197,17 @@ def test_report_factors_rejects_two_trees_of_one_combo(corpus, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_report_factors_rejects_a_tree_without_vehicle_and_direction(corpus, tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    assert main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger",
+                 "--direction", "to_us", "--out", str(tree)]) == 0
+    doc = json.loads(tree.read_text())
+    doc["vehicle"] = doc["direction"] = None
+    tree.write_text(json.dumps(doc))
+    assert main(["report", "factors", "--trees", str(tree)]) == 1
+    assert capsys.readouterr() == ("", f"error: {tree}: tree json lacks vehicle/direction tags\n")
+
+
 def test_ingest_rerun_is_byte_identical(corpus, tmp_path):
     data = corpus / "data"
     args = [
@@ -659,8 +670,9 @@ def test_hourly_dist_of_a_stream_that_cannot_exist_is_a_usage_error(corpus, tmp_
          "rule-shifted wait PB must be >= 0, not -5.0"),
         (["--rule", "weekend=1 => PB+17 => banana"],
          "rule target 'banana' disagrees with its shifted waits ('delay-slight delay-slight delay')"),
+        (["--rule", "weekend => PB+17 => delay-slight delay-slight delay"], "bad rule condition 'weekend'"),
     ],
-    ids=["base-nan", "jitter-inf", "overflow", "shift-inf", "shift-negative", "target-junk"],
+    ids=["base-nan", "jitter-inf", "overflow", "shift-inf", "shift-negative", "target-junk", "condition-without-value"],
 )
 def test_synth_rejects_non_finite_settings(tmp_path, capsys, flags, message):
     out = tmp_path / "data"
@@ -905,3 +917,20 @@ def test_a_closed_stdout_is_a_data_error_that_names_it(corpus, tmp_path, argv):
         os.close(write)
     assert done.returncode == 2
     assert done.stderr == f"data error: <stdout>: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+def test_a_stdout_closed_at_start_is_a_data_error_that_names_it(corpus, tmp_path):
+    import errno
+    import os
+    import subprocess
+    import sys
+
+    tree = tmp_path / "tree.json"
+    assert main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger", "--direction", "to_us",
+                 "--out", str(tree)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "delaytree", "render", "--tree", str(tree), "--format", "text"],
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+                          preexec_fn=lambda: os.close(1))  # so that sys.stdout is None, as after `>&-`
+    assert done.returncode == 2
+    assert done.stderr == f"data error: <stdout>: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaytree import cli
-from delaytree.cli import _hourly_waits_file, _parse_file, main
+from delaytree import cli, ingest
+from delaytree.cli import main
 from delaytree.errors import DataError
 from delaytree.ingest import (
     Bridge,
@@ -36,7 +36,8 @@ from delaytree.ingest import (
     parse_wait_times,
     parse_weather,
     RawWaitTimeRecord,
-    _lines,
+    _hourly_waits_file,
+    _parse_file,
     _parse_timestamp,
     _wait_rows,
     _window_hour,
@@ -233,11 +234,6 @@ def test_an_hour_past_the_float_sum_range_has_its_exact_mean(tmp_path, samples, 
     assert main(["ingest", *(f"--{name}={tmp_path / name}" for name in files), "--out", str(out)]) == 0
     [row] = csv.DictReader(io.StringIO(out.read_text()))
     assert float(row["wait_pb"]) == mean
-
-
-@given(st.text(alphabet="ab,\"\r\n\x0c\u2028"), st.integers(1, 8))
-def test_lines_split_as_stringio_does(text, piece):
-    assert list(_lines(text, piece)) == list(io.StringIO(text))
 
 
 def test_unreadable_csv_is_a_data_error():
@@ -688,7 +684,7 @@ def _chunks(count, size, forks=None):
     a chunk minimum of size // count. os.fork appends to `forks`, if given."""
     fork = os.fork
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_CHUNK_MIN", max(1, size // count))
+        mp.setattr(ingest, "_CHUNK_MIN", max(1, size // count))
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
         if forks is not None:
             mp.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
@@ -836,7 +832,7 @@ def test_a_child_that_ends_with_no_result_is_an_internal_error(tmp_path, monkeyp
 _KILLED_PARENT = """
 import os, sys, time
 from array import array
-from delaytree import cli
+from delaytree import ingest
 parent, fork = os.getpid(), os.fork
 def groups(lines):
     time.sleep(60 if os.getpid() == parent else 0.5)
@@ -846,9 +842,9 @@ def announce():
     if pid:
         print(pid, flush=True)
     return pid
-cli._wait_groups, cli._CHUNK_MIN, os.fork = groups, 1, announce
+ingest._wait_groups, ingest._CHUNK_MIN, os.fork = groups, 1, announce
 os.sched_getaffinity = lambda pid: {0, 1}
-cli._hourly_waits_file(sys.argv[1])
+ingest._hourly_waits_file(sys.argv[1])
 """
 
 
@@ -876,6 +872,52 @@ def test_a_child_whose_parent_is_killed_exits_once_its_chunk_is_read(tmp_path):
         time.sleep(0.05)
     os.kill(pid, signal.SIGKILL)
     pytest.fail(f"the child {pid} still runs 10 s after its parent was killed")
+
+
+# A process that reads a file in two chunks, with a grouping that sleeps for a
+# minute in the parent; the child prints its pid, then reads its 600 lines at
+# 10 ms a line.
+_SLOW_CHILD = """
+import os, sys, time
+from delaytree import ingest
+parent = os.getpid()
+def groups(lines):
+    if os.getpid() == parent:
+        time.sleep(60)
+    print(os.getpid(), flush=True)
+    for _ in lines:
+        time.sleep(0.01)
+    return {}
+ingest._wait_groups, ingest._CHUNK_MIN = groups, 1
+os.sched_getaffinity = lambda pid: {0, 1}
+ingest._hourly_waits_file(sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a child's death signal and /proc are Linux's")
+def test_a_child_whose_parent_is_killed_ends_before_its_chunk_is_read(tmp_path):
+    import signal
+    import subprocess
+    import time
+
+    path = tmp_path / "wait_times.csv"
+    path.write_bytes(HEADER.encode() + _rows(600))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", _SLOW_CHILD, str(path)], stdout=subprocess.PIPE, env=env)
+    pid = int(proc.stdout.readline())  # the child is reading its chunk
+    proc.kill()
+    proc.wait()
+    proc.stdout.close()
+    deadline = time.monotonic() + 2
+    while time.monotonic() < deadline:
+        try:  # the state follows the command name in parentheses
+            if Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] == "Z":
+                return
+        except FileNotFoundError:
+            return
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    pytest.fail(f"the child {pid} still reads its chunk 2 s after its parent was killed")
 
 
 # --------------------------------------------------------------- join
