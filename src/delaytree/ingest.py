@@ -17,6 +17,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from datetime import datetime, timedelta
 from enum import IntEnum
+from itertools import tee
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DataError, cut
@@ -211,52 +212,15 @@ def _parse_file(parser, path):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _wait_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, Optional[datetime], tuple, float]]:
-    """Yield (line, timestamp text, hour, stream, wait) for each row of
-    wait_times.csv `lines` (see csv_rows), in file order.
-
-    `hour` is the timestamp's calendar hour, or None outside
-    HOUR_MIN..HOUR_MAX; `stream` is (bridge, direction, vehicle). Enum
-    fields match case-insensitively. Each row is checked in field order:
-    timestamp, bridge, direction, vehicle_type, wait_minutes (finite, not
-    negative), then that the vehicle uses the bridge (no trucks on RB);
-    errors carry the 1-based line number. Each distinct (bridge, direction,
-    vehicle_type) text is parsed once, and so is each timestamp text, but a
-    date, any one character, an hour 00..23 and minutes 00..59 is keyed by
-    its first 13 characters, which fix its hour (and read as it as a text).
-    A timestamp keeps only its `hour`, shared by its hour's texts.
-    """
-    hour_minute = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}.(?:[01][0-9]|2[0-3]):[0-5][0-9]", re.DOTALL).fullmatch
-    stamps: dict[str, Optional[datetime]] = {}
-    hours: dict[Optional[datetime], Optional[datetime]] = {}
-    streams: dict[tuple[str, str, str], tuple[tuple, bool]] = {}
-    for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(lines, WAIT_TIMES_HEADER):
-        key = raw_ts[:13] if hour_minute(raw_ts) else raw_ts
-        hour = stamps.get(key, False)  # an hour is a datetime or None, so False is "not seen"
-        if hour is False:
-            hour = _window_hour(_parse_timestamp(raw_ts, line))
-            stamps[key] = hour = hours.setdefault(hour, hour)
-        raw_stream = (raw_bridge, raw_direction, raw_vehicle)
-        stream = streams.get(raw_stream)
-        if stream is None:
-            bridge = _parse_enum(Bridge, raw_bridge, "bridge", line)
-            direction = _parse_enum(Direction, raw_direction, "direction", line)
-            vehicle = _parse_enum(Vehicle, raw_vehicle, "vehicle_type", line)
-            streams[raw_stream] = stream = ((bridge, direction, vehicle), bridge not in bridges_for(vehicle))
-        wait = _parse_float(raw_wait, "wait_minutes", line)
-        if not wait >= 0:
-            raise DataError(f"negative wait_minutes {cut(repr(raw_wait))}", line=line)
-        if stream[1]:
-            raise DataError("RB carries no commercial vehicles", line=line)
-        yield line, raw_ts, hour, stream[0], wait
-
-
 def parse_wait_times(lines: Iterable[str]) -> list[RawWaitTimeRecord]:
-    """Parse wait_times.csv `lines` (see csv_rows) into records, in file
-    order, with the row checks of `_wait_rows`. The pipeline uses
+    """Parse wait_times.csv `lines` (see csv_rows) into records, in file order: `_wait_groups`
+    checks every row, then each becomes a record, so `lines` is read twice. The pipeline uses
     `hourly_waits` instead, which builds no per-row record."""
-    rows = _wait_rows(lines)
-    return [RawWaitTimeRecord(_parse_timestamp(ts, line), *stream, wait) for line, ts, _, stream, wait in rows]
+    lines, checked = (lines, lines) if isinstance(lines, str) else tee(lines)
+    _wait_groups(lines)
+    return [RawWaitTimeRecord(_parse_timestamp(ts, line), Bridge[b.strip().upper()], Direction[d.strip().upper()],
+                              Vehicle[v.strip().upper()], float(w))
+            for line, (ts, b, d, v, w) in csv_rows(checked, WAIT_TIMES_HEADER)]
 
 
 def parse_weather(lines: Iterable[str]) -> list[WeatherRecord]:
@@ -299,16 +263,43 @@ def hourly_waits(lines: Iterable[str]) -> HourlyMeans:
 
 
 def _wait_groups(lines: Iterable[str]) -> defaultdict[tuple, dict[datetime, array]]:
-    """The window's samples of wait_times.csv `lines` (see csv_rows) as {stream: {hour:
-    array of doubles}}, or `_wait_rows`' first error; a file's parts merge array by array."""
+    """The window's samples of wait_times.csv `lines` (see csv_rows) as {stream: {hour: array of
+    doubles}}, stream (bridge, direction, vehicle); a file's parts merge array by array. Each row is
+    checked in field order: timestamp, bridge, direction, vehicle_type (in any case), wait_minutes
+    (finite, not negative), then that the vehicle uses the bridge (no trucks on RB); the first error
+    names its 1-based line. A row outside HOUR_MIN..HOUR_MAX is checked, then dropped. Each distinct
+    (bridge, direction, vehicle_type) text is parsed once, and so is each timestamp text, but a date,
+    any one character, an hour 00..23 and minutes 00..59 is keyed by its first 13 characters, which
+    fix its hour. A timestamp keeps only its calendar hour, shared by its hour's texts."""
+    hour_minute = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}.(?:[01][0-9]|2[0-3]):[0-5][0-9]", re.DOTALL).fullmatch
+    stamps: dict[str, Optional[datetime]] = {}
+    hours: dict[Optional[datetime], Optional[datetime]] = {}
+    streams: dict[tuple[str, str, str], tuple[tuple, bool]] = {}
     groups: defaultdict[tuple, dict[datetime, array]] = defaultdict(dict)
-    for _, _, hour, stream, wait in _wait_rows(lines):
+    for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(lines, WAIT_TIMES_HEADER):
+        key = raw_ts[:13] if hour_minute(raw_ts) else raw_ts
+        hour = stamps.get(key, False)  # an hour is a datetime or None, so False is "not seen"
+        if hour is False:
+            hour = _window_hour(_parse_timestamp(raw_ts, line))
+            stamps[key] = hour = hours.setdefault(hour, hour)
+        raw_stream = (raw_bridge, raw_direction, raw_vehicle)
+        stream = streams.get(raw_stream)
+        if stream is None:
+            bridge = _parse_enum(Bridge, raw_bridge, "bridge", line)
+            direction = _parse_enum(Direction, raw_direction, "direction", line)
+            vehicle = _parse_enum(Vehicle, raw_vehicle, "vehicle_type", line)
+            streams[raw_stream] = stream = ((bridge, direction, vehicle), bridge not in bridges_for(vehicle))
+        wait = _parse_float(raw_wait, "wait_minutes", line)
+        if not wait >= 0:
+            raise DataError(f"negative wait_minutes {cut(repr(raw_wait))}", line=line)
+        if stream[1]:
+            raise DataError("RB carries no commercial vehicles", line=line)
         if hour is None:
             continue
-        hours = groups[stream]
-        values = hours.get(hour)
+        series = groups[stream[0]]
+        values = series.get(hour)
         if values is None:
-            hours[hour] = array("d", (wait,))
+            series[hour] = array("d", (wait,))
         else:
             values.append(wait)
     return groups

@@ -29,8 +29,8 @@ from delaytree.features import (
     hour_calendar,
 )
 from delaytree.ingest import (
-    HOUR_MAX, HOUR_MIN, Bridge, Direction, Vehicle, _parse_enum, _window_hour, bridges_for, csv_rows, fromisoformat,
-    number,
+    HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, Bridge, Direction, RawWaitTimeRecord, Vehicle, _parse_enum, _parse_float,
+    _parse_timestamp, _window_hour, bridges_for, csv_rows, fromisoformat, number,
 )
 from delaytree.patterns import _PARTS, OBSERVATIONS_HEADER, PatternDataset, PatternRow, pattern_of
 
@@ -262,3 +262,23 @@ def read_observations_row_by_row(lines: Iterable[str]) -> dict:
             datasets[(vehicle, direction)] = PatternDataset(FEATURE_SCHEMA, [], direction, vehicle)
         datasets[(vehicle, direction)].rows.append(PatternRow(FeatureVector(*values), pattern, hour_start, waits))
     return datasets
+
+
+def parse_wait_times_row_by_row(lines: Iterable[str]) -> list:
+    """Reference for ingest.parse_wait_times and ingest.hourly_waits: the
+    wait parser without its memos of timestamp and stream texts. Every row
+    is parsed and checked on its own; the checks, their order and their
+    messages are the ones the wait parser must keep."""
+    records = []
+    for line, row in csv_rows(lines, WAIT_TIMES_HEADER):
+        ts = _parse_timestamp(row[0], line)
+        bridge = _parse_enum(Bridge, row[1], "bridge", line)
+        direction = _parse_enum(Direction, row[2], "direction", line)
+        vehicle = _parse_enum(Vehicle, row[3], "vehicle_type", line)
+        wait = _parse_float(row[4], "wait_minutes", line)
+        if not wait >= 0:
+            raise DataError(f"negative wait_minutes {cut(repr(row[4]))}", line=line)
+        if bridge not in bridges_for(vehicle):
+            raise DataError("RB carries no commercial vehicles", line=line)
+        records.append(RawWaitTimeRecord(ts, bridge, direction, vehicle, wait))
+    return records

@@ -91,6 +91,11 @@ def test_gain_rejects_inconsistent_totals():
         cart.information_gain(dist(A=4), dist(A=2), dist(A=1))
 
 
+def test_gain_rejects_an_empty_side():
+    with pytest.raises(ValueError, match="split sides must be nonempty"):
+        cart.information_gain(dist(A=2), dist(A=2), ClassDistribution({}, 0))
+
+
 def test_gain_rejects_inconsistent_class_counts():
     with pytest.raises(ValueError):
         cart.information_gain(dist(A=2, B=2), dist(A=2), dist(A=2))

@@ -149,6 +149,13 @@ def test_unknown_subcommand_exits_1(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["report", "factors", "--help"]], ids=["top", "subcommand"])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: ") and err == ""
+
+
 def test_missing_required_value_exits_1(capsys):
     assert main(["train", "--vehicle", "passenger", "--direction", "to_us"]) == 1
     assert "--data" in capsys.readouterr().err

@@ -39,14 +39,14 @@ from delaytree.ingest import (
     _hourly_waits_file,
     _parse_file,
     _parse_timestamp,
-    _wait_rows,
+    _wait_groups,
     _window_hour,
 )
 from delaytree.features import parse_holidays
 from delaytree.patterns import OBSERVATIONS_HEADER, read_observations
 from delaytree.report import TREE_FORMATS, export_tree, factor_summary, factor_summary_csv, import_tree
 
-from helpers import hourly_keys, hourly_table
+from helpers import hourly_keys, hourly_table, parse_wait_times_row_by_row
 
 HEADER = "timestamp,bridge,direction,vehicle_type,wait_minutes\n"
 WHEADER = "timestamp,temperature_f,visibility,precipitation_in,condition\n"
@@ -319,6 +319,50 @@ def test_hourly_waits_reports_the_same_error(text):
     assert str(one_pass.value) == str(two_step.value)
 
 
+# Timestamps of one day, "T" or " " and five hours: many share their first
+# 13 characters, or their first 12 with another hour, and differ after them.
+_SAME_13_STAMP = st.builds(
+    "2016-08-22{}{}{}".format, st.sampled_from(["T", " "]), st.sampled_from(["07", "06", "08", "21", "22"]),
+    st.sampled_from([":05", ":00", ":59", ":30:15", ""]),
+)
+# Bad rows that a memo or a check out of order would let through or name
+# wrongly: a timestamp bad only after its first 13 characters, and trucks on
+# RB with a bad wait.
+_SAME_13_BAD_ROW = st.one_of(
+    st.builds("2016-08-22T07{},PB,to_us,passenger,1".format, st.sampled_from([":60", ":5", "Z", ":05+01:00"])),
+    st.builds("2016-08-22T07:05,RB,to_us,commercial,{}".format, st.sampled_from(["-1", "nan", "abc"])),
+)
+
+
+@st.composite
+def _wait_times_text_with_same_13_stamps(draw):
+    """`_wait_times_text`, good or with a bad row, plus up to 12 good rows
+    stamped by `_SAME_13_STAMP` and maybe one `_SAME_13_BAD_ROW`, each at a
+    random line."""
+    lines = draw(st.one_of(_wait_times_text(), _wait_times_text(bad_row=True))).split("\n")
+    rows = [draw(_SAME_13_STAMP) + "," + draw(_wait_row()).partition(",")[2] for _ in range(draw(st.integers(0, 12)))]
+    if draw(st.booleans()):
+        rows.append(draw(_SAME_13_BAD_ROW))
+    for row in rows:
+        lines.insert(draw(st.integers(1, len(lines) - 1)), row)
+    return "\n".join(lines)
+
+
+@given(_wait_times_text_with_same_13_stamps())
+def test_the_wait_parser_reads_as_a_plain_row_by_row_parse(text):
+    """Its memos of timestamp and stream texts change no record, hour, mean or error."""
+    try:
+        want = parse_wait_times_row_by_row(text)
+    except DataError as exc:
+        for parse in (parse_wait_times, hourly_waits):
+            with pytest.raises(DataError) as got:
+                parse(text)
+            assert str(got.value) == str(exc)
+    else:
+        assert parse_wait_times(text) == want
+        assert hourly_waits(text) == aggregate_hourly(want)
+
+
 @given(st.lists(_wait_row(), max_size=40), st.randoms())
 def test_streams_and_hours_ascend_whatever_the_row_order(rows, rnd):
     shuffled = list(rows)
@@ -424,7 +468,7 @@ _NEAR_HOUR_MINUTE = [
 )
 def test_a_timestamp_gets_the_hour_it_parses_to_after_one_with_its_first_13_characters(text, minutes, with_minutes):
     """Before `text` comes its first 13 characters, with `minutes` after a
-    ":" or alone, if that text is valid."""
+    ":" or alone, if that text is valid. Only `text`'s row waits 1 minute."""
     def outcome(ts):
         try:
             return _window_hour(_parse_timestamp(ts, 1))
@@ -432,10 +476,10 @@ def test_a_timestamp_gets_the_hour_it_parses_to_after_one_with_its_first_13_char
             return exc.message
 
     other = text[:13] + ":" + minutes if with_minutes else text[:13]
-    quoted = ['"' + ts.replace('"', '""') + '",PB,to_us,passenger,1\n' for ts in (other, text)
+    quoted = ['"' + ts.replace('"', '""') + f'",PB,to_us,passenger,{ts is text:d}\n' for ts in (other, text)
               if ts is text or not isinstance(outcome(ts), str)]
     try:
-        got = list(_wait_rows([HEADER, *quoted]))[-1][2]
+        got = next((hour for hour, waits in _wait_groups([HEADER, *quoted])[PB_CAR].items() if 1 in waits), None)
     except DataError as exc:
         got = exc.message
     assert got == outcome(text)
@@ -657,15 +701,18 @@ def test_parsing_a_file_holds_its_groups_not_its_text(tmp_path):
 
 
 def test_a_timestamp_text_keeps_only_its_hour():
-    # 30,000 distinct timestamp texts, one a second from 07:00:00, in 9 hours.
+    # 30,000 distinct timestamp texts, one a second from 07:00:00, in 9 hours,
+    # taken in turn by 3 streams: each stream's hour starts at another text.
+    streams = ("PB,to_us,passenger", "LQ,to_us,passenger", "RB,to_can,passenger")
+
     def lines():
         yield HEADER
         for i in range(30_000):
-            yield f"2016-08-22T{7 + i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d},PB,to_us,passenger,{i % 97 / 4}\n"
+            yield f"2016-08-22T{7 + i // 3600:02d}:{i // 60 % 60:02d}:{i % 60:02d},{streams[i % 3]},{i % 97 / 4}\n"
 
     tracemalloc.start()
     try:
-        hours = {id(hour) for _, _, hour, _, _ in _wait_rows(lines())}
+        hours = {id(hour) for series in _wait_groups(lines()).values() for hour in series}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -826,23 +873,23 @@ def test_a_child_that_ends_with_no_result_is_an_internal_error(tmp_path, monkeyp
     _no_child_left()
 
 
-# A process that reads a file in two chunks, with a grouping that sleeps: for
-# a minute in the parent, for half a second in the child, which then writes a
-# result larger than a pipe's buffer. It prints the child's pid.
+# A process that reads a file in two chunks, with a grouping that sleeps for
+# a minute in the parent. The child finds no prctl, so it outlives its
+# parent; its grouping, which runs after its check of its parent, prints its
+# pid, sleeps half a second and returns a result larger than a pipe's buffer.
 _KILLED_PARENT = """
-import os, sys, time
+import ctypes, os, sys, time
 from array import array
 from delaytree import ingest
-parent, fork = os.getpid(), os.fork
+parent = os.getpid()
+ctypes.CDLL = lambda name: object()
 def groups(lines):
-    time.sleep(60 if os.getpid() == parent else 0.5)
+    if os.getpid() == parent:
+        time.sleep(60)
+    print(os.getpid(), flush=True)
+    time.sleep(0.5)
     return {("s",): {0: array("d", bytes(800_000))}}
-def announce():
-    pid = fork()
-    if pid:
-        print(pid, flush=True)
-    return pid
-ingest._wait_groups, ingest._CHUNK_MIN, os.fork = groups, 1, announce
+ingest._wait_groups, ingest._CHUNK_MIN = groups, 1
 os.sched_getaffinity = lambda pid: {0, 1}
 ingest._hourly_waits_file(sys.argv[1])
 """
@@ -858,7 +905,7 @@ def test_a_child_whose_parent_is_killed_exits_once_its_chunk_is_read(tmp_path):
     path.write_bytes(HEADER.encode() + _rows(600))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT, str(path)], stdout=subprocess.PIPE, env=env)
-    pid = int(proc.stdout.readline())
+    pid = int(proc.stdout.readline())  # the child is past its check of its parent
     proc.kill()
     proc.wait()
     proc.stdout.close()
