@@ -13,7 +13,9 @@ from enum import IntEnum
 from typing import Iterable
 
 from .errors import Checked, DataError, cut
-from .ingest import HOUR_MAX, HOUR_MIN, WeatherRecord, _parse_enum, csv_rows, fromisoformat, number
+from .ingest import (
+    HOUR_MAX, HOUR_MIN, VISIBILITY, Condition, WeatherRecord, _parse_enum, csv_rows, fromisoformat, number,
+)
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -120,9 +122,9 @@ FEATURE_SCHEMA = FeatureSchema(
         FeatureSpec("us_holiday", CATEGORICAL, (0, 1)),
         FeatureSpec("canada_holiday", CATEGORICAL, (0, 1)),
         FeatureSpec("temperature_f", CONTINUOUS),
-        FeatureSpec("visibility", CATEGORICAL, tuple(range(1, 11))),
+        FeatureSpec("visibility", CATEGORICAL, tuple(VISIBILITY)),
         FeatureSpec("precipitation_in", CONTINUOUS),
-        FeatureSpec("condition", CATEGORICAL, ("Snow", "Rain", "Clear")),
+        FeatureSpec("condition", CATEGORICAL, tuple(c.label for c in Condition)),
     ]
 )
 

@@ -24,6 +24,7 @@ from .errors import DataError, cut
 
 HOUR_MIN = 7
 HOUR_MAX = 21
+VISIBILITY = range(1, 11)
 
 WAIT_TIMES_HEADER = ["timestamp", "bridge", "direction", "vehicle_type", "wait_minutes"]
 WEATHER_HEADER = ["timestamp", "temperature_f", "visibility", "precipitation_in", "condition"]
@@ -237,8 +238,8 @@ def parse_weather(lines: Iterable[str]) -> list[WeatherRecord]:
             visibility = number(int, row[2])
         except ValueError:
             raise DataError(f"malformed visibility {cut(repr(row[2]))}", line=line) from None
-        if not 1 <= visibility <= 10:
-            raise DataError(f"visibility {cut(str(visibility))} outside 1..10", line=line)
+        if visibility not in VISIBILITY:
+            raise DataError(f"visibility {cut(str(visibility))} outside {VISIBILITY[0]}..{VISIBILITY[-1]}", line=line)
         precip = _parse_float(row[3], "precipitation_in", line)
         if not precip >= 0:
             raise DataError(f"negative precipitation_in {cut(repr(row[3]))}", line=line)

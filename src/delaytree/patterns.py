@@ -17,7 +17,7 @@ from functools import cache
 from typing import Iterable, NamedTuple
 
 from .errors import DataError, cut
-from .features import FEATURE_SCHEMA, FeatureSchema, FeatureSpec, FeatureVector, hour_calendar
+from .features import FEATURE_SCHEMA, FeatureSpec, FeatureVector, hour_calendar
 from .ingest import (
     HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _parse_enum, _window_hour, bridges_for,
     csv_rows, csv_text, fromisoformat, number,
@@ -69,21 +69,16 @@ class PatternRow(NamedTuple):
     waits: tuple  # mean wait per bridge, aligned with the dataset's bridges
 
 
-class PatternDataset:
+class PatternDataset(NamedTuple):
     """The rows of one (vehicle, direction), and the hours that assembly
-    skipped or dropped. Its attributes can be set; equal values compare equal."""
+    skipped or dropped. Its schema is FEATURE_SCHEMA."""
 
-    __slots__ = ("schema", "rows", "direction", "vehicle", "skipped_incomplete", "dropped_all_zero")
-
-    def __init__(self, schema: FeatureSchema, rows: list[PatternRow], direction: Direction, vehicle: Vehicle,
-                 skipped_incomplete: int = 0, dropped_all_zero: int = 0):
-        self.schema, self.rows, self.direction, self.vehicle = schema, rows, direction, vehicle
-        self.skipped_incomplete, self.dropped_all_zero = skipped_incomplete, dropped_all_zero
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+    rows: list[PatternRow]
+    direction: Direction
+    vehicle: Vehicle
+    skipped_incomplete: int = 0
+    dropped_all_zero: int = 0
+    schema = FEATURE_SCHEMA
 
     @property
     def bridges(self) -> tuple[Bridge, ...]:
@@ -123,7 +118,7 @@ def assemble_rows(
             dropped += 1
             continue
         rows.append(PatternRow(features[hour_start], pattern_of(waits), hour_start, waits))
-    return PatternDataset(FEATURE_SCHEMA, rows, direction, vehicle, skipped, dropped)
+    return PatternDataset(rows, direction, vehicle, skipped, dropped)
 
 
 def pattern_frequencies(ds: PatternDataset) -> list[tuple[str, int]]:
@@ -164,11 +159,12 @@ def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], P
     hour_start must be a naive whole hour in HOUR_MIN..HOUR_MAX, and each
     (vehicle, direction, hour) may appear once. Each feature column is read
     by its FEATURE_SCHEMA spec, and the calendar features must be the ones
-    hour_start gives (see hour_calendar). Waits must be finite and not
-    negative, and the pattern label must have one merged part name per
-    bridge of the row's vehicle and be the label of the row's waits. The
-    rows of an hour share one hour_start and one FeatureVector, as from
-    label_hours: each hour text and each tuple of feature texts is parsed once.
+    hour_start gives (see hour_calendar). wait_rb is blank for commercial
+    rows. Waits must be finite and not negative, and the pattern label must
+    have one merged part name per bridge of the row's vehicle and be the
+    label of the row's waits. The rows of an hour share one hour_start and
+    one FeatureVector, as from label_hours: each hour text and each tuple of
+    feature texts is parsed once.
     """
     @cache
     def hour(text):  # hour_start, and its calendar if it is a naive whole hour in the window, else None
@@ -187,6 +183,8 @@ def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], P
             waits = tuple(number(float, row[2 + bridge]) for bridge in bridges_for(vehicle))  # wait_pb is row[3]
         except ValueError as exc:
             raise DataError(f"bad observation row: {cut(str(exc))}", line=line) from None
+        if vehicle is Vehicle.COMMERCIAL and row[4]:
+            raise DataError(f"wait_rb {cut(repr(row[4]))} of a commercial row is not blank", line=line)
         if calendar is None:
             raise DataError(f"hour_start {row[0]!r} is not a naive whole hour in {HOUR_MIN}..{HOUR_MAX}", line=line)
         pattern = row[6]
@@ -213,4 +211,4 @@ def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], P
         if first != line:
             raise DataError(f"{vehicle.label} {direction.label} {row[0]!r} repeats line {first}", line=line)
         rows.setdefault((vehicle, direction), []).append(PatternRow(fv, pattern, hour_start, waits))
-    return {(v, d): PatternDataset(FEATURE_SCHEMA, r, d, v) for (v, d), r in rows.items()}
+    return {(v, d): PatternDataset(r, d, v) for (v, d), r in rows.items()}

@@ -20,7 +20,7 @@ from datetime import date, datetime, time
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .errors import Checked, UsageError
+from .errors import Checked, UsageError, cut
 from .features import HOLIDAYS_HEADER, FeatureVector, build_feature_vector
 from .ingest import (
     HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, Vehicle, WeatherRecord,
@@ -61,6 +61,8 @@ class SynthConfig(Checked, namedtuple(
     __slots__ = ()
 
     def _check(self):
+        if type(self.seed) is not int or self.seed < 0:
+            raise UsageError(f"seed must be an integer >= 0, not {cut(repr(self.seed))}")
         if not 0.0 <= self.label_flip < 1.0:
             raise UsageError("label_flip must be in [0, 1)")
         if not (self.jitter >= 0 and math.isfinite(self.jitter)):

@@ -232,6 +232,8 @@ def read_observations_row_by_row(lines: Iterable[str]) -> dict:
             waits = tuple(number(float, wait_cols[b]) for b in bridges)
         except ValueError as exc:
             raise DataError(f"bad observation row: {cut(str(exc))}", line=line) from None
+        if Bridge.RB not in bridges and wait_cols[Bridge.RB] != "":
+            raise DataError(f"wait_rb {cut(repr(wait_cols[Bridge.RB]))} of a commercial row is not blank", line=line)
         if hour_start.tzinfo is not None or _window_hour(hour_start) != hour_start:
             raise DataError(f"hour_start {row[0]!r} is not a naive whole hour in {HOUR_MIN}..{HOUR_MAX}", line=line)
         pattern = row[6]
@@ -259,7 +261,7 @@ def read_observations_row_by_row(lines: Iterable[str]) -> dict:
             raise DataError(f"{vehicle.label} {direction.label} {row[0]!r} repeats line {first_lines[key]}", line=line)
         first_lines[key] = line
         if (vehicle, direction) not in datasets:
-            datasets[(vehicle, direction)] = PatternDataset(FEATURE_SCHEMA, [], direction, vehicle)
+            datasets[(vehicle, direction)] = PatternDataset([], direction, vehicle)
         datasets[(vehicle, direction)].rows.append(PatternRow(FeatureVector(*values), pattern, hour_start, waits))
     return datasets
 

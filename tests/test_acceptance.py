@@ -193,7 +193,7 @@ def test_criterion_5_planted_rule_recovery(tmp_path):
         )
         ds = _pipeline_dataset(cfg, tmp_path, "weekend")
         assert len(ds.rows) >= 5000
-        ds.rows = ds.rows[:5000]
+        ds = ds._replace(rows=ds.rows[:5000])
         tree = cart.grow_tree(ds, TrainConfig())
         assert isinstance(tree.root, Split)
         assert tree.root.rule.feature == "weekend"

@@ -11,7 +11,7 @@ from delaytree.cli import main, parse_rule
 from delaytree.errors import DataError, UsageError
 from delaytree.features import HOLIDAYS_HEADER
 from delaytree.ingest import WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, hourly_waits
-from delaytree.patterns import OBSERVATIONS_HEADER
+from delaytree.patterns import OBSERVATIONS_HEADER, pattern_of
 
 PIPE_CFG = """
 [pipeline]
@@ -332,6 +332,18 @@ def test_pipeline_rejects_nan_min_gain(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]  # the settings are checked before any file is written
 
 
+def test_a_negative_seed_is_not_an_alias_of_its_absolute_value(tmp_path, capsys):
+    # random.Random(-1) seeds as random.Random(1), so -1 would write seed 1's corpus.
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text(PIPE_CFG.format(out=tmp_path / "out").replace("seed = 7", "seed = -1"))
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, not -1\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+    assert main(["synth", "--config", str(cfg), "--seed=-1", "--out-dir", str(tmp_path / "data")]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, not -1\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_pipeline_checks_the_tree_settings_of_a_combo_without_rows(tmp_path, capsys):
     # The synth corpus has passenger to_us rows only, so no tree is grown
     # from [train.commercial.to_can]; its bad value still stops the run.
@@ -483,6 +495,21 @@ def test_observations_row_must_fit_its_hour(corpus, tmp_path, capsys, column, va
                  ["report", "pattern-freq", "--data", str(bad)]):
         assert main([*argv, "--vehicle", "passenger", "--direction", "to_us"]) == 2
         assert f"{bad}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "wait_rb, shown", [("banana", "'banana'"), ("5.0", "'5.0'"), ("7" * 150, "'" + "7" * 98 + "\u2026")]
+)
+def test_a_commercial_row_leaves_wait_rb_blank(corpus, tmp_path, capsys, wait_rb, shown):
+    lines = (corpus / "observations.csv").read_text().splitlines()
+    fields = lines[3].split(",")  # made a commercial row, valid but for its wait_rb
+    fields[2], fields[4] = "commercial", wait_rb
+    fields[6] = pattern_of((float(fields[3]), float(fields[5])))
+    lines[3] = ",".join(fields)
+    bad = tmp_path / "bad_obs.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["report", "pattern-freq", "--data", str(bad), "--vehicle", "commercial", "--direction", "to_us"]) == 2
+    assert capsys.readouterr().err.endswith(f"{bad}: line 4: wait_rb {shown} of a commercial row is not blank\n")
 
 
 def test_unexpected_exception_exits_3(monkeypatch, capsys):

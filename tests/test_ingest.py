@@ -42,7 +42,7 @@ from delaytree.ingest import (
     _wait_groups,
     _window_hour,
 )
-from delaytree.features import parse_holidays
+from delaytree.features import FEATURE_SCHEMA, parse_holidays
 from delaytree.patterns import OBSERVATIONS_HEADER, read_observations
 from delaytree.report import TREE_FORMATS, export_tree, factor_summary, factor_summary_csv, import_tree
 
@@ -120,6 +120,27 @@ def test_parse_weather_accepts_subzero_temperature():
 def test_parse_weather_rejects_bad_visibility(vis):
     with pytest.raises(DataError):
         parse_weather(WHEADER + f"2016-08-22T07:00,63.5,{vis},0.0,Clear\n")
+
+
+def _mixed_case(name):
+    return "".join(c.lower() if i % 2 else c.upper() for i, c in enumerate(name))
+
+
+@pytest.mark.parametrize(
+    "column, text, value",
+    [*[("visibility", str(v), v) for v in range(-1, 13)],
+     *[("condition", spell(c.name), c.label) for c in Condition for spell in (str.lower, _mixed_case)],
+     ("condition", "Fog", "Fog")],
+)
+def test_parse_weather_reads_the_levels_the_feature_schema_declares(column, text, value):
+    fields = {"visibility": "10", "condition": "Clear", column: text}
+    weather = WHEADER + f"2016-08-22T07:00,63.5,{fields['visibility']},0.0,{fields['condition']}\n"
+    if value in FEATURE_SCHEMA.spec(column).levels:
+        (record,) = parse_weather(weather)
+        assert (record.visibility if column == "visibility" else record.condition.label) == value
+    else:
+        with pytest.raises(DataError, match="outside 1..10" if column == "visibility" else "unknown condition"):
+            parse_weather(weather)
 
 
 def test_parse_weather_rejects_negative_precipitation():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytree.errors import DataError
-from delaytree.features import FEATURE_SCHEMA, build_feature_vector, hour_interval_of
+from delaytree.features import build_feature_vector, hour_interval_of
 from delaytree.ingest import Bridge, Condition, Direction, Vehicle, WeatherRecord, bridges_for
 from delaytree.patterns import (
     COMBOS,
@@ -237,7 +237,7 @@ def test_assemble_rows_sorted_by_hour_and_no_all_zero_sources():
 
 
 def _dataset(rows):
-    return PatternDataset(FEATURE_SCHEMA, rows, Direction.TO_US, Vehicle.PASSENGER)
+    return PatternDataset(rows, Direction.TO_US, Vehicle.PASSENGER)
 
 
 def test_frequencies_empty():
@@ -449,7 +449,7 @@ def _observations(draw):
         for hour in draw(st.lists(st.sampled_from(hours), min_size=1, unique=True).map(sorted)):
             waits = tuple(draw(st.sampled_from(_WAITS)) for _ in bridges_for(vehicle))
             rows.append(PatternRow(features[hour], pattern_of(waits), hour, waits))
-        datasets[(vehicle, direction)] = PatternDataset(FEATURE_SCHEMA, rows, direction, vehicle)
+        datasets[(vehicle, direction)] = PatternDataset(rows, direction, vehicle)
     return datasets
 
 

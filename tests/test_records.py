@@ -40,7 +40,7 @@ RECORDS = {
     "RawWaitTimeRecord": (lambda: RawWaitTimeRecord(HOUR, Bridge.PB, Direction.TO_US, Vehicle.PASSENGER, 5.0), True),
     "WeatherRecord": (lambda: WeatherRecord(HOUR, 60.5, 10, 0.0, Condition.CLEAR), True),
     "PatternDataset": (
-        lambda: PatternDataset(FEATURE_SCHEMA, [PatternRow(make_fv(), "p", HOUR, (1.0, 2.0, 3.0))],
+        lambda: PatternDataset([PatternRow(make_fv(), "p", HOUR, (1.0, 2.0, 3.0))],
                                Direction.TO_US, Vehicle.PASSENGER, 1, 2),
         False,
     ),
@@ -66,7 +66,7 @@ def test_a_record_is_a_value(name):
             hash(value)
 
 
-@pytest.mark.parametrize("name", [name for name in RECORDS if name != "PatternDataset"])
+@pytest.mark.parametrize("name", RECORDS)
 def test_a_record_refuses_changes(name):
     value = RECORDS[name][0]()
     for attr in (type(value)._fields[0], "extra"):
@@ -75,12 +75,9 @@ def test_a_record_refuses_changes(name):
     assert value == RECORDS[name][0]()
 
 
-def test_a_dataset_takes_new_rows():
-    ds = RECORDS["PatternDataset"][0]()
-    ds.rows = []
-    ds.skipped_incomplete += 1
-    assert (ds.rows, ds.skipped_incomplete) == ([], 2)
-    assert ds != RECORDS["PatternDataset"][0]()
+def test_a_dataset_s_schema_is_the_feature_schema_and_not_a_field():
+    assert PatternDataset._fields == ("rows", "direction", "vehicle", "skipped_incomplete", "dropped_all_zero")
+    assert PatternDataset.schema is FEATURE_SCHEMA and RECORDS["PatternDataset"][0]().schema is FEATURE_SCHEMA
 
 
 def test_a_named_tuple_equals_the_tuple_of_its_values():
@@ -97,8 +94,9 @@ def test_a_named_tuple_equals_the_tuple_of_its_values():
         (FeatureSpec("x", CATEGORICAL, (0, 1)), "levels", None, ValueError),
         (synth.SynthConfig(**SYNTH), "label_flip", 1.0, UsageError),
         (synth.SynthConfig(**SYNTH), "end", date(2016, 9, 4), UsageError),
+        (synth.SynthConfig(**SYNTH), "seed", -1, UsageError),
     ],
-    ids=["min_samples", "min_gain", "kind", "levels", "label_flip", "end"],
+    ids=["min_samples", "min_gain", "kind", "levels", "label_flip", "end", "seed"],
 )
 def test_a_checked_record_checks_every_way_to_build_one(good, field, bad, error):
     cls = type(good)

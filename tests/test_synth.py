@@ -74,6 +74,14 @@ def test_config_rejects_bad_noise():
         config(jitter=-0.5)
 
 
+@pytest.mark.parametrize("seed, shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'")])
+def test_config_takes_only_an_integer_seed(seed, shown):
+    with pytest.raises(UsageError) as exc:
+        config(seed=seed)
+    assert str(exc.value) == f"seed must be an integer >= 0, not {shown}"
+    assert config(seed=0).seed == 0
+
+
 def test_config_requires_combo_bridges():
     with pytest.raises(UsageError):
         config(base_waits={Bridge.PB: 5.0, Bridge.LQ: 5.0})
