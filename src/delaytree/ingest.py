@@ -1,5 +1,6 @@
 """Raw feed ingestion: reading input files, wait-time and weather CSV parsing,
-hourly aggregation (a large wait file on every CPU) and the weather join.
+hourly aggregation (a wait file in synth's form without the per-row loop) and
+the weather join.
 
 Timestamps are naive local civil time throughout; neither feed carries a
 zone and no conversion is performed. Only hours 7..21 survive aggregation.
@@ -17,7 +18,8 @@ from bisect import bisect_right
 from collections import defaultdict
 from datetime import datetime, timedelta
 from enum import IntEnum
-from itertools import tee
+from itertools import groupby, tee
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DataError, cut
@@ -337,83 +339,65 @@ def _hourly_means(groups: dict[tuple, dict[datetime, Sequence[float]]]) -> Hourl
     return table
 
 
-_CHUNK_MIN = 1 << 20  # the least bytes per chunk: from 1 MiB, two chunks beat one process on 2 CPUs
+_BLOCK = 1 << 16  # bytes per read of _strict_groups: 1 MiB took the bulk year's traced peak from 18.3 to 24.3 MB
+
+# A wait row as synth writes it: an hour's text, minutes, a stream's text and a wait of at most 308 digits before
+# the point, so below 10**308 and finite.
+_STRICT_ROW = re.compile(
+    rb"^([0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3])):[0-5][0-9],"
+    rb"((?:PB|RB|LQ),(?:to_us|to_can),(?:passenger|commercial)),([0-9]{1,308}\.[0-9]+)\n",
+    re.MULTILINE,
+)
 
 
-def _hourly_waits_file(path):
-    """_parse_file(hourly_waits, path), the same table or first error. Where os.fork exists, a
-    regular file with no '"' (a quoted field may hold a newline) is cut after newlines into a chunk
-    per usable CPU, at most one per _CHUNK_MIN bytes; a forked child parses each chunk but the first."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    size = os.path.getsize(path) if hasattr(os, "fork") and os.path.isfile(path) else 0
-    n, cuts = min(cpus, size // _CHUNK_MIN), []  # (byte offset, lines before it) of each chunk's start
-    if n > 1:
-        with open(path, "rb") as file:
-            cuts.append((len(head := file.readline()), 1))
-            pos = lines = file.seek(0)  # the header line is scanned for '"' too
-            while (block := file.read(_CHUNK_MIN)) and b'"' not in block:
-                while len(cuts) < n and (end := block.find(b"\n", max(size * len(cuts) // n - pos, 0)) + 1):
-                    cuts.append((pos + end, lines + block.count(b"\n", 0, end)))
-                lines, pos = lines + block.count(b"\n"), pos + len(block)
-    if len(cuts) < 2 or block:  # a '"' stops the scan with the block that holds it
-        return _parse_file(hourly_waits, path)
-    import pickle
-    import signal
-    from itertools import chain, islice
-
-    def chunk(i):  # (groups, error) of chunk i, whose line r is the file's line `before + r - 1`
-        (start, before), count = cuts[i], (cuts[i + 1][1] - cuts[i][1] if i + 1 < len(cuts) else None)
-        try:
-            with open(path, "rb") as file:
-                file.seek(start)
-                return _wait_groups(_utf8_lines(chain((head,), islice(file, count)))), None
-        except DataError as exc:
-            return None, DataError(f"{path}: line {before + exc.line - 1}: {exc.message}")
-        except Exception as exc:
-            return None, exc
-
-    children, groups, parent = [], {}, os.getpid()
-    try:
-        try:
-            for i in range(1, len(cuts)):
-                read, write = os.pipe()
+def _strict_groups(file) -> Optional[defaultdict[tuple, dict[datetime, array]]]:
+    """`_wait_groups` of binary wait file `file` whose header line is WAIT_TIMES_HEADER and whose every line is
+    one _STRICT_ROW, else None. Each block of _BLOCK bytes, cut after its last newline, is one findall that
+    must match once per newline; each run of rows of one hour text and stream text is one array. An hour text
+    is parsed once and a stream text once, and their groups share the hour and the stream."""
+    if file.readline() != (",".join(WAIT_TIMES_HEADER) + "\n").encode():
+        return None
+    hours: dict[bytes, Optional[datetime]] = {}
+    streams: dict[bytes, tuple] = {}
+    groups: defaultdict[tuple, dict[datetime, array]] = defaultdict(dict)
+    rest = b""
+    while block := file.read(_BLOCK):
+        block = rest + block
+        end = block.rfind(b"\n") + 1
+        rows = _STRICT_ROW.findall(block, 0, end)
+        if len(rows) != block.count(b"\n", 0, end):
+            return None
+        rest = block[end:]
+        for (hour_text, stream_text), run in groupby(rows, itemgetter(0, 1)):
+            hour = hours.get(hour_text, False)  # an hour is a datetime or None, so False is "not seen"
+            if hour is False:
                 try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read), os.close(write)
-                    raise
-                if pid == 0:
-                    try:
-                        os.close(read)  # so that, with the parent gone, a write fails instead of waiting
-                        import ctypes  # only here: about 5 ms a child
-                        prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux: SIGKILL this child when its
-                        if prctl is not None:  # parent dies (PR_SET_PDEATHSIG), not at the end of its chunk
-                            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-                            prctl(1, signal.SIGKILL)
-                        if os.getppid() == parent:  # else the parent died before prctl
-                            with open(write, "wb") as out:
-                                pickle.dump(chunk(i), out, pickle.HIGHEST_PROTOCOL)
-                    finally:
-                        os._exit(0)
-                os.close(write)
-                children.append((pid, open(read, "rb")))  # EOFError, exit 3, if a child ends with no result
-        except OSError:  # no pipe or no process to be had: no input is at fault, so this process reads it all
-            pass
-        else:
-            for part, error in chain([chunk(0)], (pickle.load(pipe) for _, pipe in children)):
-                if error is not None:
-                    raise error
-                for stream, hours in part.items():
-                    into = groups.setdefault(stream, {})
-                    for hour, values in hours.items():
-                        into[hour] = into[hour] + values if hour in into else values
-            return _hourly_means(groups)
-    finally:
-        for pid, pipe in children:  # a child whose result was read is exiting already
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return _parse_file(hourly_waits, path)
+                    hours[hour_text] = hour = _window_hour(_parse_timestamp(hour_text.decode() + ":00", 0))
+                except DataError:  # not a date
+                    return None
+            stream = streams.get(stream_text)
+            if stream is None:
+                bridge, direction, vehicle = stream_text.decode().upper().split(",")
+                stream = streams[stream_text] = (Bridge[bridge], Direction[direction], Vehicle[vehicle])
+                if stream[0] not in bridges_for(stream[2]):  # trucks on RB
+                    return None
+            if hour is not None:
+                series, values = groups[stream], array("d", map(float, map(itemgetter(2), run)))
+                if hour in series:
+                    series[hour] += values
+                else:
+                    series[hour] = values
+    return None if rest else groups
+
+
+def _hourly_waits_file(path) -> HourlyMeans:
+    """_parse_file(hourly_waits, path): the same table or first error. A regular file is read by
+    `_strict_groups` first; any file it does not take is read again by the exact loop."""
+    groups = None
+    if os.path.isfile(path):  # not a pipe, which cannot be read twice
+        with open(path, "rb") as file:
+            groups = _strict_groups(file)
+    return _parse_file(hourly_waits, path) if groups is None else _hourly_means(groups)
 
 
 def join_weather(hours: HourlyMeans, weather: list[WeatherRecord]) -> dict[datetime, WeatherRecord]:

@@ -45,10 +45,11 @@ class PlantedRule(NamedTuple):
         return all(fv[name] in allowed for name, allowed in self.condition.items())
 
 
-# random.normalvariate draws stay within 12.2 standard deviations (its
-# ratio-of-uniforms test with u2 >= 2**-53), so a wait plus 13 jitters
-# bounds every sample generate can write.
+# The normal draws of generate's wait jitter, random.normalvariate's
+# ratio-of-uniforms loop, stay within 12.2 standard deviations (its test with
+# u2 >= 2**-53), so a wait plus 13 jitters bounds every sample it can write.
 _MAX_DRAW = 13.0
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)  # random.NV_MAGICCONST
 
 
 class SynthConfig(Checked, namedtuple(
@@ -126,7 +127,7 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = random.Random(cfg.seed)
-    normal = rng.normalvariate
+    uniform, log, magic = rng.random, math.log, _NV_MAGICCONST
     base = cfg.base_pattern()
     jitter = cfg.jitter
     # Each bridge's row tail after the timestamp, and its minute texts.
@@ -175,7 +176,15 @@ def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
             for bridge, tail, minutes in streams:
                 level = waits[bridge]
                 for minute in minutes:
-                    value = max(0.0, level + normal(0.0, jitter)) if jitter > 0 else level
+                    value = level
+                    if jitter > 0:  # max(0.0, level + rng.normalvariate(0.0, jitter)), its loop owned and inline
+                        while True:
+                            u1 = uniform()
+                            u2 = 1.0 - uniform()
+                            z = magic * (u1 - 0.5) / u2
+                            if z * z / 4.0 <= -log(u2):
+                                break
+                        value = max(0.0, level + (0.0 + z * jitter))
                     write_wait(f"{prefix}{minute}{tail}{value:.2f}\n")
 
     holidays = [(d.isoformat(), "US") for d in cfg.us_holidays] + [(d.isoformat(), "CA") for d in cfg.ca_holidays]

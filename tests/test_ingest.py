@@ -11,7 +11,6 @@ import os
 import sys
 import tempfile
 import tracemalloc
-from contextlib import contextmanager
 from datetime import datetime, timedelta
 from fractions import Fraction
 from functools import partial
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaytree import cli, ingest
+from delaytree import ingest
 from delaytree.cli import main
 from delaytree.errors import DataError
 from delaytree.ingest import (
@@ -39,6 +38,7 @@ from delaytree.ingest import (
     _hourly_waits_file,
     _parse_file,
     _parse_timestamp,
+    _strict_groups,
     _wait_groups,
     _window_hour,
 )
@@ -743,25 +743,7 @@ def test_a_timestamp_text_keeps_only_its_hour():
     assert peak < 150 * 30_000
 
 
-# ---------------------------------------------- reading a file in chunks
-
-
-@contextmanager
-def _chunks(count, size, forks=None):
-    """A file of `size` bytes read in `count` chunks: count usable CPUs and
-    a chunk minimum of size // count. os.fork appends to `forks`, if given."""
-    fork = os.fork
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_CHUNK_MIN", max(1, size // count))
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-        if forks is not None:
-            mp.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
-        yield
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# ------------------------------------------------ reading a file in blocks
 
 
 def _table_or_error(read, path):
@@ -772,13 +754,27 @@ def _table_or_error(read, path):
         return str(exc)
 
 
+def _reads_as_the_exact_loop(data, block):
+    """`_hourly_waits_file` of a file of `data`, read `block` bytes at a time, gives the table or the message
+    of `_parse_file(hourly_waits, ...)`, and `_strict_groups` gives None or the exact loop's groups; returns
+    whether it gave groups."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp, "wait_times.csv")
+        path.write_bytes(data)
+        mp.setattr(ingest, "_BLOCK", block)
+        assert _table_or_error(_hourly_waits_file, path) == _table_or_error(partial(_parse_file, hourly_waits), path)
+        with open(path, "rb") as file:
+            groups = _strict_groups(file)
+        assert groups is None or groups == _parse_file(_wait_groups, path)
+    return groups is not None
+
+
 @st.composite
 def _wait_file(draw):
     """wait_times.csv bytes: unquoted rows and blank lines, up to two bad
     rows anywhere, lines ended by "\n" or "\r\n", now and then no final
     newline, and a byte that is not UTF-8, a '"' or a quoted field that
-    holds a newline at the start of a row (a '"' keeps the file in one
-    chunk)."""
+    holds a newline at the start of a row."""
     unquoted = _wait_row().map(lambda row: row.replace('"', ""))
     lines = draw(st.lists(st.one_of(unquoted, st.just("")), max_size=40))
     for row in draw(st.lists(_wait_row(bad=True).map(lambda row: row.replace('"', "")), max_size=2)):
@@ -796,196 +792,134 @@ def _wait_file(draw):
 @settings(max_examples=60, deadline=None)
 @given(_wait_file(), st.integers(2, 5))
 def test_a_file_in_chunks_gives_the_table_or_the_first_error_of_one_pass(data, count):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "wait_times.csv")
-        path.write_bytes(data)
-        with _chunks(count, len(data)):
-            assert _table_or_error(_hourly_waits_file, path) == _table_or_error(partial(_parse_file, hourly_waits), path)
-    _no_child_left()
+    _reads_as_the_exact_loop(data, max(1, len(data) // count))
+
+
+_STREAM_TEXTS = [f"{b},{d},{v}" for b in ("PB", "RB", "LQ") for d in ("to_us", "to_can")
+                 for v in ("passenger", "commercial") if (b, v) != ("RB", "commercial")]
+# A row in synth's form: two days, every hour and minute, waits of up to 3 digits before the point and 3 after.
+_SYNTH_ROW = st.builds(
+    "2016-08-{:02d}T{:02d}:{:02d},{},{}.{}".format, st.integers(22, 23), st.integers(0, 23), st.integers(0, 59),
+    st.sampled_from(_STREAM_TEXTS), st.integers(0, 999), st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+)
+
+
+def _put(text):
+    return lambda row, at: row[:at] + text + row[at:]
+
+
+def _wait(text):
+    return lambda row, at: row.rpartition(",")[0] + "," + text
+
+
+# A line made of a row in synth's form (and a place in it): a row off the form that the exact loop reads, one it
+# rejects, a row of 308 digits before the point (in the form), or a line that holds what no row in the form holds.
+_LINE_FAULTS = {
+    "names in upper case": lambda row, at: row.upper(),
+    "spaces": lambda row, at: row.replace(",", " , ", 1),
+    "a space for T": lambda row, at: row.replace("T", " "),
+    "seconds and a fraction": lambda row, at: row.replace(",", ":30.250,", 1),
+    "a wait without a point": _wait("7"),
+    "a wait with an exponent": _wait("1e1"),
+    "a bad date": lambda row, at: "2016-02-30" + row[10:],
+    "hour 24": lambda row, at: row[:11] + "24" + row[13:],
+    "minute 60": lambda row, at: row[:14] + "60" + row[16:],
+    "trucks on RB": lambda row, at: row[:17] + "RB,to_us,commercial," + row.rpartition(",")[2],
+    "a wait of two points": _wait("1.2.3"),
+    "a wait of a point": _wait("."),
+    "a wait of 308 digits": _wait("9" * 308 + ".5"),
+    "a wait of 309 digits": _wait("9" * 309 + ".5"),
+    "a wait of 400 digits": _wait("9" * 400 + ".5"),
+    "a prefix": lambda row, at: "x" + row,
+    "a field before the row": lambda row, at: "0," + row,
+    "a blank line": lambda row, at: "",
+    "a carriage return": _put("\r"),
+    "a NUL": _put("\x00"),
+    "a byte that is not UTF-8": _put("\udcff"),
+    "a character that is not ASCII": _put("\u00e9"),
+}
+_HEADERS = {"a header with a space": " " + HEADER, "a header ended by CRLF": HEADER.replace("\n", "\r\n"),
+            "a quoted header": '"timestamp"' + HEADER[len("timestamp"):]}
+
+
+@pytest.mark.parametrize(
+    "fault", ["none", *_LINE_FAULTS, *_HEADERS, "no final newline"], ids=lambda fault: fault.replace(" ", "_")
+)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_strict_path_gives_the_table_or_the_first_error_of_the_exact_loop(fault, data):
+    """A file of rows in synth's form with one fault, read in blocks of 1 to 100 bytes, so that rows straddle
+    them. Only a file in the form is read by the strict path."""
+    rows = data.draw(st.lists(_SYNTH_ROW, max_size=30))
+    if fault in _LINE_FAULTS:
+        row = data.draw(_SYNTH_ROW)
+        rows.insert(data.draw(st.integers(0, len(rows))), _LINE_FAULTS[fault](row, data.draw(st.integers(0, len(row)))))
+    text = _HEADERS.get(fault, HEADER) + "".join(row + "\n" for row in rows)
+    text = text[:-1] if fault == "no final newline" else text
+    strict = _reads_as_the_exact_loop(text.encode("utf-8", "surrogateescape"), data.draw(st.integers(1, 100)))
+    assert strict is (fault in ("none", "a wait of 308 digits"))
 
 
 def _rows(hours):
     """Two rows per hour from 2016-08-22T07:00, one per passenger to_us bridge."""
     return b"".join(
-        f"2016-08-22T{7 + h % 15:02d}:{h % 60:02d},{bridge},to_us,passenger,{h % 7}\n".encode()
+        f"2016-08-22T{7 + h % 15:02d}:{h % 60:02d},{bridge},to_us,passenger,{h % 7}.5\n".encode()
         for h in range(hours) for bridge in ("PB", "LQ")
     )
 
 
 @pytest.mark.parametrize("quote", [None, "header", "last_row"])
-def test_a_file_in_three_chunks_is_read_by_two_children_unless_it_holds_a_quote(tmp_path, quote):
+def test_a_file_in_three_blocks_is_read_by_the_strict_path_unless_quoted(tmp_path, monkeypatch, quote):
     path = tmp_path / "wait_times.csv"
     header, rows = HEADER.encode(), _rows(600)
     if quote == "header":
         header = b'"timestamp"' + header[len(b"timestamp"):]
     elif quote == "last_row":
-        rows += b'"2016-08-22T08:00",PB,to_us,passenger,1\n'
+        rows += b'"2016-08-22T08:00",PB,to_us,passenger,1.5\n'
     path.write_bytes(header + rows)
-    forks = []
-    with _chunks(3, path.stat().st_size, forks):
-        assert _hourly_waits_file(path) == _parse_file(hourly_waits, path)
-    assert len(forks) == (0 if quote else 2)
-    _no_child_left()
+    want, exact = _parse_file(hourly_waits, path), []
+    monkeypatch.setattr(ingest, "_BLOCK", path.stat().st_size // 3)
+    monkeypatch.setattr(ingest, "_parse_file", lambda *args: exact.append(args) or _parse_file(*args))
+    assert _hourly_waits_file(path) == want
+    assert len(exact) == (1 if quote else 0)
 
 
 @pytest.mark.parametrize(
     "where, line", [("first", 2), ("last", 1202)], ids=["in_the_first_chunk", "in_the_last_chunk"]
 )
-def test_a_data_error_in_any_chunk_names_its_line_and_leaves_no_child(tmp_path, where, line):
+def test_a_data_error_in_any_chunk_names_its_line_and_leaves_no_child(tmp_path, monkeypatch, where, line):
     path = tmp_path / "wait_times.csv"
     bad = b"2016-08-22T07:00,PB,to_us,passenger,-1\n"
     path.write_bytes(HEADER.encode() + (bad + _rows(600) if where == "first" else _rows(600) + bad))
-    forks = []
-    with _chunks(3, path.stat().st_size, forks), pytest.raises(DataError) as exc:
+    monkeypatch.setattr(ingest, "_BLOCK", path.stat().st_size // 3)
+    with pytest.raises(DataError) as exc:
         _hourly_waits_file(path)
     assert str(exc.value) == f"{path}: line {line}: negative wait_minutes '-1'"
-    assert len(forks) == 2
-    _no_child_left()
+    with pytest.raises(ChildProcessError):  # the file is read in this process
+        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("fails", ["pipe", "fork"])
-def test_a_second_pipe_or_fork_that_fails_ends_the_first_child_and_reads_the_file_here(tmp_path, monkeypatch, capsys,
-                                                                                       fails):
-    import errno
-
+def test_the_strict_path_holds_its_groups_not_its_text(tmp_path, monkeypatch):
+    # 120,000 rows in synth's form, about 5 MB in 80 blocks, in runs of 12 rows of each of 3 hours. Each of 3
+    # streams holds the next 2,000 rows, so each stream first meets the hours in a block of its own.
     path = tmp_path / "wait_times.csv"
-    path.write_bytes(HEADER.encode() + _rows(600))
-    argv = ["report", "hourly-dist", "--wait-times", str(path), "--bridge", "PB", "--vehicle", "passenger",
-            "--direction", "to_us"]
-    assert main(argv) == 0
-    want = capsys.readouterr().out
-    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
-    forks, calls = [], []
-    with _chunks(3, path.stat().st_size, forks):
-        real = getattr(os, fails)  # os.fork records each child in `forks`
-
-        def second_fails():
-            calls.append(fails)
-            if len(calls) == 2:
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            return real()
-
-        monkeypatch.setattr(os, fails, second_fails)
-        assert _hourly_waits_file(path) == _parse_file(hourly_waits, path)
-        _no_child_left()
-        assert len(forks) == 1
-        calls.clear()
-        assert main(argv) == 0
-        _no_child_left()
-    assert capsys.readouterr() == (want, "")
-    assert len(forks) == 2
-    if fds:  # no pipe end is left open; listing the directory opens one more
-        assert set(os.listdir("/proc/self/fd")) == fds
-
-
-def test_a_child_that_ends_with_no_result_is_an_internal_error(tmp_path, monkeypatch, capsys):
-    import pickle
-
-    def fail(*args):
-        raise RuntimeError("no pickle")
-
-    path = tmp_path / "wait_times.csv"
-    path.write_bytes(HEADER.encode() + _rows(600))
-    monkeypatch.setattr(pickle, "dump", fail)  # each child fails, and exits, before it writes
-    with _chunks(2, path.stat().st_size):
-        assert main(["report", "hourly-dist", "--wait-times", str(path), "--bridge", "PB",
-                     "--vehicle", "passenger", "--direction", "to_us"]) == 3
-    assert capsys.readouterr().err == "internal error: EOFError: Ran out of input\n"
-    _no_child_left()
-
-
-# A process that reads a file in two chunks, with a grouping that sleeps for
-# a minute in the parent. The child finds no prctl, so it outlives its
-# parent; its grouping, which runs after its check of its parent, prints its
-# pid, sleeps half a second and returns a result larger than a pipe's buffer.
-_KILLED_PARENT = """
-import ctypes, os, sys, time
-from array import array
-from delaytree import ingest
-parent = os.getpid()
-ctypes.CDLL = lambda name: object()
-def groups(lines):
-    if os.getpid() == parent:
-        time.sleep(60)
-    print(os.getpid(), flush=True)
-    time.sleep(0.5)
-    return {("s",): {0: array("d", bytes(800_000))}}
-ingest._wait_groups, ingest._CHUNK_MIN = groups, 1
-os.sched_getaffinity = lambda pid: {0, 1}
-ingest._hourly_waits_file(sys.argv[1])
-"""
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads a process's state under /proc")
-def test_a_child_whose_parent_is_killed_exits_once_its_chunk_is_read(tmp_path):
-    import signal
-    import subprocess
-    import time
-
-    path = tmp_path / "wait_times.csv"
-    path.write_bytes(HEADER.encode() + _rows(600))
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT, str(path)], stdout=subprocess.PIPE, env=env)
-    pid = int(proc.stdout.readline())  # the child is past its check of its parent
-    proc.kill()
-    proc.wait()
-    proc.stdout.close()
-    deadline = time.monotonic() + 10
-    while time.monotonic() < deadline:
-        try:  # the state follows the command name in parentheses
-            if Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] == "Z":
-                return
-        except FileNotFoundError:
-            return
-        time.sleep(0.05)
-    os.kill(pid, signal.SIGKILL)
-    pytest.fail(f"the child {pid} still runs 10 s after its parent was killed")
-
-
-# A process that reads a file in two chunks, with a grouping that sleeps for a
-# minute in the parent; the child prints its pid, then reads its 600 lines at
-# 10 ms a line.
-_SLOW_CHILD = """
-import os, sys, time
-from delaytree import ingest
-parent = os.getpid()
-def groups(lines):
-    if os.getpid() == parent:
-        time.sleep(60)
-    print(os.getpid(), flush=True)
-    for _ in lines:
-        time.sleep(0.01)
-    return {}
-ingest._wait_groups, ingest._CHUNK_MIN = groups, 1
-os.sched_getaffinity = lambda pid: {0, 1}
-ingest._hourly_waits_file(sys.argv[1])
-"""
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a child's death signal and /proc are Linux's")
-def test_a_child_whose_parent_is_killed_ends_before_its_chunk_is_read(tmp_path):
-    import signal
-    import subprocess
-    import time
-
-    path = tmp_path / "wait_times.csv"
-    path.write_bytes(HEADER.encode() + _rows(600))
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-c", _SLOW_CHILD, str(path)], stdout=subprocess.PIPE, env=env)
-    pid = int(proc.stdout.readline())  # the child is reading its chunk
-    proc.kill()
-    proc.wait()
-    proc.stdout.close()
-    deadline = time.monotonic() + 2
-    while time.monotonic() < deadline:
-        try:  # the state follows the command name in parentheses
-            if Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] == "Z":
-                return
-        except FileNotFoundError:
-            return
-        time.sleep(0.05)
-    os.kill(pid, signal.SIGKILL)
-    pytest.fail(f"the child {pid} still reads its chunk 2 s after its parent was killed")
+    streams = ("PB,to_us,passenger", "RB,to_can,passenger", "LQ,to_us,commercial")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(HEADER)
+        for i in range(120_000):
+            file.write(f"2016-08-22T{7 + i // 12 % 3:02d}:{i % 60:02d},{streams[i // 2000 % 3]},{i % 97 / 4}\n")
+    with open(path, "rb") as file:
+        groups = _strict_groups(file)
+    assert len(groups) == 3 and len({id(hour) for series in groups.values() for hour in series}) == 3
+    monkeypatch.setattr(ingest, "_parse_file", None)  # the strict path reads the whole file
+    tracemalloc.start()
+    try:
+        hours = _hourly_waits_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, hours.values())) == 9
+    assert peak < path.stat().st_size / 2
 
 
 # --------------------------------------------------------------- join
