@@ -12,9 +12,9 @@ categorical feature becomes a column of declared-level indexes and each
 continuous feature a column of floats. A node is a list of row indexes
 plus a per-class count list. Thresholds are scanned over the node's rows
 sorted by value, with running sums of squared class counts; level subsets
-are scanned in lexicographic order, each subset's counts built from its
-prefix subset's plus one level's. Rules and class distributions (keyed by
-the labels) are built only for the chosen split and for the leaves.
+are visited depth first, which is lexicographic order, each subset's counts
+its prefix subset's plus one level's. Rules and class distributions (keyed
+by the labels) are built only for the chosen split and for the leaves.
 best_split is the root of a depth-1 tree, so one code path finds a split.
 
 Impurities are evaluated as exact integer ratios rounded once to float:
@@ -26,7 +26,6 @@ subset) is deterministic and matches the brute-force oracle bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, namedtuple
 from typing import NamedTuple, Optional, Sequence, Union
@@ -233,9 +232,9 @@ def _threshold_scan(column, y, idx, counts):
 
 def _subset_scan(column, y, idx, counts):
     """(gain, level-index subset, left counts) for every canonical subset of
-    the levels present at the node, in lexicographic order. A subset's left
-    counts are those of its prefix subset[:-1], which sorts earlier, plus
-    one level's."""
+    the levels present at the node, visited depth first, which is
+    lexicographic order: a subset comes straight before its extensions by a
+    later level, and their left counts are its own plus one level's."""
     k = len(counts)
     per_level: dict[int, list] = {}
     for i in idx:
@@ -244,23 +243,19 @@ def _subset_scan(column, y, idx, counts):
             level_counts = per_level[column[i]] = [0] * k
         level_counts[y[i]] += 1
     head = sorted(per_level)[:-1]
-    subsets = sorted(
-        itertools.chain.from_iterable(
-            itertools.combinations(head, size) for size in range(1, len(head) + 1)
-        )
-    )
     n = sum(counts)
     sp = sum(c * c for c in counts)
-    sizes = {level: sum(level_counts) for level, level_counts in per_level.items()}
-    lefts = {(): ([0] * k, 0)}
-    for subset in subsets:
-        prefix, nl = lefts[subset[:-1]]
-        left = [a + b for a, b in zip(prefix, per_level[subset[-1]])]
-        nl += sizes[subset[-1]]
-        lefts[subset] = (left, nl)
-        sl = sum(c * c for c in left)
-        sr = sum((p - c) * (p - c) for p, c in zip(counts, left))
-        yield _gain_from_squares(sp, sl, sr, n, nl, n - nl), subset, left
+    # (subset, its left counts, head position of its first extension); the smallest extension is pushed last.
+    stack = [((), [0] * k, 0)]
+    while stack:
+        subset, left, start = stack.pop()
+        if subset:
+            nl = sum(left)
+            sl = sum(c * c for c in left)
+            sr = sum((p - c) * (p - c) for p, c in zip(counts, left))
+            yield _gain_from_squares(sp, sl, sr, n, nl, n - nl), subset, left
+        for j in range(len(head) - 1, start - 1, -1):
+            stack.append((subset + (head[j],), [a + b for a, b in zip(left, per_level[head[j]])], j + 1))
 
 
 _SCANS = {CONTINUOUS: _threshold_scan, CATEGORICAL: _subset_scan}

@@ -341,21 +341,21 @@ def _hourly_means(groups: dict[tuple, dict[datetime, Sequence[float]]]) -> Hourl
 
 _BLOCK = 1 << 16  # bytes per read of _strict_groups: 1 MiB took the bulk year's traced peak from 18.3 to 24.3 MB
 
-# A wait row as synth writes it: an hour's text, minutes, a stream's text and a wait of at most 308 digits before
-# the point, so below 10**308 and finite.
+# A wait row as synth writes it: an hour's text, minutes, a stream's text (no trucks on RB) and a wait of at most
+# 308 digits before the point, so below 10**308 and finite, ended by "\n" or "\r\n".
 _STRICT_ROW = re.compile(
     rb"^([0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3])):[0-5][0-9],"
-    rb"((?:PB|RB|LQ),(?:to_us|to_can),(?:passenger|commercial)),([0-9]{1,308}\.[0-9]+)\n",
+    rb"((?:PB|LQ),(?:to_us|to_can),(?:passenger|commercial)|RB,(?:to_us|to_can),passenger),([0-9]{1,308}\.[0-9]+)\r?\n",
     re.MULTILINE,
 )
 
 
 def _strict_groups(file) -> Optional[defaultdict[tuple, dict[datetime, array]]]:
-    """`_wait_groups` of binary wait file `file` whose header line is WAIT_TIMES_HEADER and whose every line is
-    one _STRICT_ROW, else None. Each block of _BLOCK bytes, cut after its last newline, is one findall that
-    must match once per newline; each run of rows of one hour text and stream text is one array. An hour text
-    is parsed once and a stream text once, and their groups share the hour and the stream."""
-    if file.readline() != (",".join(WAIT_TIMES_HEADER) + "\n").encode():
+    """`_wait_groups` of binary wait file `file` whose header line is WAIT_TIMES_HEADER ended by "\n" or "\r\n"
+    and whose every line is one _STRICT_ROW, else None. Each block of _BLOCK bytes, cut after its last newline,
+    is one findall that must match once per newline; each run of rows of one hour text and stream text is one
+    array. An hour text is parsed once and a stream text once, and their groups share the hour and the stream."""
+    if file.readline() not in [(",".join(WAIT_TIMES_HEADER) + end).encode() for end in ("\n", "\r\n")]:
         return None
     hours: dict[bytes, Optional[datetime]] = {}
     streams: dict[bytes, tuple] = {}
@@ -379,8 +379,6 @@ def _strict_groups(file) -> Optional[defaultdict[tuple, dict[datetime, array]]]:
             if stream is None:
                 bridge, direction, vehicle = stream_text.decode().upper().split(",")
                 stream = streams[stream_text] = (Bridge[bridge], Direction[direction], Vehicle[vehicle])
-                if stream[0] not in bridges_for(stream[2]):  # trucks on RB
-                    return None
             if hour is not None:
                 series, values = groups[stream], array("d", map(float, map(itemgetter(2), run)))
                 if hour in series:

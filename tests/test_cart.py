@@ -2,6 +2,7 @@
 independent means: exact-rational evaluation of the impurity formulas, and
 the exhaustive brute-force split search in tests/helpers.py."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -161,6 +162,29 @@ def test_enumerate_two_present_levels_single_candidate():
     assert len(cands) == 1
     assert cands[0].rule.left_levels == ("a",)
     assert cands[0].rule.right_levels == ("c",)
+
+
+_TWELVE = FeatureSchema([FeatureSpec("k", CATEGORICAL, tuple("abcdefghijkl"))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_enumerate_categorical_subsets_in_lexicographic_order_with_recounted_sides(data):
+    present = sorted(data.draw(st.sets(st.sampled_from(_TWELVE.spec("k").levels), min_size=1)))
+    label = st.sampled_from("ABCDE"[: data.draw(st.integers(2, 5))])
+    rows = [({"k": level}, data.draw(label)) for level in present]
+    rows += data.draw(st.lists(st.tuples(st.sampled_from(present).map(lambda level: {"k": level}), label), max_size=30))
+    rows = data.draw(st.permutations(rows))
+    cands = cart.enumerate_splits(rows, "k", _TWELVE)
+    head = present[:-1]
+    assert [c.rule.left_levels for c in cands] == sorted(
+        itertools.chain.from_iterable(itertools.combinations(head, size) for size in range(1, len(present)))
+    )
+    for c in cands:
+        assert c.rule.right_levels == tuple(level for level in present if level not in c.rule.left_levels)
+        assert c.left == ClassDistribution.from_labels([y for x, y in rows if x["k"] in c.rule.left_levels])
+        assert c.right == ClassDistribution.from_labels([y for x, y in rows if x["k"] in c.rule.right_levels])
+        assert c.gain == cart.information_gain(ClassDistribution.from_labels([y for _, y in rows]), c.left, c.right)
 
 
 def test_enumerate_sides_nonempty():

@@ -10,8 +10,9 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import tracemalloc
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaytree import ingest
+from delaytree import ingest, synth
 from delaytree.cli import main
 from delaytree.errors import DataError
 from delaytree.ingest import (
@@ -791,7 +792,7 @@ def _wait_file(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_wait_file(), st.integers(2, 5))
-def test_a_file_in_chunks_gives_the_table_or_the_first_error_of_one_pass(data, count):
+def test_a_file_in_blocks_gives_the_table_or_the_first_error_of_the_exact_loop(data, count):
     _reads_as_the_exact_loop(data, max(1, len(data) // count))
 
 
@@ -843,21 +844,26 @@ _HEADERS = {"a header with a space": " " + HEADER, "a header ended by CRLF": HEA
 
 
 @pytest.mark.parametrize(
-    "fault", ["none", *_LINE_FAULTS, *_HEADERS, "no final newline"], ids=lambda fault: fault.replace(" ", "_")
+    "fault", ["none", *_LINE_FAULTS, *_HEADERS, "no final newline", "CRLF line ends"],
+    ids=lambda fault: fault.replace(" ", "_"),
 )
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_the_strict_path_gives_the_table_or_the_first_error_of_the_exact_loop(fault, data):
     """A file of rows in synth's form with one fault, read in blocks of 1 to 100 bytes, so that rows straddle
-    them. Only a file in the form is read by the strict path."""
+    them. Only a file in the form is read by the strict path; a "\r" is in the form only right before a "\n"."""
     rows = data.draw(st.lists(_SYNTH_ROW, max_size=30))
+    in_form = fault in ("none", "a wait of 308 digits", "a header ended by CRLF", "CRLF line ends")
     if fault in _LINE_FAULTS:
         row = data.draw(_SYNTH_ROW)
-        rows.insert(data.draw(st.integers(0, len(rows))), _LINE_FAULTS[fault](row, data.draw(st.integers(0, len(row)))))
+        where, at = data.draw(st.integers(0, len(rows))), data.draw(st.integers(0, len(row)))
+        rows.insert(where, _LINE_FAULTS[fault](row, at))
+        in_form |= fault == "a carriage return" and at == len(row)
     text = _HEADERS.get(fault, HEADER) + "".join(row + "\n" for row in rows)
     text = text[:-1] if fault == "no final newline" else text
+    text = text.replace("\n", "\r\n") if fault == "CRLF line ends" else text
     strict = _reads_as_the_exact_loop(text.encode("utf-8", "surrogateescape"), data.draw(st.integers(1, 100)))
-    assert strict is (fault in ("none", "a wait of 308 digits"))
+    assert strict is in_form
 
 
 def _rows(hours):
@@ -885,9 +891,9 @@ def test_a_file_in_three_blocks_is_read_by_the_strict_path_unless_quoted(tmp_pat
 
 
 @pytest.mark.parametrize(
-    "where, line", [("first", 2), ("last", 1202)], ids=["in_the_first_chunk", "in_the_last_chunk"]
+    "where, line", [("first", 2), ("last", 1202)], ids=["in_the_first_block", "in_the_last_block"]
 )
-def test_a_data_error_in_any_chunk_names_its_line_and_leaves_no_child(tmp_path, monkeypatch, where, line):
+def test_a_data_error_in_any_block_names_its_line_in_one_process(tmp_path, monkeypatch, where, line):
     path = tmp_path / "wait_times.csv"
     bad = b"2016-08-22T07:00,PB,to_us,passenger,-1\n"
     path.write_bytes(HEADER.encode() + (bad + _rows(600) if where == "first" else _rows(600) + bad))
@@ -897,6 +903,55 @@ def test_a_data_error_in_any_chunk_names_its_line_and_leaves_no_child(tmp_path, 
     assert str(exc.value) == f"{path}: line {line}: negative wait_minutes '-1'"
     with pytest.raises(ChildProcessError):  # the file is read in this process
         os.waitpid(-1, os.WNOHANG)
+
+
+def _synth_week_waits(out_dir) -> bytes:
+    """The wait file synth writes for a week of passenger to_us: about 2,600 rows, 100 kB."""
+    cfg = synth.SynthConfig(date(2016, 8, 22), date(2016, 8, 28), 7, Direction.TO_US, Vehicle.PASSENGER,
+                            {Bridge.PB: 5.0, Bridge.RB: 10.0, Bridge.LQ: 20.0}, jitter=3.0)
+    return synth.generate(cfg, out_dir).wait_times.read_bytes()
+
+
+def test_a_synth_week_with_crlf_line_ends_is_read_by_the_strict_path(tmp_path, monkeypatch):
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    data = _synth_week_waits(tmp_path / "synth")
+    lf.write_bytes(data)
+    crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+    want, exact = _parse_file(hourly_waits, lf), []
+    assert _parse_file(hourly_waits, crlf) == want
+    monkeypatch.setattr(ingest, "_parse_file", lambda *args: exact.append(args) or _parse_file(*args))
+    assert _hourly_waits_file(crlf) == want
+    assert exact == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("last_row", [b"", b"2016-08-28T21:00,PB,to_us,passenger,-1\n"], ids=["synth", "bad_last_row"])
+def test_a_fifo_gives_the_table_or_the_error_of_a_regular_file(tmp_path, last_row):
+    """A FIFO cannot be read twice, so the exact loop reads it; it gives the table or error of a regular file."""
+    data = _synth_week_waits(tmp_path / "synth") + last_row
+    regular, fifo = tmp_path / "wait_times.csv", tmp_path / "wait_times.fifo"
+    regular.write_bytes(data)
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as file:
+                file.write(data)
+        except BrokenPipeError:  # the reader stopped at a bad row
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = _table_or_error(_hourly_waits_file, fifo)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    want = _table_or_error(_hourly_waits_file, regular)
+    if last_row:
+        assert want == f"{regular}: line {len(data.splitlines())}: negative wait_minutes '-1'"
+        want = want.replace(str(regular), str(fifo), 1)
+    assert got == want
 
 
 def test_the_strict_path_holds_its_groups_not_its_text(tmp_path, monkeypatch):
