@@ -324,15 +324,22 @@ def _hourly_means(groups: dict[tuple, dict[datetime, Sequence[float]]]) -> Hourl
     """The table of the mean of each stream's hours, streams and hours both
     ascending. math.fsum is exact, so the order of the samples cannot change
     a mean; its rounded sum and the division can put a mean just outside its
-    samples' range, so it is clamped into [min, max]. A sum past the float
-    range (samples near 1.8e308) gives the exact mean, which lies between
-    the samples."""
+    samples' range, so it is clamped into [min, max]: min(max(mean, lo), hi).
+    A mean above the first sample needs only max, one below it only min, and
+    one equal to it (or a NaN) neither. A sum past the float range (samples
+    near 1.8e308) gives the exact mean, which lies between the samples."""
     table: HourlyMeans = {}
     for stream in sorted(groups):
         table[stream] = series = {}
         for hour, values in sorted(groups[stream].items()):
             try:
-                series[hour] = min(max(math.fsum(values) / len(values), min(values)), max(values))
+                mean = math.fsum(values) / len(values)
+                # min and max keep their first argument on a tie, so a mean equal to a bound stays the mean.
+                if mean > values[0]:
+                    mean = min(mean, max(values))
+                elif mean < values[0]:
+                    mean = max(mean, min(values))
+                series[hour] = mean
             except OverflowError:
                 from fractions import Fraction  # no command loads it, unless a sum overflows
                 series[hour] = float(sum(map(Fraction, values)) / len(values))

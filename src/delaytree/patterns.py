@@ -9,18 +9,21 @@ the per-bridge categories are concatenated into one pattern label, e.g.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from bisect import bisect_left
 from datetime import datetime
 from enum import IntEnum
 from functools import cache
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
 from .errors import DataError, cut
 from .features import FEATURE_SCHEMA, FeatureSpec, FeatureVector, hour_calendar
 from .ingest import (
     HOUR_MAX, HOUR_MIN, Bridge, Direction, HourlyMeans, Vehicle, _parse_enum, _window_hour, bridges_for,
-    csv_rows, csv_text, fromisoformat, number,
+    csv_rows, fromisoformat, number,
 )
 
 SLIGHT_MAX = 15.0
@@ -37,18 +40,17 @@ class DelayCategory4(IntEnum):
 # The part of a pattern label each category gives: no delay folds into slight.
 _PARTS = ("slight delay", "slight delay", "delay", "heavy delay")
 
+# The closed-right upper bound of each category but the last, so a wait's
+# category is the count of bounds below it; and the categories by number.
+_UPPER_BOUNDS = (0.0, SLIGHT_MAX, DELAY_MAX)
+_CATEGORIES = tuple(DelayCategory4)
+
 
 def categorize(wait_minutes: float) -> DelayCategory4:
     """0 -> no delay; (0,15] -> slight; (15,30] -> delay; (30,inf) -> heavy."""
     if not wait_minutes >= 0:
         raise DataError(f"negative wait {wait_minutes!r}")
-    if wait_minutes == 0:
-        return DelayCategory4.NO_DELAY
-    if wait_minutes <= SLIGHT_MAX:
-        return DelayCategory4.SLIGHT_DELAY
-    if wait_minutes <= DELAY_MAX:
-        return DelayCategory4.DELAY
-    return DelayCategory4.HEAVY_DELAY
+    return _CATEGORIES[bisect_left(_UPPER_BOUNDS, wait_minutes)]
 
 
 def pattern_of(waits) -> str:
@@ -103,22 +105,18 @@ def assemble_rows(
     Per hour with a complete bridge tuple: drop it if every bridge sat at
     zero, otherwise categorize each bridge, merge no delay into slight, and
     concatenate into the pattern label. Hours missing a bridge are skipped
-    and tallied, not fatal.
+    and tallied, not fatal. The complete hours are the sorted intersection
+    of the bridges' hours, and each bridge's means are taken in one pass.
     """
-    series = [hours.get((b, direction, vehicle), {}) for b in bridges_for(vehicle)]
-    rows: list[PatternRow] = []
-    skipped = 0
-    dropped = 0
-    for hour_start in sorted(set().union(*series)):
-        if any(hour_start not in s for s in series):
-            skipped += 1
-            continue
-        waits = tuple(s[hour_start] for s in series)
-        if all(w == 0.0 for w in waits):
-            dropped += 1
-            continue
-        rows.append(PatternRow(features[hour_start], pattern_of(waits), hour_start, waits))
-    return PatternDataset(rows, direction, vehicle, skipped, dropped)
+    first, *rest = series = [hours.get((b, direction, vehicle), {}) for b in bridges_for(vehicle)]
+    common = set(first).intersection(*rest)
+    # The first series' own hour objects, as equal aware hours of other zones print differently.
+    complete = sorted(filter(common.__contains__, first))
+    columns = [[s[hour_start] for hour_start in complete] for s in series]
+    rows = [PatternRow(features[hour_start], pattern_of(waits), hour_start, waits)
+            for hour_start, waits in zip(complete, zip(*columns)) if any(waits)]
+    skipped = len(set().union(*series)) - len(complete)
+    return PatternDataset(rows, direction, vehicle, skipped, len(complete) - len(rows))
 
 
 def pattern_frequencies(ds: PatternDataset) -> list[tuple[str, int]]:
@@ -136,20 +134,41 @@ OBSERVATIONS_HEADER = [
 
 def write_observations(datasets: list[PatternDataset]) -> str:
     """Render assembled datasets as observations.csv text (wait_rb blank for
-    trucks). Datasets are emitted in COMBOS order; rows by hour."""
-    texts: dict[int, list[str]] = {}  # by the vector's id, as 1 == 1.0 == True print differently
+    trucks). Datasets are emitted in COMBOS order; rows by hour. A row whose
+    waits do not match its dataset's bridges one for one is a ValueError.
 
-    def rows():
-        for ds in sorted(datasets, key=lambda d: COMBOS.index((d.vehicle, d.direction))):
-            for row in ds.rows:
-                waits = dict(zip(ds.bridges, row.waits))
-                if id(row.features) not in texts:
-                    texts[id(row.features)] = [*map(FeatureSpec.format, FEATURE_SCHEMA, row.features)]
-                yield [row.hour_start.isoformat(timespec="minutes"), ds.direction.label, ds.vehicle.label,
-                       *[repr(waits[bridge]) if bridge in waits else "" for bridge in Bridge], row.pattern,
-                       *texts[id(row.features)]]
+    Each row is one formatted line. The `,direction,vehicle,` text and the
+    layout of the waits are made once per dataset, the hour_start text once
+    per hour, and the text of each pattern and each feature vector once. A
+    pattern or feature text is quoted as csv.writer quotes it, by csv.writer
+    itself; the hour_start text, the labels and the repr of a wait never
+    need quoting."""
+    # csv.writer's row as csv_text writes it: writerow gives back what its file's write returns, here the line.
+    csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
-    return csv_text(OBSERVATIONS_HEADER, rows())
+    def csv_fields(fields) -> str:  # a last empty field, cut with the line end, keeps a lone "" field unquoted
+        return csv_line([*fields, ""])[:-2]
+
+    hours: dict[int, str] = {}  # by the hour's id, as equal aware hours of two zones print differently
+    vectors: dict[int, str] = {}  # by the vector's id, as 1 == 1.0 == True print differently
+    patterns: dict[str, str] = {}
+    lines = [csv_line(OBSERVATIONS_HEADER)]
+    for ds in sorted(datasets, key=lambda d: COMBOS.index((d.vehicle, d.direction))):
+        combo = f",{ds.direction.label},{ds.vehicle.label},"
+        bridges = ds.bridges
+        waits_text = ",".join("{!r}" if bridge in bridges else "" for bridge in Bridge).format
+        for features, pattern, hour_start, waits in ds.rows:
+            if len(waits) != len(bridges):
+                raise ValueError(f"{ds.vehicle.label} {ds.direction.label} {hour_start.isoformat(timespec='minutes')}:"
+                                 f" {len(waits)} waits for the {len(bridges)} bridges "
+                                 f"{', '.join(bridge.name for bridge in bridges)}")
+            hour = hours.get(id(hour_start)) or hours.setdefault(
+                id(hour_start), hour_start.isoformat(timespec="minutes"))
+            vector = vectors.get(id(features)) or vectors.setdefault(
+                id(features), csv_fields(map(FeatureSpec.format, FEATURE_SCHEMA, features)))
+            label = patterns.get(pattern) or patterns.setdefault(pattern, csv_fields([pattern]))
+            lines.append(f"{hour}{combo}{waits_text(*waits)},{label},{vector}\n")
+    return "".join(lines)
 
 
 def read_observations(lines: Iterable[str]) -> dict[tuple[Vehicle, Direction], PatternDataset]:

@@ -30,9 +30,9 @@ from delaytree.features import (
 )
 from delaytree.ingest import (
     HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, Bridge, Direction, RawWaitTimeRecord, Vehicle, _parse_enum, _parse_float,
-    _parse_timestamp, _window_hour, bridges_for, csv_rows, fromisoformat, number,
+    _parse_timestamp, _window_hour, bridges_for, csv_rows, csv_text, fromisoformat, number,
 )
-from delaytree.patterns import _PARTS, OBSERVATIONS_HEADER, PatternDataset, PatternRow, pattern_of
+from delaytree.patterns import _PARTS, COMBOS, OBSERVATIONS_HEADER, PatternDataset, PatternRow, pattern_of
 
 PATTERN_A = "delay-slight delay-slight delay"
 PATTERN_B = "slight delay-slight delay-slight delay"
@@ -212,6 +212,43 @@ def brute_force_best_split(rows, schema: FeatureSchema) -> Optional[cart.SplitCa
     if best is None or not best.gain > 0.0:
         return None
     return best
+
+
+def assemble_rows_row_by_row(hours: dict, features: dict, direction: Direction, vehicle: Vehicle) -> PatternDataset:
+    """Reference for patterns.assemble_rows: the loop over the sorted union of
+    the bridges' hours, one hour at a time. An hour that lacks a bridge is
+    skipped and one whose every wait is 0.0 is dropped, each tallied; any
+    other hour is a row."""
+    series = [hours.get((b, direction, vehicle), {}) for b in bridges_for(vehicle)]
+    rows = []
+    skipped = 0
+    dropped = 0
+    for hour_start in sorted(set().union(*series)):
+        if any(hour_start not in s for s in series):
+            skipped += 1
+            continue
+        waits = tuple(s[hour_start] for s in series)
+        if all(w == 0.0 for w in waits):
+            dropped += 1
+            continue
+        rows.append(PatternRow(features[hour_start], pattern_of(waits), hour_start, waits))
+    return PatternDataset(rows, direction, vehicle, skipped, dropped)
+
+
+def write_observations_row_by_row(datasets: list) -> str:
+    """Reference for patterns.write_observations: every row is a list of
+    field texts that csv.writer joins and quotes. Each bridge's wait goes to
+    its column through a dict of the dataset's bridges, and a bridge the
+    dataset lacks gets a blank."""
+    def rows():
+        for ds in sorted(datasets, key=lambda d: COMBOS.index((d.vehicle, d.direction))):
+            for row in ds.rows:
+                waits = dict(zip(ds.bridges, row.waits))
+                yield [row.hour_start.isoformat(timespec="minutes"), ds.direction.label, ds.vehicle.label,
+                       *[repr(waits[bridge]) if bridge in waits else "" for bridge in Bridge], row.pattern,
+                       *map(FeatureSpec.format, FEATURE_SCHEMA, row.features)]
+
+    return csv_text(OBSERVATIONS_HEADER, rows())
 
 
 def read_observations_row_by_row(lines: Iterable[str]) -> dict:

@@ -12,13 +12,14 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from array import array
 from datetime import date, datetime, timedelta
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaytree import ingest, synth
@@ -166,10 +167,38 @@ def test_aggregate_arithmetic_mean():
 
 
 def test_aggregate_mean_stays_within_its_samples():
-    # fsum(3 * w) / 3 rounds to just below w for this w
-    wait = 5.39761367449573e-28
-    out = aggregate_hourly([rec(ts=f"2016-08-22T08:{m:02d}", wait=wait) for m in (0, 20, 40)])
-    assert out[PB_CAR][datetime(2016, 8, 22, 8)] == wait
+    # fsum(3 * w) / 3 rounds to just below w for the first w and just above it for the second
+    for wait, above in ((5.39761367449573e-28, False), (0.1, True)):
+        unclamped = math.fsum([wait] * 3) / 3
+        assert unclamped != wait and (unclamped > wait) == above
+        out = aggregate_hourly([rec(ts=f"2016-08-22T08:{m:02d}", wait=wait) for m in (0, 20, 40)])
+        assert out[PB_CAR][datetime(2016, 8, 22, 8)] == wait
+
+
+def _clamped_mean(values):
+    """min(max(mean, lo), hi) of `values`, the mean by fsum or, past the float range, by Fraction."""
+    try:
+        mean = math.fsum(values) / len(values)
+    except OverflowError:
+        mean = float(sum(map(Fraction, values)) / len(values))
+    return min(max(mean, min(values)), max(values))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from((0.0, -0.0, 5e-324, 0.1, 5.39761367449573e-28, 1e308, 1.7e308))
+                | st.floats(0.0, 1.7e308), min_size=1, max_size=8))
+@example([0.1] * 3)
+@example([5.39761367449573e-28] * 3)
+@example([-0.0])
+@example([0.0, -0.0])
+@example([-0.0, 0.0, -0.0])
+@example([5e-324, -0.0])  # the mean 0.0 ties the min -0.0 below the first sample
+@example([1.7e308, 1.7e308, 0.0])
+def test_an_hourly_mean_is_its_fsum_mean_clamped_into_its_samples(values):
+    # repr tells -0.0 from 0.0: min and max keep the first of equal values
+    for group in (values, array("d", values)):
+        means = ingest._hourly_means({PB_CAR: {datetime(2016, 8, 22, 8): group}})
+        assert repr(means[PB_CAR][datetime(2016, 8, 22, 8)]) == repr(_clamped_mean(values))
 
 
 def test_aggregate_drops_out_of_window_hours():

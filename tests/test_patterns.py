@@ -7,7 +7,7 @@ categorize()."""
 
 import itertools
 import random
-from datetime import date, datetime
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +31,9 @@ from delaytree.patterns import (
     write_observations,
 )
 
-from helpers import hourly_table, make_fv, read_observations_row_by_row
+from helpers import (
+    assemble_rows_row_by_row, hourly_table, make_fv, read_observations_row_by_row, write_observations_row_by_row,
+)
 
 
 def merged_label_oracle(wait: float) -> str:
@@ -233,6 +235,51 @@ def test_assemble_rows_sorted_by_hour_and_no_all_zero_sources():
         assert row.features == hour_fv(row.hour_start.hour)
 
 
+# Two zones for equal aware hours that print differently.
+_ZONES = (timezone.utc, timezone(timedelta(hours=-4)))
+_MEANS = (0.0, -0.0, 5e-324, 5.0, 15.0, 20.0, 1 / 3, 31.0)
+
+
+@st.composite
+def _hourly_tables(draw):
+    """A (direction, vehicle), an hourly table of every combo with bridges
+    missing in some hours, all-zero and -0.0 means and now and then a NaN or
+    negative one, and a feature vector per hour. In half the tables the hours
+    are aware, and a bridge may hold an hour in another zone than the first
+    bridge does."""
+    vehicle, direction = draw(st.sampled_from(COMBOS))
+    zoned = draw(st.booleans())
+    hours = [datetime(2016, 8, 22, hour, tzinfo=_ZONES[0] if zoned else None) for hour in range(7, 13)]
+    means = st.sampled_from(_MEANS)
+    if draw(st.booleans()):
+        means |= st.sampled_from((float("nan"), -1.0))
+    table = {}
+    for v, d in COMBOS:
+        for bridge in bridges_for(v):
+            if draw(st.integers(0, 9)) == 0:
+                continue  # a stream with no hours at all
+            picked = draw(st.lists(st.sampled_from(hours), unique=True))  # in any order
+            zones = [draw(st.sampled_from(_ZONES)) if zoned else None for _ in picked]
+            table[(bridge, d, v)] = {hour.astimezone(zone) if zone else hour: draw(means)
+                                     for hour, zone in zip(picked, zones)}
+    return table, {hour: hour_fv(hour.hour) for hour in hours}, direction, vehicle
+
+
+def _assembled_or_message(table, features, direction, vehicle, assemble_with):
+    """The dataset's rows, as exact reprs, its tallies and its combo, or the data error's message."""
+    try:
+        ds = assemble_with(table, features, direction, vehicle)
+    except DataError as exc:
+        return str(exc)
+    return [repr(row) for row in ds.rows], ds.skipped_incomplete, ds.dropped_all_zero, ds.direction, ds.vehicle
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hourly_tables())
+def test_assemble_rows_gives_what_the_row_by_row_loop_gives(case):
+    assert _assembled_or_message(*case, assemble_rows) == _assembled_or_message(*case, assemble_rows_row_by_row)
+
+
 # -------------------------------------------------------- frequencies
 
 
@@ -406,6 +453,59 @@ def test_write_observations_prints_each_row_by_its_own_vector_and_hour():
     column = OBSERVATIONS_HEADER.index("temperature_f")
     assert [line.split(",")[column] for line in lines] == ["1.0", "1", "60.0", "60.0"]
     assert [line.split(",")[0] for line in lines] == [f"2016-09-05T{hour}:00" for hour in (10, 11, 12, 13)]
+
+
+@pytest.mark.parametrize(
+    "vehicle, waits, message",
+    [
+        (Vehicle.COMMERCIAL, (20.0, 5.0, 1.0), "commercial to_us 2016-09-05T10:00: 3 waits for the 2 bridges PB, LQ"),
+        (Vehicle.PASSENGER, (20.0, 5.0), "passenger to_us 2016-09-05T10:00: 2 waits for the 3 bridges PB, RB, LQ"),
+    ],
+    ids=["commercial_with_three_waits", "passenger_with_two_waits"],
+)
+def test_a_row_whose_waits_do_not_fit_its_bridges_is_not_written(vehicle, waits, message):
+    good = PatternRow(make_fv(), pattern_of((1.0,) * len(bridges_for(vehicle))), datetime(2016, 9, 5, 9),
+                      (1.0,) * len(bridges_for(vehicle)))
+    bad = PatternRow(make_fv(), pattern_of(waits), datetime(2016, 9, 5, 10), waits)
+    with pytest.raises(ValueError) as exc:
+        write_observations([PatternDataset([good, bad], Direction.TO_US, vehicle)])
+    assert str(exc.value) == message
+
+
+# Texts that csv.writer must quote, or not, and waits at the float's edges.
+_FIELD_TEXTS = st.text(st.sampled_from([",", '"', "\n", "\r", "a", " ", "-"]), max_size=4)
+_EDGE_WAITS = st.sampled_from((-0.0, 0.0, 5e-324, 1e308, 20.0, 1 / 3)) | st.floats()
+
+
+@st.composite
+def _written_datasets(draw):
+    """Datasets of any combos, in any order and some empty, whose rows share
+    hours and vectors or hold equal ones that print differently: hours equal
+    in two zones, and equal vectors of 1, 1.0 and True or of 0.0 and -0.0.
+    Patterns and feature texts may hold a comma, a quote, a newline or a
+    carriage return."""
+    instants = [datetime(2016, 9, 5, hour, tzinfo=timezone.utc) for hour in (8, 9)]
+    hours = [datetime(2016, 9, 5, 8), *instants, *(hour.astimezone(_ZONES[1]) for hour in instants)]
+    one = st.sampled_from((1, 1.0, True))
+    texts = st.sampled_from(("Fall", "", ",", '"a"', "a\nb", "\r"))
+    season, condition = draw(texts), draw(texts)
+    vectors = [make_fv(), *(make_fv(weekend=draw(one), temperature_f=draw(one | st.sampled_from((-0.0, 0.0))),
+                                    season=season, condition=condition) for _ in range(draw(st.integers(1, 3))))]
+    datasets = []
+    for vehicle, direction in draw(st.lists(st.sampled_from(COMBOS), max_size=5)):
+        rows = []
+        for _ in range(draw(st.integers(0, 4))):
+            waits = tuple(draw(_EDGE_WAITS) for _ in bridges_for(vehicle))
+            pattern = draw(st.sampled_from(all_patterns(bridges_for(vehicle))) | _FIELD_TEXTS)
+            rows.append(PatternRow(draw(st.sampled_from(vectors)), pattern, draw(st.sampled_from(hours)), waits))
+        datasets.append(PatternDataset(rows, direction, vehicle))
+    return datasets
+
+
+@settings(max_examples=400, deadline=None)
+@given(_written_datasets())
+def test_write_observations_writes_what_csv_writer_writes_row_by_row(datasets):
+    assert write_observations(datasets) == write_observations_row_by_row(datasets)
 
 
 # One fault per check of read_observations, in the order it checks, each as
