@@ -223,8 +223,13 @@ def _emit(text: str, out_path) -> None:
             raise DataError(f"<stdout>: {exc}") from None
     else:
         path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            if exc.filename is not None:  # the message names the file already, as "File exists: '<path>'" does
+                raise
+            raise DataError(f"{out_path}: {exc}") from None  # such as a full disk, found when the file is closed
 
 
 def _generate(o: dict, out_dir):

@@ -1,6 +1,7 @@
 """Raw feed ingestion: reading input files, wait-time and weather CSV parsing,
-hourly aggregation (a wait file in synth's form without the per-row loop) and
-the weather join.
+hourly aggregation and the weather join. A wait file in synth's form is read
+by one regular expression whose match is a run of up to _RUN_ROWS rows of one
+hour and one stream; any other file goes to the exact row-by-row loop.
 
 Timestamps are naive local civil time throughout; neither feed carries a
 zone and no conversion is performed. Only hours 7..21 survive aggregation.
@@ -18,7 +19,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from datetime import datetime, timedelta
 from enum import IntEnum
-from itertools import groupby, tee
+from itertools import chain, tee
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -346,22 +347,30 @@ def _hourly_means(groups: dict[tuple, dict[datetime, Sequence[float]]]) -> Hourl
     return table
 
 
-_BLOCK = 1 << 16  # bytes per read of _strict_groups: 1 MiB took the bulk year's traced peak from 18.3 to 24.3 MB
+_BLOCK = 1 << 16  # bytes per read of _strict_groups; 16 KiB to 1 MiB all gave the bulk parse a 16.6 MB traced peak
+_RUN_ROWS = 12  # rows per match of _STRICT_RUN at most, an hour of 5-minute samples: a longer run is several
 
 # A wait row as synth writes it: an hour's text, minutes, a stream's text (no trucks on RB) and a wait of at most
-# 308 digits before the point, so below 10**308 and finite, ended by "\n" or "\r\n".
-_STRICT_ROW = re.compile(
+# 308 digits before the point, so below 10**308 and finite, ended by "\n" or "\r\n". A match is a run of 1 to
+# _RUN_ROWS such rows of one hour text and one stream text: group 1 is the hour text, 2 the stream text and 3 to
+# 2 + _RUN_ROWS the waits, b"" past the run's last row. Rows 2 on are nested, so a row is tried only after the
+# row before it matched, and each is optional as "(?:row|)", which re runs faster than "(?:row)?". No possessive
+# quantifier or atomic group: Python 3.10 has neither.
+_STRICT_WAIT = rb"([0-9]{1,308}\.[0-9]+)\r?\n"
+_STRICT_RUN = re.compile(
     rb"^([0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3])):[0-5][0-9],"
-    rb"((?:PB|LQ),(?:to_us|to_can),(?:passenger|commercial)|RB,(?:to_us|to_can),passenger),([0-9]{1,308}\.[0-9]+)\r?\n",
+    rb"((?:PB|LQ),(?:to_us|to_can),(?:passenger|commercial)|RB,(?:to_us|to_can),passenger)," + _STRICT_WAIT
+    + (rb"(?:\1:[0-5][0-9],\2," + _STRICT_WAIT) * (_RUN_ROWS - 1) + rb"|)" * (_RUN_ROWS - 1),
     re.MULTILINE,
 )
 
 
 def _strict_groups(file) -> Optional[defaultdict[tuple, dict[datetime, array]]]:
     """`_wait_groups` of binary wait file `file` whose header line is WAIT_TIMES_HEADER ended by "\n" or "\r\n"
-    and whose every line is one _STRICT_ROW, else None. Each block of _BLOCK bytes, cut after its last newline,
-    is one findall that must match once per newline; each run of rows of one hour text and stream text is one
-    array. An hour text is parsed once and a stream text once, and their groups share the hour and the stream."""
+    and whose every line is a row of _STRICT_RUN, else None. Each block of _BLOCK bytes, cut after its last
+    newline, is one findall, and all its waits are parsed into one array, which must hold one wait per newline;
+    each match then merges its slice of that array into its group. An hour text is parsed once and a stream text
+    once, and their groups share the hour and the stream."""
     if file.readline() not in [(",".join(WAIT_TIMES_HEADER) + end).encode() for end in ("\n", "\r\n")]:
         return None
     hours: dict[bytes, Optional[datetime]] = {}
@@ -371,11 +380,14 @@ def _strict_groups(file) -> Optional[defaultdict[tuple, dict[datetime, array]]]:
     while block := file.read(_BLOCK):
         block = rest + block
         end = block.rfind(b"\n") + 1
-        rows = _STRICT_ROW.findall(block, 0, end)
-        if len(rows) != block.count(b"\n", 0, end):
+        runs = _STRICT_RUN.findall(block, 0, end)
+        waits = array("d", map(float, filter(None, chain.from_iterable(map(itemgetter(slice(2, None)), runs)))))
+        if len(waits) != block.count(b"\n", 0, end):
             return None
         rest = block[end:]
-        for (hour_text, stream_text), run in groupby(rows, itemgetter(0, 1)):
+        i = 0
+        for run in runs:
+            hour_text, stream_text = run[0], run[1]
             hour = hours.get(hour_text, False)  # an hour is a datetime or None, so False is "not seen"
             if hour is False:
                 try:
@@ -386,12 +398,14 @@ def _strict_groups(file) -> Optional[defaultdict[tuple, dict[datetime, array]]]:
             if stream is None:
                 bridge, direction, vehicle = stream_text.decode().upper().split(",")
                 stream = streams[stream_text] = (Bridge[bridge], Direction[direction], Vehicle[vehicle])
+            j = i + _RUN_ROWS - run.count(b"")
             if hour is not None:
-                series, values = groups[stream], array("d", map(float, map(itemgetter(2), run)))
+                series = groups[stream]
                 if hour in series:
-                    series[hour] += values
+                    series[hour] += waits[i:j]
                 else:
-                    series[hour] = values
+                    series[hour] = waits[i:j]
+            i = j
     return None if rest else groups
 
 

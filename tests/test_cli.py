@@ -968,3 +968,31 @@ def test_a_stdout_closed_at_start_is_a_data_error_that_names_it(corpus, tmp_path
                           preexec_fn=lambda: os.close(1))  # so that sys.stdout is None, as after `>&-`
     assert done.returncode == 2
     assert done.stderr == f"data error: <stdout>: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("command", ["ingest", "render"])
+def test_a_write_error_is_a_data_error_that_names_the_output_file(corpus, tmp_path, capsys, command):
+    data = corpus / "data"
+    if command == "ingest":
+        argv = ["ingest", "--wait-times", str(data / "wait_times.csv"), "--weather", str(data / "weather.csv"),
+                "--holidays", str(data / "holidays.csv")]
+    else:
+        tree = tmp_path / "tree.json"
+        assert main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger",
+                     "--direction", "to_us", "--out", str(tree)]) == 0
+        argv = ["render", "--tree", str(tree), "--format", "text"]
+    capsys.readouterr()
+    assert main([*argv, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err.startswith("data error: /dev/full: ")
+
+
+def test_a_write_error_that_names_its_file_keeps_its_message(corpus, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    tree, out = tmp_path / "tree.json", blocker / "tree.txt"
+    assert main(["train", "--data", str(corpus / "observations.csv"), "--vehicle", "passenger",
+                 "--direction", "to_us", "--out", str(tree)]) == 0
+    capsys.readouterr()
+    assert main(["render", "--tree", str(tree), "--format", "text", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: [Errno 17] File exists: {str(blocker)!r}\n"

@@ -895,6 +895,57 @@ def test_the_strict_path_gives_the_table_or_the_first_error_of_the_exact_loop(fa
     assert strict is in_form
 
 
+_RUN_KEY = st.tuples(st.builds("2016-08-{:02d}T{:02d}".format, st.integers(22, 23), st.integers(0, 23)),
+                     st.sampled_from(_STREAM_TEXTS))
+
+
+@st.composite
+def _runs(draw):
+    """Rows in synth's form, in runs of 1 to 30 rows of one hour text and one stream text with free minutes; now
+    and then a run takes the key of an earlier run."""
+    keys, runs = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        keys.append(draw(st.sampled_from(keys)) if keys and draw(st.booleans()) else draw(_RUN_KEY))
+        hour, stream = keys[-1]
+        runs.append(draw(st.lists(st.builds(f"{hour}:{{:02d}},{stream},{{}}.{{}}".format, st.integers(0, 59),
+                                            st.integers(0, 999), st.from_regex(r"[0-9]{1,3}", fullmatch=True)),
+                                  min_size=1, max_size=30)))
+    return runs
+
+
+@pytest.mark.parametrize("fault", [None, *_LINE_FAULTS], ids=lambda fault: str(fault).replace(" ", "_"))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_a_fault_at_any_row_of_a_run_gives_the_table_or_the_first_error_of_the_exact_loop(fault, data):
+    """Runs longer than one row, so that a match takes several rows, with one fault at any row of any run, the
+    1st, 12th and 13th most of all, read in blocks of 1 to 200 bytes. A file without a fault takes the strict path."""
+    runs = data.draw(_runs())
+    if fault is not None and runs:
+        run = data.draw(st.sampled_from(runs))
+        where = min(data.draw(st.sampled_from([0, 11, 12]) | st.integers(0, 29)), len(run) - 1)
+        run[where] = _LINE_FAULTS[fault](run[where], data.draw(st.integers(0, len(run[where]))))
+    text = HEADER + "".join(row + "\n" for run in runs for row in run)
+    strict = _reads_as_the_exact_loop(text.encode("utf-8", "surrogateescape"), data.draw(st.integers(1, 200)))
+    assert strict or fault is not None
+
+
+def test_a_run_longer_than_a_match_is_read_by_the_strict_path(tmp_path, monkeypatch):
+    # A day of 1-minute rows, so runs of 60 rows of one hour and stream, for three streams; one row in the run of
+    # 09 LQ differs only in its stream. Blocks of 1,009 bytes cut runs and matches at odd rows.
+    path = tmp_path / "wait_times.csv"
+    streams = ("PB,to_us,passenger", "RB,to_us,passenger", "LQ,to_us,passenger")
+    rows = [f"2016-08-22T{h:02d}:{m:02d},{stream},{(h * 60 + m) * 7 % 113 / 4}\n"
+            for h in range(24) for stream in streams for m in range(60)]
+    odd = next(i for i, row in enumerate(rows) if row.startswith("2016-08-22T09:17,LQ,"))
+    rows[odd] = rows[odd].replace("LQ", "PB")
+    path.write_text(HEADER + "".join(rows), encoding="utf-8")
+    want, exact = _parse_file(hourly_waits, path), []
+    monkeypatch.setattr(ingest, "_BLOCK", 1009)
+    monkeypatch.setattr(ingest, "_parse_file", lambda *args: exact.append(args) or _parse_file(*args))
+    assert _hourly_waits_file(path) == want
+    assert exact == []
+
+
 def _rows(hours):
     """Two rows per hour from 2016-08-22T07:00, one per passenger to_us bridge."""
     return b"".join(
