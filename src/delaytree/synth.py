@@ -5,26 +5,29 @@ Generation is a pure function of the config: one random.Random(seed)
 label flips and wait jitter in a fixed traversal order, so the emitted
 files are byte-identical run to run.
 
-The wait, weather and log rows are written as preformatted text lines, not
-through csv.writer: no field needs quoting, since each is an enum name, a
-fixed ISO timestamp, a pattern label or a formatted finite number.
+The wait, weather and log rows are not written through csv.writer but
+with one %-template per file for a day of rows, made once per config: no
+field needs quoting, since each is an enum name, a fixed ISO timestamp, a
+pattern label or a formatted finite number. Each day's draws fill the
+templates, and the texts go to the files as the days are drawn, so no more
+than a day of rows is held at once.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import random
 from collections import namedtuple
-from datetime import date, datetime, time
+from contextlib import suppress
+from datetime import date
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .errors import Checked, UsageError, cut
-from .features import HOLIDAYS_HEADER, FeatureVector, build_feature_vector
+from .errors import Checked, DataError, UsageError, cut
+from .features import HOLIDAYS_HEADER, FeatureVector, hour_interval_of, season_of
 from .ingest import (
-    HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, Vehicle, WeatherRecord,
-    bridges_for, csv_text,
+    HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, Vehicle, bridges_for, csv_text,
 )
 from .patterns import pattern_of
 
@@ -109,87 +112,114 @@ def _shifted_waits(cfg: SynthConfig, rule: Optional[PlantedRule]) -> dict:
     return {b: cfg.base_waits[b] + rule.shifts.get(b, 0.0) for b in cfg.bridges}
 
 
-def _temperature(day: date, hour: int, rng: random.Random) -> float:
-    doy = day.timetuple().tm_yday
-    seasonal = 45.0 - 25.0 * math.cos(2.0 * math.pi * (doy - 15) / 365.0)
-    diurnal = 8.0 * math.sin(math.pi * (hour - 7) / 14.0)
-    return round(seasonal + diurnal + rng.normalvariate(0.0, 3.0), 1)
-
-
 def generate(cfg: SynthConfig, out_dir) -> SynthOutput:
     """Write wait_times.csv, weather.csv, holidays.csv and emission_log.csv.
 
     PB and LQ get 5-minute samples; RB (passenger only) one hourly value.
     Hours run 7..21. The log records each hour's pre-flip intended pattern
     and whether the noise draw replaced it with the alternative profile.
+
+    Each file is written under a temporary name in out_dir and moved to its
+    own name once all four are complete, so a file there is whole or is the
+    one an earlier run left. A write error with no file in its message,
+    such as a full disk, is a DataError that names the file.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    out = SynthOutput(*(out_dir / f"{name}.csv" for name in SynthOutput._fields))
+    holidays = [(d.isoformat(), "US") for d in cfg.us_holidays] + [(d.isoformat(), "CA") for d in cfg.ca_holidays]
+    token = os.urandom(6).hex()  # so that two runs into one directory share no temporary file
+    files = {}
+    path = None  # the file being written, which a write error names
+    try:
+        for path in out:
+            files[path] = open(path.with_name(f".{path.name}.{token}.tmp"), "x", encoding="utf-8")
+        path = out.holidays
+        files[path].write(csv_text(HOLIDAYS_HEADER, sorted(holidays)))
+        feeds = [(path, files[path].write) for path in (out.wait_times, out.weather, out.emission_log)]
+        for texts in _feed_texts(cfg):
+            for (path, write), text in zip(feeds, texts):
+                write(text)
+        for path, file in files.items():
+            file.close()  # which writes what the buffer holds, so a full disk can show here
+        for path, file in files.items():
+            os.replace(file.name, path)
+    except BaseException as exc:
+        for file in files.values():
+            with suppress(OSError):
+                file.close()
+            with suppress(OSError):  # such as moved to its own name already
+                os.remove(file.name)
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise DataError(f"{path}: {exc}") from None
+        raise
+    return out
 
+
+def _feed_texts(cfg: SynthConfig):
+    """The texts of wait_times.csv, weather.csv and emission_log.csv, as
+    tuples of three: their headers, then the rows of each day in turn."""
     rng = random.Random(cfg.seed)
-    uniform, log, magic = rng.random, math.log, _NV_MAGICCONST
-    base = cfg.base_pattern()
-    jitter = cfg.jitter
-    # Each bridge's row tail after the timestamp, and its minute texts.
-    streams = [
-        (bridge, f",{bridge.name},{cfg.direction.label},{cfg.vehicle.label},",
-         (":00",) if bridge is Bridge.RB else tuple(f":{minute:02d}" for minute in range(0, 60, 5)))
-        for bridge in cfg.bridges
-    ]
+    uniform, log, magic, normalvariate = rng.random, math.log, _NV_MAGICCONST, rng.normalvariate
+    jitter, label_flip, rules = cfg.jitter, cfg.label_flip, cfg.rules
+    hours = range(HOUR_MIN, HOUR_MAX + 1)
+    # The rows of an hour, by bridge and minute; RB has one, at :00.
+    slots = [(bridge, minute) for bridge in cfg.bridges
+             for minute in ((0,) if bridge is Bridge.RB else range(0, 60, 5))]
+    # A day of each file as one %-template, in which "\0" stands for the date.
+    tail = f"{cfg.direction.label},{cfg.vehicle.label}"
+    wait_day = "".join(f"\0T{hour:02d}:{minute:02d},{bridge.name},{tail},%.2f\n"
+                       for hour in hours for bridge, minute in slots)
+    weather_day = "".join(f"\0T{hour:02d}:00,%.1f,%d,%.2f,%s\n" for hour in hours)
+    log_day = "".join(f"\0T{hour:02d}:00,%s,%d\n" for hour in hours)
+    # Each case, no rule and then each rule: its intended pattern, the level
+    # of each row of its hours, and the levels a flip gives them instead.
+    levels = [[_shifted_waits(cfg, rule)[bridge] for bridge, _ in slots] for rule in (None, *rules)]
+    cases = [(cfg.base_pattern(), levels[0], levels[1] if rules else None)]
+    cases += [(rule.target, ruled, levels[0]) for rule, ruled in zip(rules, levels[1:])]
+    snow, rain, clear = Condition.SNOW.label, Condition.RAIN.label, Condition.CLEAR.label
+    diurnal = [(hour_interval_of(hour), 8.0 * math.sin(math.pi * (hour - 7) / 14.0)) for hour in hours]
 
-    wait_buf = io.StringIO()
-    weather_buf = io.StringIO()
-    log_buf = io.StringIO()
-    write_wait = wait_buf.write
-    write_wait(",".join(WAIT_TIMES_HEADER) + "\n")
-    weather_buf.write(",".join(WEATHER_HEADER) + "\n")
-    log_buf.write("hour_start,intended_pattern,flipped\n")
-
+    yield ",".join(WAIT_TIMES_HEADER) + "\n", ",".join(WEATHER_HEADER) + "\n", "hour_start,intended_pattern,flipped\n"
     for ordinal in range(cfg.start.toordinal(), cfg.end.toordinal() + 1):
         day = date.fromordinal(ordinal)
-        day_text = day.isoformat()
-        for hour in range(HOUR_MIN, HOUR_MAX + 1):
-            hour_start = datetime.combine(day, time(hour))
-            temp = _temperature(day, hour, rng)
-            wet = rng.random() < 0.15
+        seasonal = 45.0 - 25.0 * math.cos(2.0 * math.pi * (day.timetuple().tm_yday - 15) / 365.0)
+        month, weekend = day.month, int(day.weekday() >= 5)
+        season, us, ca = season_of(month), int(day in cfg.us_holidays), int(day in cfg.ca_holidays)
+        waits, weather, emitted = [], [], []
+        append = waits.append
+        for interval, warming in diurnal:
+            temp = round(seasonal + warming + normalvariate(0.0, 3.0), 1)
+            wet = uniform() < 0.15
             precip = round(rng.uniform(0.01, 0.30), 2) if wet else 0.0
             if precip > 0:
-                condition = Condition.SNOW if temp <= 32.0 else Condition.RAIN
+                condition = snow if temp <= 32.0 else rain
                 visibility = rng.randint(4, 9)
             else:
-                condition = Condition.CLEAR
+                condition = clear
                 visibility = 10
-            prefix = f"{day_text}T{hour:02d}"
-            weather_buf.write(f"{prefix}:00,{temp:.1f},{visibility},{precip:.2f},{condition.label}\n")
+            weather += (temp, visibility, precip, condition)
 
-            weather_rec = WeatherRecord(hour_start, temp, visibility, precip, condition)
-            fv = build_feature_vector(hour_start, weather_rec, cfg.us_holidays, cfg.ca_holidays)
-            rule = next((r for r in cfg.rules if r.matches(fv)), None)
-            intended = rule.target if rule else base
-            flipped = rng.random() < cfg.label_flip and bool(cfg.rules)
+            # The hour's features in FEATURE_SCHEMA order, as features.build_feature_vector gives them.
+            fv = FeatureVector(month, season, interval, weekend, us, ca, temp, visibility, precip, condition)
+            intended, hour_levels, flip_levels = cases[next((i for i, r in enumerate(rules, 1) if r.matches(fv)), 0)]
+            flipped = uniform() < label_flip and bool(rules)
             if flipped:
-                waits = _shifted_waits(cfg, None) if rule else _shifted_waits(cfg, cfg.rules[0])
+                hour_levels = flip_levels
+            emitted += (intended, flipped)
+
+            if jitter > 0:  # max(0.0, level + rng.normalvariate(0.0, jitter)), its loop owned and inline
+                for level in hour_levels:
+                    while True:
+                        u1 = uniform()
+                        u2 = 1.0 - uniform()
+                        z = magic * (u1 - 0.5) / u2
+                        if z * z / 4.0 <= -log(u2):
+                            break
+                    value = level + (0.0 + z * jitter)
+                    append(value if value > 0.0 else 0.0)
             else:
-                waits = _shifted_waits(cfg, rule)
-            log_buf.write(f"{prefix}:00,{intended},{int(flipped)}\n")
-
-            for bridge, tail, minutes in streams:
-                level = waits[bridge]
-                for minute in minutes:
-                    value = level
-                    if jitter > 0:  # max(0.0, level + rng.normalvariate(0.0, jitter)), its loop owned and inline
-                        while True:
-                            u1 = uniform()
-                            u2 = 1.0 - uniform()
-                            z = magic * (u1 - 0.5) / u2
-                            if z * z / 4.0 <= -log(u2):
-                                break
-                        value = max(0.0, level + (0.0 + z * jitter))
-                    write_wait(f"{prefix}{minute}{tail}{value:.2f}\n")
-
-    holidays = [(d.isoformat(), "US") for d in cfg.us_holidays] + [(d.isoformat(), "CA") for d in cfg.ca_holidays]
-    holiday_buf = io.StringIO(csv_text(HOLIDAYS_HEADER, sorted(holidays)))
-    out = SynthOutput(*(out_dir / f"{name}.csv" for name in SynthOutput._fields))
-    for path, buf in zip(out, (wait_buf, weather_buf, holiday_buf, log_buf)):
-        path.write_text(buf.getvalue(), encoding="utf-8")
-    return out
+                waits += hour_levels
+        day_text = day.isoformat()
+        yield (wait_day.replace("\0", day_text) % tuple(waits), weather_day.replace("\0", day_text) % tuple(weather),
+               log_day.replace("\0", day_text) % tuple(emitted))

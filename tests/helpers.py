@@ -1,7 +1,7 @@
 """Shared test builders: canned feature vectors, hourly-means tables,
 random training sets for oracle-equivalence checks, the engineered
-stopping-rule datasets, and the brute-force split-search oracle the learner
-is checked against.
+stopping-rule datasets, the brute-force split-search oracle the learner
+is checked against, and the row-by-row references of the fast paths.
 
 Everything here is deterministic given its seed; no use of hash(), whose
 salt changes per process.
@@ -9,11 +9,13 @@ salt changes per process.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from collections import Counter
-from datetime import datetime
+from datetime import date, datetime, time
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from delaytree import cart
@@ -23,16 +25,20 @@ from delaytree.features import (
     CATEGORICAL,
     CONTINUOUS,
     FEATURE_SCHEMA,
+    HOLIDAYS_HEADER,
     FeatureSchema,
     FeatureSpec,
     FeatureVector,
+    build_feature_vector,
     hour_calendar,
 )
 from delaytree.ingest import (
-    HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, Bridge, Direction, RawWaitTimeRecord, Vehicle, _parse_enum, _parse_float,
-    _parse_timestamp, _window_hour, bridges_for, csv_rows, csv_text, fromisoformat, number,
+    HOUR_MAX, HOUR_MIN, WAIT_TIMES_HEADER, WEATHER_HEADER, Bridge, Condition, Direction, RawWaitTimeRecord, Vehicle,
+    WeatherRecord, _parse_enum, _parse_float, _parse_timestamp, _window_hour, bridges_for, csv_rows, csv_text,
+    fromisoformat, number,
 )
 from delaytree.patterns import _PARTS, COMBOS, OBSERVATIONS_HEADER, PatternDataset, PatternRow, pattern_of
+from delaytree.synth import _NV_MAGICCONST, SynthConfig, SynthOutput, _shifted_waits
 
 PATTERN_A = "delay-slight delay-slight delay"
 PATTERN_B = "slight delay-slight delay-slight delay"
@@ -321,3 +327,87 @@ def parse_wait_times_row_by_row(lines: Iterable[str]) -> list:
             raise DataError("RB carries no commercial vehicles", line=line)
         records.append(RawWaitTimeRecord(ts, bridge, direction, vehicle, wait))
     return records
+
+
+def _temperature(day: date, hour: int, rng: random.Random) -> float:
+    doy = day.timetuple().tm_yday
+    seasonal = 45.0 - 25.0 * math.cos(2.0 * math.pi * (doy - 15) / 365.0)
+    diurnal = 8.0 * math.sin(math.pi * (hour - 7) / 14.0)
+    return round(seasonal + diurnal + rng.normalvariate(0.0, 3.0), 1)
+
+
+def generate_row_by_row(cfg: SynthConfig, out_dir) -> SynthOutput:
+    """Reference for synth.generate: every row formatted on its own, every
+    hour's temperature, features and waits worked out afresh, and each file
+    held whole in memory, then written in one go. The rng draws, their order
+    and the bytes are the ones generate must keep."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    rng = random.Random(cfg.seed)
+    uniform, log, magic = rng.random, math.log, _NV_MAGICCONST
+    base = cfg.base_pattern()
+    jitter = cfg.jitter
+    # Each bridge's row tail after the timestamp, and its minute texts.
+    streams = [
+        (bridge, f",{bridge.name},{cfg.direction.label},{cfg.vehicle.label},",
+         (":00",) if bridge is Bridge.RB else tuple(f":{minute:02d}" for minute in range(0, 60, 5)))
+        for bridge in cfg.bridges
+    ]
+
+    wait_buf = io.StringIO()
+    weather_buf = io.StringIO()
+    log_buf = io.StringIO()
+    write_wait = wait_buf.write
+    write_wait(",".join(WAIT_TIMES_HEADER) + "\n")
+    weather_buf.write(",".join(WEATHER_HEADER) + "\n")
+    log_buf.write("hour_start,intended_pattern,flipped\n")
+
+    for ordinal in range(cfg.start.toordinal(), cfg.end.toordinal() + 1):
+        day = date.fromordinal(ordinal)
+        day_text = day.isoformat()
+        for hour in range(HOUR_MIN, HOUR_MAX + 1):
+            hour_start = datetime.combine(day, time(hour))
+            temp = _temperature(day, hour, rng)
+            wet = rng.random() < 0.15
+            precip = round(rng.uniform(0.01, 0.30), 2) if wet else 0.0
+            if precip > 0:
+                condition = Condition.SNOW if temp <= 32.0 else Condition.RAIN
+                visibility = rng.randint(4, 9)
+            else:
+                condition = Condition.CLEAR
+                visibility = 10
+            prefix = f"{day_text}T{hour:02d}"
+            weather_buf.write(f"{prefix}:00,{temp:.1f},{visibility},{precip:.2f},{condition.label}\n")
+
+            weather_rec = WeatherRecord(hour_start, temp, visibility, precip, condition)
+            fv = build_feature_vector(hour_start, weather_rec, cfg.us_holidays, cfg.ca_holidays)
+            rule = next((r for r in cfg.rules if r.matches(fv)), None)
+            intended = rule.target if rule else base
+            flipped = rng.random() < cfg.label_flip and bool(cfg.rules)
+            if flipped:
+                waits = _shifted_waits(cfg, None) if rule else _shifted_waits(cfg, cfg.rules[0])
+            else:
+                waits = _shifted_waits(cfg, rule)
+            log_buf.write(f"{prefix}:00,{intended},{int(flipped)}\n")
+
+            for bridge, tail, minutes in streams:
+                level = waits[bridge]
+                for minute in minutes:
+                    value = level
+                    if jitter > 0:  # max(0.0, level + rng.normalvariate(0.0, jitter)), its loop owned and inline
+                        while True:
+                            u1 = uniform()
+                            u2 = 1.0 - uniform()
+                            z = magic * (u1 - 0.5) / u2
+                            if z * z / 4.0 <= -log(u2):
+                                break
+                        value = max(0.0, level + (0.0 + z * jitter))
+                    write_wait(f"{prefix}{minute}{tail}{value:.2f}\n")
+
+    holidays = [(d.isoformat(), "US") for d in cfg.us_holidays] + [(d.isoformat(), "CA") for d in cfg.ca_holidays]
+    holiday_buf = io.StringIO(csv_text(HOLIDAYS_HEADER, sorted(holidays)))
+    out = SynthOutput(*(out_dir / f"{name}.csv" for name in SynthOutput._fields))
+    for path, buf in zip(out, (wait_buf, weather_buf, holiday_buf, log_buf)):
+        path.write_text(buf.getvalue(), encoding="utf-8")
+    return out

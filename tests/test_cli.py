@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 from pathlib import Path
 
 import pytest
@@ -996,3 +997,35 @@ def test_a_write_error_that_names_its_file_keeps_its_message(corpus, tmp_path, c
     capsys.readouterr()
     assert main(["render", "--tree", str(tree), "--format", "text", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"data error: [Errno 17] File exists: {str(blocker)!r}\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit on this platform")
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_a_synth_write_error_names_its_file_and_keeps_the_earlier_files(tmp_path, command):
+    import errno
+    import os
+    import subprocess
+    import sys
+
+    out = tmp_path / "out"
+    data = out / "data"
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(PIPE_CFG.format(out=out))
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(data), "--end", "2016-09-11"]) == 0
+    before = {path.name: path.read_bytes() for path in data.iterdir()}
+    argv = ["pipeline", "--config", str(cfg)] if command == "pipeline" else [
+        "synth", "--config", str(cfg), "--out-dir", str(data)]
+    # A file may grow to 100 kB, so six weeks of waits (about 570 kB) fail
+    # partway with EFBIG, an OSError that names no file, as a full disk's does.
+    limited = ("import resource, signal, sys\n"
+               "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+               "from delaytree.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", limited, *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    # Nothing else on stderr: a file left open would add a ResourceWarning.
+    assert done.stderr == f"data error: {data / 'wait_times.csv'}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    assert done.returncode == 2
+    assert {path.name: path.read_bytes() for path in data.iterdir()} == before

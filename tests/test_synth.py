@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import tempfile
+import tracemalloc
 from collections import Counter
 from datetime import date, timedelta
 
@@ -31,9 +32,9 @@ from delaytree.ingest import (
     parse_wait_times,
     parse_weather,
 )
-from delaytree.patterns import assemble_rows
+from delaytree.patterns import assemble_rows, pattern_of
 
-from helpers import brute_force_best_split, hourly_keys, random_training_set, weekend_split_set
+from helpers import brute_force_best_split, generate_row_by_row, hourly_keys, random_training_set, weekend_split_set
 
 P_BASE = "slight delay-slight delay-slight delay"
 P_RULE = "delay-slight delay-slight delay"
@@ -237,6 +238,96 @@ def test_generate_writes_the_text_csv_writer_writes(vehicle, direction, waits, j
         assert row[4] == (f"{float(row[4]):.2f}" if jitter else f"{base_waits[Bridge[row[1]]]:.2f}")
     hours = [f"{day.isoformat()}T{hour:02d}:00" for day in days for hour in range(7, 22)]
     assert [row[0] for row in rows["weather"][1:]] == [row[0] for row in rows["emission_log"][1:]] == hours
+
+
+# The rules the differential test may plant, by name: each shifts one bridge
+# (the first or the last of its vehicle) across a category bound.
+_RULE_CONDITIONS = {
+    "weekend": ({"weekend": (1,)}, 0),
+    "wet": ({"condition": ("Snow", "Rain")}, -1),
+    "us_holiday": ({"us_holiday": (1,)}, 0),
+    "winter_evening": ({"season": ("Winter",), "hour_interval": ("Evening", "Night")}, -1),
+}
+
+
+def _crossing_rule(name, base_waits):
+    condition, index = _RULE_CONDITIONS[name]
+    bridges = list(base_waits)
+    bridge = bridges[index]
+    shift = -base_waits[bridge] if base_waits[bridge] > 30.0 else 40.0
+    shifted = [base_waits[b] + shift if b is bridge else base_waits[b] for b in bridges]
+    return synth.PlantedRule(condition, pattern_of(shifted), {bridge: shift})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    vehicle=st.sampled_from(Vehicle),
+    direction=st.sampled_from(Direction),
+    waits=st.lists(_WAITS, min_size=3, max_size=3),
+    jitter=st.just(0.0) | st.floats(0.0, 50.0),
+    rules=st.lists(st.sampled_from(sorted(_RULE_CONDITIONS)), unique=True, max_size=3),
+    label_flip=st.just(0.0) | st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32),
+    start=st.dates(date(1, 1, 1), date(9999, 12, 28)),
+    days=st.integers(1, 4),
+    us=st.sets(st.integers(0, 3)),
+    ca=st.sets(st.integers(0, 3)),
+)
+@example(vehicle=Vehicle.PASSENGER, direction=Direction.TO_US, waits=[0.0, -0.0, 1e300], jitter=0.0,
+         rules=["us_holiday", "weekend", "wet"], label_flip=0.5, seed=1, start=date(2016, 12, 30), days=4,
+         us={0, 3}, ca={2})
+@example(vehicle=Vehicle.COMMERCIAL, direction=Direction.TO_CAN, waits=[0.005, 14.995, 0.0], jitter=2.0,
+         rules=["winter_evening", "wet", "weekend"], label_flip=0.3, seed=9, start=date(2016, 12, 30), days=4,
+         us={3}, ca={0, 3})
+def test_generate_writes_the_bytes_the_row_by_row_generator_writes(vehicle, direction, waits, jitter, rules,
+                                                                   label_flip, seed, start, days, us, ca):
+    """generate, which formats a day of rows with one template and streams
+    the files, writes each file byte for byte as the generator that formats
+    every row on its own and holds the files whole."""
+    base_waits = dict(zip(bridges_for(vehicle), waits))
+    cfg = synth.SynthConfig(
+        start=start, end=start + timedelta(days=days - 1), seed=seed, direction=direction, vehicle=vehicle,
+        base_waits=base_waits, rules=tuple(_crossing_rule(name, base_waits) for name in rules),
+        label_flip=label_flip, jitter=jitter, us_holidays=frozenset(start + timedelta(days=i) for i in us),
+        ca_holidays=frozenset(start + timedelta(days=i) for i in ca),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        fast = synth.generate(cfg, f"{tmp}/fast")
+        slow = generate_row_by_row(cfg, f"{tmp}/slow")
+        for name in synth.SynthOutput._fields:
+            assert getattr(fast, name).read_bytes() == getattr(slow, name).read_bytes(), name
+
+
+def test_generate_holds_a_day_of_rows_not_the_files(tmp_path):
+    # Jitter 0: its draws would hold no more memory, and under tracemalloc
+    # they take seconds.
+    cfg = config(start=date(2016, 1, 1), end=date(2016, 12, 31), rules=(weekend_rule(),), label_flip=0.05)
+    tracemalloc.start()
+    try:
+        out = synth.generate(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.wait_times.stat().st_size > 4_000_000
+    assert peak < 1_000_000
+
+
+def test_a_generate_that_stops_partway_leaves_the_earlier_files(tmp_path, monkeypatch):
+    synth.generate(config(jitter=1.0), tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    feed_texts = synth._feed_texts
+
+    def two_days_then_stop(cfg):
+        texts = feed_texts(cfg)
+        yield next(texts)  # the headers
+        yield next(texts)
+        yield next(texts)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(synth, "_feed_texts", two_days_then_stop)
+    with pytest.raises(KeyboardInterrupt):
+        synth.generate(config(jitter=2.0, end=date(2016, 9, 30)), tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_generate_different_seeds_differ(tmp_path):
