@@ -1,7 +1,8 @@
 """Raw feed ingestion: reading input files, wait-time and weather CSV parsing,
-hourly aggregation and the weather join. A wait file in synth's form is read
-by one regular expression whose match is a run of up to _RUN_ROWS rows of one
-hour and one stream; any other file goes to the exact row-by-row loop.
+hourly aggregation and the weather join. A wait file is read once: its blocks
+of rows in synth's form by one regular expression whose match is a run of up
+to _RUN_ROWS rows of one hour and one stream, and from the first block that
+is not, the exact row-by-row loop.
 
 Timestamps are naive local civil time throughout; neither feed carries a
 zone and no conversion is performed. Only hours 7..21 survive aggregation.
@@ -12,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import re
 from array import array
 from bisect import bisect_right
@@ -266,9 +266,9 @@ def hourly_waits(lines: Iterable[str]) -> HourlyMeans:
     return _hourly_means(_wait_groups(lines))
 
 
-def _wait_groups(lines: Iterable[str]) -> defaultdict[tuple, dict[datetime, array]]:
+def _wait_groups(lines: Iterable[str], groups=None) -> defaultdict[tuple, dict[datetime, array]]:
     """The window's samples of wait_times.csv `lines` (see csv_rows) as {stream: {hour: array of
-    doubles}}, stream (bridge, direction, vehicle); a file's parts merge array by array. Each row is
+    doubles}}, stream (bridge, direction, vehicle), added to `groups` if given. Each row is
     checked in field order: timestamp, bridge, direction, vehicle_type (in any case), wait_minutes
     (finite, not negative), then that the vehicle uses the bridge (no trucks on RB); the first error
     names its 1-based line. A row outside HOUR_MIN..HOUR_MAX is checked, then dropped. Each distinct
@@ -279,7 +279,7 @@ def _wait_groups(lines: Iterable[str]) -> defaultdict[tuple, dict[datetime, arra
     stamps: dict[str, Optional[datetime]] = {}
     hours: dict[Optional[datetime], Optional[datetime]] = {}
     streams: dict[tuple[str, str, str], tuple[tuple, bool]] = {}
-    groups: defaultdict[tuple, dict[datetime, array]] = defaultdict(dict)
+    groups = defaultdict(dict) if groups is None else groups
     for line, (raw_ts, raw_bridge, raw_direction, raw_vehicle, raw_wait) in csv_rows(lines, WAIT_TIMES_HEADER):
         key = raw_ts[:13] if hour_minute(raw_ts) else raw_ts
         hour = stamps.get(key, False)  # an hour is a datetime or None, so False is "not seen"
@@ -347,7 +347,7 @@ def _hourly_means(groups: dict[tuple, dict[datetime, Sequence[float]]]) -> Hourl
     return table
 
 
-_BLOCK = 1 << 16  # bytes per read of _strict_groups; 16 KiB to 1 MiB all gave the bulk parse a 16.6 MB traced peak
+_BLOCK = 1 << 16  # bytes per block of _file_groups; 16 KiB to 1 MiB all gave the bulk parse a 16.6 MB traced peak
 _RUN_ROWS = 12  # rows per match of _STRICT_RUN at most, an hour of 5-minute samples: a longer run is several
 
 # A wait row as synth writes it: an hour's text, minutes, a stream's text (no trucks on RB) and a wait of at most
@@ -365,58 +365,65 @@ _STRICT_RUN = re.compile(
 )
 
 
-def _strict_groups(file) -> Optional[defaultdict[tuple, dict[datetime, array]]]:
-    """`_wait_groups` of binary wait file `file` whose header line is WAIT_TIMES_HEADER ended by "\n" or "\r\n"
-    and whose every line is a row of _STRICT_RUN, else None. Each block of _BLOCK bytes, cut after its last
-    newline, is one findall, and all its waits are parsed into one array, which must hold one wait per newline;
-    each match then merges its slice of that array into its group. An hour text is parsed once and a stream text
-    once, and their groups share the hour and the stream."""
-    if file.readline() not in [(",".join(WAIT_TIMES_HEADER) + end).encode() for end in ("\n", "\r\n")]:
-        return None
-    hours: dict[bytes, Optional[datetime]] = {}
-    streams: dict[bytes, tuple] = {}
-    groups: defaultdict[tuple, dict[datetime, array]] = defaultdict(dict)
-    rest = b""
-    while block := file.read(_BLOCK):
-        block = rest + block
-        end = block.rfind(b"\n") + 1
-        runs = _STRICT_RUN.findall(block, 0, end)
-        waits = array("d", map(float, filter(None, chain.from_iterable(map(itemgetter(slice(2, None)), runs)))))
-        if len(waits) != block.count(b"\n", 0, end):
-            return None
-        rest = block[end:]
-        i = 0
-        for run in runs:
-            hour_text, stream_text = run[0], run[1]
-            hour = hours.get(hour_text, False)  # an hour is a datetime or None, so False is "not seen"
-            if hour is False:
-                try:
-                    hours[hour_text] = hour = _window_hour(_parse_timestamp(hour_text.decode() + ":00", 0))
-                except DataError:  # not a date
-                    return None
-            stream = streams.get(stream_text)
-            if stream is None:
-                bridge, direction, vehicle = stream_text.decode().upper().split(",")
-                stream = streams[stream_text] = (Bridge[bridge], Direction[direction], Vehicle[vehicle])
-            j = i + _RUN_ROWS - run.count(b"")
-            if hour is not None:
-                series = groups[stream]
-                if hour in series:
-                    series[hour] += waits[i:j]
-                else:
-                    series[hour] = waits[i:j]
-            i = j
-    return None if rest else groups
+def _strict_block(block: bytes, hours: dict, streams: dict, groups: defaultdict) -> bool:
+    """Merge the rows of `block`, whole lines of a wait file, into `groups` and return True if every line is a row
+    of _STRICT_RUN and every hour text a date; else return False. One findall parses all the block's waits into
+    one array, which must hold one wait per newline; each match then merges its slice of that array into its
+    group. An hour text is parsed once and a stream text once, and their groups share the hour and the stream."""
+    runs = _STRICT_RUN.findall(block)
+    waits = array("d", map(float, filter(None, chain.from_iterable(map(itemgetter(slice(2, None)), runs)))))
+    if len(waits) != block.count(b"\n") or not block.endswith(b"\n"):
+        return False
+    i = 0
+    for run in runs:
+        hour_text, stream_text = run[0], run[1]
+        hour = hours.get(hour_text, False)  # an hour is a datetime or None, so False is "not seen"
+        if hour is False:
+            try:
+                hours[hour_text] = hour = _window_hour(_parse_timestamp(hour_text.decode() + ":00", 0))
+            except DataError:
+                # Not a date, such as 2016-02-30T07, after earlier runs of this block were merged. The exact loop,
+                # reading this block again, fails on that row, so the doubled groups are never returned.
+                return False
+        stream = streams.get(stream_text)
+        if stream is None:
+            bridge, direction, vehicle = stream_text.decode().upper().split(",")
+            stream = streams[stream_text] = (Bridge[bridge], Direction[direction], Vehicle[vehicle])
+        j = i + _RUN_ROWS - run.count(b"")
+        if hour is not None:
+            series = groups[stream]
+            if hour in series:
+                series[hour] += waits[i:j]
+            else:
+                series[hour] = waits[i:j]
+        i = j
+    return True
+
+
+def _file_groups(file) -> defaultdict[tuple, dict[datetime, array]]:
+    """`_wait_groups` of binary wait file `file`, read once. If the header line is WAIT_TIMES_HEADER ended by
+    "\n" or "\r\n", blocks of _BLOCK bytes, each read on to its line's end, go to `_strict_block`; from the
+    first block it does not take, or from the header, the exact loop reads the rest into the same groups, so the
+    table, the first error and its line are the exact loop's."""
+    header, block, lines = file.readline(), b"", 0  # lines: the lines of the blocks taken
+    hours, streams, groups = {}, {}, defaultdict(dict)  # hour text -> hour, stream text -> stream, and the groups
+    if header in [(",".join(WAIT_TIMES_HEADER) + end).encode() for end in ("\n", "\r\n")]:
+        while (block := file.read(_BLOCK) + file.readline()) and _strict_block(block, hours, streams, groups):
+            lines += block.count(b"\n")
+    try:
+        return _wait_groups(_utf8_lines(chain([header], io.BytesIO(block), file)), groups)
+    except DataError as exc:
+        raise DataError(exc.message, line=exc.line + lines) from None
 
 
 def _hourly_waits_file(path) -> HourlyMeans:
-    """_parse_file(hourly_waits, path): the same table or first error. A regular file is read by
-    `_strict_groups` first; any file it does not take is read again by the exact loop."""
-    groups = None
-    if os.path.isfile(path):  # not a pipe, which cannot be read twice
+    """_parse_file(hourly_waits, path), reading the file once with `_file_groups`: the same table or first
+    error. A FIFO is read the same way."""
+    try:
         with open(path, "rb") as file:
-            groups = _strict_groups(file)
-    return _parse_file(hourly_waits, path) if groups is None else _hourly_means(groups)
+            return _hourly_means(_file_groups(file))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def join_weather(hours: HourlyMeans, weather: list[WeatherRecord]) -> dict[datetime, WeatherRecord]:

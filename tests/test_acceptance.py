@@ -272,35 +272,40 @@ def _digests(root) -> dict:
             for p in root.rglob("*") if p.is_file()}
 
 
-def test_every_python_on_path_writes_the_pipeline_bytes_this_one_writes(tmp_path):
-    """The pipeline under each of python3.10 to python3.13 on PATH that
-    starts (the child needs only the standard library) writes the files this
-    interpreter writes."""
-    started = []
-    for minor in range(10, 14):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None:
-            continue
-        try:
-            done = subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
-                                  capture_output=True, text=True, timeout=60)
-        except (OSError, subprocess.TimeoutExpired):
-            continue
-        if done.returncode == 0 and done.stdout.split() == ["3", str(minor)]:
-            started.append(exe)
-    if not started:
-        pytest.skip("no python3.10 to python3.13 on PATH starts")
-    cfg = tmp_path / "pipe.cfg"
+@pytest.fixture(scope="module")
+def pipeline_here(tmp_path_factory):
+    """The pipeline config, and the digests of the files this interpreter writes from it."""
+    tmp = tmp_path_factory.mktemp("pipeline")
+    cfg = tmp / "pipe.cfg"
     cfg.write_text(PIPELINE_CFG)
-    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "here")]) == 0
-    want = _digests(tmp_path / "here")
+    assert main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp / "here")]) == 0
+    return cfg, _digests(tmp / "here")
+
+
+@pytest.mark.parametrize("minor", range(10, 14), ids=lambda minor: f"python3.{minor}")
+def test_every_python_on_path_writes_the_pipeline_bytes_this_one_writes(tmp_path, pipeline_here, minor):
+    """The pipeline under python3.<minor> on PATH (the child needs only the
+    standard library) writes the files this interpreter writes. One that is
+    absent or does not start is skipped, with a reason that names it."""
+    name = f"python3.{minor}"
+    exe = shutil.which(name)
+    if exe is None:
+        pytest.skip(f"{name} is not on PATH")
+    try:
+        done = subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                              capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        pytest.skip(f"{name} ({exe}) does not start: {exc}")
+    if done.returncode != 0 or done.stdout.split() != ["3", str(minor)]:
+        said = (done.stderr.strip() or done.stdout.strip()).partition("\n")[0]
+        pytest.skip(f"{name} ({exe}) does not start as Python 3.{minor}: exit {done.returncode}, {said!r}")
+    cfg, want = pipeline_here
     env = dict(os.environ, PYTHONPATH=str(Path(cart.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
-    for i, exe in enumerate(started):
-        out = tmp_path / f"python_{i}"
-        done = subprocess.run([exe, "-m", "delaytree", "pipeline", "--config", str(cfg), "--out-dir", str(out)],
-                              capture_output=True, text=True, env=env, timeout=300)
-        assert (done.returncode, done.stderr) == (0, ""), exe
-        assert _digests(out) == want, exe
+    out = tmp_path / "out"
+    done = subprocess.run([exe, "-m", "delaytree", "pipeline", "--config", str(cfg), "--out-dir", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (done.returncode, done.stderr) == (0, ""), exe
+    assert _digests(out) == want, exe
 
 
 # ------------------------------------------------------------------ 7

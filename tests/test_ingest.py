@@ -37,10 +37,10 @@ from delaytree.ingest import (
     parse_wait_times,
     parse_weather,
     RawWaitTimeRecord,
+    _file_groups,
     _hourly_waits_file,
     _parse_file,
     _parse_timestamp,
-    _strict_groups,
     _wait_groups,
     _window_hour,
 )
@@ -784,19 +784,41 @@ def _table_or_error(read, path):
         return str(exc)
 
 
+def _spy_on_the_exact_loop(mp):
+    """Replace ingest._wait_groups by a spy; the list returned gets each line the exact loop reads, its header
+    first."""
+    read = []
+    mp.setattr(ingest, "_wait_groups", lambda lines, groups=None: _wait_groups(
+        (read.append(line) or line for line in lines), groups))
+    return read
+
+
+def _block_starts(data, block):
+    """The 0-based index of the first line of each block that `_file_groups` reads of `data` after its header:
+    `block` bytes, then on to the end of that line."""
+    file, starts, line = io.BytesIO(data), [], 1
+    file.readline()
+    while chunk := file.read(block) + file.readline():
+        starts.append(line)
+        line += chunk.count(b"\n")
+    return starts
+
+
+_STRICT_HEADERS = [HEADER, HEADER.replace("\n", "\r\n")]
+
+
 def _reads_as_the_exact_loop(data, block):
     """`_hourly_waits_file` of a file of `data`, read `block` bytes at a time, gives the table or the message
-    of `_parse_file(hourly_waits, ...)`, and `_strict_groups` gives None or the exact loop's groups; returns
-    whether it gave groups."""
+    of `_parse_file(hourly_waits, ...)`; returns whether the strict path took every row, which leaves the
+    exact loop a header in synth's form, no row and no error (a line that is not UTF-8 fails as it is read)."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp, "wait_times.csv")
         path.write_bytes(data)
         mp.setattr(ingest, "_BLOCK", block)
-        assert _table_or_error(_hourly_waits_file, path) == _table_or_error(partial(_parse_file, hourly_waits), path)
-        with open(path, "rb") as file:
-            groups = _strict_groups(file)
-        assert groups is None or groups == _parse_file(_wait_groups, path)
-    return groups is not None
+        want = _table_or_error(partial(_parse_file, hourly_waits), path)
+        read = _spy_on_the_exact_loop(mp)
+        assert _table_or_error(_hourly_waits_file, path) == want
+    return read in ([header] for header in _STRICT_HEADERS) and not isinstance(want, str)
 
 
 @st.composite
@@ -939,11 +961,11 @@ def test_a_run_longer_than_a_match_is_read_by_the_strict_path(tmp_path, monkeypa
     odd = next(i for i, row in enumerate(rows) if row.startswith("2016-08-22T09:17,LQ,"))
     rows[odd] = rows[odd].replace("LQ", "PB")
     path.write_text(HEADER + "".join(rows), encoding="utf-8")
-    want, exact = _parse_file(hourly_waits, path), []
+    want = _parse_file(hourly_waits, path)
     monkeypatch.setattr(ingest, "_BLOCK", 1009)
-    monkeypatch.setattr(ingest, "_parse_file", lambda *args: exact.append(args) or _parse_file(*args))
+    read = _spy_on_the_exact_loop(monkeypatch)
     assert _hourly_waits_file(path) == want
-    assert exact == []
+    assert read == [HEADER]
 
 
 def _rows(hours):
@@ -963,11 +985,14 @@ def test_a_file_in_three_blocks_is_read_by_the_strict_path_unless_quoted(tmp_pat
     elif quote == "last_row":
         rows += b'"2016-08-22T08:00",PB,to_us,passenger,1.5\n'
     path.write_bytes(header + rows)
-    want, exact = _parse_file(hourly_waits, path), []
+    want, lines = _parse_file(hourly_waits, path), path.read_text(encoding="utf-8").splitlines(keepends=True)
     monkeypatch.setattr(ingest, "_BLOCK", path.stat().st_size // 3)
-    monkeypatch.setattr(ingest, "_parse_file", lambda *args: exact.append(args) or _parse_file(*args))
+    read = _spy_on_the_exact_loop(monkeypatch)
     assert _hourly_waits_file(path) == want
-    assert len(exact) == (1 if quote else 0)
+    # The exact loop reads the header, then no row, every row after a quoted header, or the last block alone.
+    first = {None: len(lines), "header": 1, "last_row": _block_starts(header + rows, ingest._BLOCK)[-1]}[quote]
+    assert read == lines[:1] + lines[first:]
+    assert quote != "last_row" or 0 < len(read) - 1 < len(lines) / 2
 
 
 @pytest.mark.parametrize(
@@ -985,6 +1010,87 @@ def test_a_data_error_in_any_block_names_its_line_in_one_process(tmp_path, monke
         os.waitpid(-1, os.WNOHANG)
 
 
+# A fault in a row in synth's form: each leaves the row to the exact loop, which rejects it or, quoted, reads it.
+_TAKE_OVER_FAULTS = {
+    "a bad wait": _wait("5.29x"),
+    "trucks on RB": _LINE_FAULTS["trucks on RB"],
+    "a date that is not a date": _LINE_FAULTS["a bad date"],
+    "a byte that is not UTF-8": _LINE_FAULTS["a byte that is not UTF-8"],
+    "a quoted row": lambda row, at: '"' + row.replace(",", '",', 1),
+}
+
+
+@pytest.mark.parametrize("fault", _TAKE_OVER_FAULTS, ids=lambda fault: fault.replace(" ", "_"))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), where=st.sampled_from(["first", "middle", "last"]))
+def test_the_exact_loop_takes_over_at_the_first_block_the_strict_path_cannot_take(fault, data, where):
+    """Runs of rows in synth's form, read in blocks of 1 to 200 bytes, with one fault in a row of the first, a
+    middle or the last block; a date that is not a date is the block's last row, so that it follows the
+    block's other runs. The table or the message and its line are those of the exact loop over the whole
+    file, and the exact loop reads the header and then the rows from the start of the faulty block on."""
+    rows = [row for run in data.draw(_runs()) for row in run] or [data.draw(_SYNTH_ROW)]
+    size = data.draw(st.integers(1, 200))
+    starts = _block_starts((HEADER + "".join(row + "\n" for row in rows)).encode(), size)
+    block = {"first": 0, "middle": len(starts) // 2, "last": len(starts) - 1}[where]
+    end = starts[block + 1] if block + 1 < len(starts) else len(rows) + 1
+    at = end - 1 if fault == "a date that is not a date" else data.draw(st.integers(starts[block], end - 1))
+    rows[at - 1] = _TAKE_OVER_FAULTS[fault](rows[at - 1], data.draw(st.integers(0, len(rows[at - 1]))))
+    data_bytes = (HEADER + "".join(row + "\n" for row in rows)).encode("utf-8", "surrogateescape")
+    # The rows before the fault, and so the block it starts in, are the same as in the file without it.
+    assert _block_starts(data_bytes, size)[block] == starts[block] <= at
+    lines = [line.decode("utf-8", "surrogateescape") for line in io.BytesIO(data_bytes)]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp, "wait_times.csv")
+        path.write_bytes(data_bytes)
+        mp.setattr(ingest, "_BLOCK", size)
+        want = _table_or_error(partial(_parse_file, hourly_waits), path)
+        read = _spy_on_the_exact_loop(mp)
+        assert _table_or_error(_hourly_waits_file, path) == want
+    assert read == lines[:1] + lines[starts[block]:starts[block] + len(read) - 1]
+    assert isinstance(want, list) if fault == "a quoted row" else f": line {at + 1}: " in want
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"", "line 1: expected header 'timestamp,bridge,direction,vehicle_type,wait_minutes'"),
+    (HEADER.rstrip("\n").encode(), []),
+    (HEADER.encode(), []),
+], ids=["empty", "a_header_with_no_newline", "a_header_alone"])
+def test_a_file_of_no_rows_gives_the_table_or_the_error_of_the_exact_loop(tmp_path, monkeypatch, data, want):
+    path = tmp_path / "wait_times.csv"
+    path.write_bytes(data)
+    want = f"{path}: {want}" if want else want
+    assert _table_or_error(partial(_parse_file, hourly_waits), path) == want
+    read = _spy_on_the_exact_loop(monkeypatch)
+    assert _table_or_error(_hourly_waits_file, path) == want
+    assert read == [data.decode()]
+
+
+def test_a_date_that_is_not_a_date_after_merged_runs_gives_the_exact_loop_error(tmp_path, monkeypatch):
+    # One block: three runs the strict path merges into its groups, then 2016-02-30, which its regex takes.
+    path = tmp_path / "wait_times.csv"
+    rows = [f"2016-08-22T{h:02d}:{m:02d},PB,to_us,passenger,1.5\n" for h in (7, 8, 9) for m in (0, 5)]
+    path.write_text(HEADER + "".join(rows) + "2016-02-30T10:00,PB,to_us,passenger,1.5\n", encoding="utf-8")
+    read = _spy_on_the_exact_loop(monkeypatch)
+    with pytest.raises(DataError) as exc:
+        _hourly_waits_file(path)
+    assert str(exc.value) == f"{path}: line 8: malformed timestamp '2016-02-30T10:00'"
+    assert read == [HEADER, *rows, "2016-02-30T10:00,PB,to_us,passenger,1.5\n"]
+
+
+def test_a_bad_last_row_leaves_the_exact_loop_at_most_one_block(tmp_path, monkeypatch):
+    path = tmp_path / "wait_times.csv"
+    bad = b"2016-08-28T21:00,PB,to_us,passenger,5.29x\n"
+    data = _synth_week_waits(tmp_path / "synth") + bad
+    path.write_bytes(data)
+    monkeypatch.setattr(ingest, "_BLOCK", 4096)
+    read = _spy_on_the_exact_loop(monkeypatch)
+    with pytest.raises(DataError) as exc:
+        _hourly_waits_file(path)
+    assert str(exc.value) == f"{path}: line {len(data.splitlines())}: malformed wait_minutes '5.29x'"
+    assert read[0] == HEADER and read[-1] == bad.decode()
+    assert len("".join(read[1:])) <= ingest._BLOCK + len(bad) < len(data) / 20
+
+
 def _synth_week_waits(out_dir) -> bytes:
     """The wait file synth writes for a week of passenger to_us: about 2,600 rows, 100 kB."""
     cfg = synth.SynthConfig(date(2016, 8, 22), date(2016, 8, 28), 7, Direction.TO_US, Vehicle.PASSENGER,
@@ -997,17 +1103,19 @@ def test_a_synth_week_with_crlf_line_ends_is_read_by_the_strict_path(tmp_path, m
     data = _synth_week_waits(tmp_path / "synth")
     lf.write_bytes(data)
     crlf.write_bytes(data.replace(b"\n", b"\r\n"))
-    want, exact = _parse_file(hourly_waits, lf), []
+    want = _parse_file(hourly_waits, lf)
     assert _parse_file(hourly_waits, crlf) == want
-    monkeypatch.setattr(ingest, "_parse_file", lambda *args: exact.append(args) or _parse_file(*args))
+    read = _spy_on_the_exact_loop(monkeypatch)
     assert _hourly_waits_file(crlf) == want
-    assert exact == []
+    assert read == [HEADER.replace("\n", "\r\n")]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
 @pytest.mark.parametrize("last_row", [b"", b"2016-08-28T21:00,PB,to_us,passenger,-1\n"], ids=["synth", "bad_last_row"])
-def test_a_fifo_gives_the_table_or_the_error_of_a_regular_file(tmp_path, last_row):
-    """A FIFO cannot be read twice, so the exact loop reads it; it gives the table or error of a regular file."""
+def test_a_fifo_gives_the_table_or_the_error_of_a_regular_file(tmp_path, monkeypatch, last_row):
+    """A FIFO is read once, as a regular file is: the strict path takes synth's rows, so the exact loop reads
+    no row, or only rows of the block that ends in a bad last row. It gives the table or error of a regular
+    file."""
     data = _synth_week_waits(tmp_path / "synth") + last_row
     regular, fifo = tmp_path / "wait_times.csv", tmp_path / "wait_times.fifo"
     regular.write_bytes(data)
@@ -1020,6 +1128,7 @@ def test_a_fifo_gives_the_table_or_the_error_of_a_regular_file(tmp_path, last_ro
         except BrokenPipeError:  # the reader stopped at a bad row
             pass
 
+    read = _spy_on_the_exact_loop(monkeypatch)
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
@@ -1027,6 +1136,11 @@ def test_a_fifo_gives_the_table_or_the_error_of_a_regular_file(tmp_path, last_ro
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
+    if last_row:
+        assert read[0] == HEADER and read[-1] == last_row.decode()
+        assert len("".join(read[1:])) <= ingest._BLOCK + len(last_row)
+    else:
+        assert read == [HEADER]
     want = _table_or_error(_hourly_waits_file, regular)
     if last_row:
         assert want == f"{regular}: line {len(data.splitlines())}: negative wait_minutes '-1'"
@@ -1044,9 +1158,9 @@ def test_the_strict_path_holds_its_groups_not_its_text(tmp_path, monkeypatch):
         for i in range(120_000):
             file.write(f"2016-08-22T{7 + i // 12 % 3:02d}:{i % 60:02d},{streams[i // 2000 % 3]},{i % 97 / 4}\n")
     with open(path, "rb") as file:
-        groups = _strict_groups(file)
+        groups = _file_groups(file)
     assert len(groups) == 3 and len({id(hour) for series in groups.values() for hour in series}) == 3
-    monkeypatch.setattr(ingest, "_parse_file", None)  # the strict path reads the whole file
+    read = _spy_on_the_exact_loop(monkeypatch)
     tracemalloc.start()
     try:
         hours = _hourly_waits_file(path)
@@ -1055,6 +1169,7 @@ def test_the_strict_path_holds_its_groups_not_its_text(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert sum(map(len, hours.values())) == 9
     assert peak < path.stat().st_size / 2
+    assert read == [HEADER]  # the strict path reads the whole file
 
 
 # --------------------------------------------------------------- join
