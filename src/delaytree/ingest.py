@@ -409,7 +409,7 @@ def _file_groups(file) -> defaultdict[tuple, dict[datetime, array]]:
     hours, streams, groups = {}, {}, defaultdict(dict)  # hour text -> hour, stream text -> stream, and the groups
     if header in [(",".join(WAIT_TIMES_HEADER) + end).encode() for end in ("\n", "\r\n")]:
         while (block := file.read(_BLOCK) + file.readline()) and _strict_block(block, hours, streams, groups):
-            lines += block.count(b"\n")
+            lines, block = lines + block.count(b"\n"), b""  # the taken block is dropped before the next is read
     try:
         return _wait_groups(_utf8_lines(chain([header], io.BytesIO(block), file)), groups)
     except DataError as exc:

@@ -7,7 +7,9 @@ that has only its standard library, such as the oldest one pyproject.toml
 allows. It imports delaytree from this checkout's src/, which compiles the
 strict pattern, writes a week of synth's wait file with LF and with CRLF line
 ends, and checks that `_hourly_waits_file` gives each file's table with the
-strict path alone: the exact loop reads the header and no row. A file with one
+strict path alone: the exact loop reads the header and no row, and that
+`_file_groups` gives the exact loop's samples, so no row is merged twice,
+which an hour's mean cannot show when all its samples are. A file with one
 bad wait in any of the first 13 rows of a run, of the first run and of the
 first run past the first block, must give the exact loop's message and line:
 a wait that a failed row left in its group would make up for the row the
@@ -26,7 +28,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from delaytree import ingest, synth  # noqa: E402
 from delaytree.errors import DataError  # noqa: E402
-from delaytree.ingest import Bridge, Direction, Vehicle, _hourly_waits_file, _parse_file, hourly_waits  # noqa: E402
+from delaytree.ingest import (  # noqa: E402
+    Bridge, Direction, Vehicle, _file_groups, _hourly_waits_file, _parse_file, _wait_groups, hourly_waits,
+)
 
 
 def _outcome(read, path):
@@ -58,6 +62,8 @@ def main() -> int:
             table, read = _exact_loop_reads(path)
             assert table == _parse_file(hourly_waits, path), f"{name}: the table differs from the exact loop's"
             assert read == [text.splitlines(keepends=True)[0].decode()], f"{name}: the exact loop read a row"
+            with open(path, "rb") as file:
+                assert _file_groups(file) == _parse_file(_wait_groups, path), f"{name}: the samples differ"
         lines = data.splitlines(keepends=True)
         ends = list(accumulate(map(len, lines)))  # ends[r - 1]: the bytes before lines[r]
         key = lambda line: line[:13] + line[16:].rpartition(b",")[0]  # noqa: E731 - a run's hour and stream texts
@@ -70,8 +76,9 @@ def main() -> int:
                 want = _outcome(partial(_parse_file, hourly_waits), path)
                 assert str(want).startswith(f"{path}: line {row + 1}: malformed wait_minutes "), want
                 assert _exact_loop_reads(path)[0] == want, f"a bad wait in line {row + 1}: not the exact loop's error"
-    print(f"Python {sys.version.split()[0]}: the strict path reads a synth week with LF and CRLF line ends, and a "
-          "bad wait in rows 1 to 13 of a run, in or past the first block, gives the exact loop's message and line")
+    print(f"Python {sys.version.split()[0]}: the strict path reads a synth week with LF and CRLF line ends to the "
+          "exact loop's samples, and a bad wait in rows 1 to 13 of a run, in or past the first block, gives the "
+          "exact loop's message and line")
     return 0
 
 

@@ -283,10 +283,11 @@ def pipeline_here(tmp_path_factory):
 
 
 @pytest.mark.parametrize("minor", range(10, 14), ids=lambda minor: f"python3.{minor}")
-def test_every_python_on_path_writes_the_pipeline_bytes_this_one_writes(tmp_path, pipeline_here, minor):
+def test_every_python_on_path_writes_the_pipeline_bytes_this_one_writes(tmp_path, request, minor):
     """The pipeline under python3.<minor> on PATH (the child needs only the
     standard library) writes the files this interpreter writes. One that is
-    absent or does not start is skipped, with a reason that names it."""
+    absent or does not start is skipped, with a reason that names it, before
+    this interpreter runs the pipeline."""
     name = f"python3.{minor}"
     exe = shutil.which(name)
     if exe is None:
@@ -299,7 +300,7 @@ def test_every_python_on_path_writes_the_pipeline_bytes_this_one_writes(tmp_path
     if done.returncode != 0 or done.stdout.split() != ["3", str(minor)]:
         said = (done.stderr.strip() or done.stdout.strip()).partition("\n")[0]
         pytest.skip(f"{name} ({exe}) does not start as Python 3.{minor}: exit {done.returncode}, {said!r}")
-    cfg, want = pipeline_here
+    cfg, want = request.getfixturevalue("pipeline_here")
     env = dict(os.environ, PYTHONPATH=str(Path(cart.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
     out = tmp_path / "out"
     done = subprocess.run([exe, "-m", "delaytree", "pipeline", "--config", str(cfg), "--out-dir", str(out)],

@@ -807,15 +807,28 @@ def _block_starts(data, block):
 _STRICT_HEADERS = [HEADER, HEADER.replace("\n", "\r\n")]
 
 
+def _has_the_samples_of_the_exact_loop(path):
+    """Unless the exact loop fails on the file at `path`, `_file_groups` gives its samples, each hour's in file
+    order, so that no row is merged twice: a mean alone cannot show an hour's samples all doubled."""
+    try:
+        want = _parse_file(_wait_groups, path)
+    except DataError:
+        return
+    with open(path, "rb") as file:
+        assert _file_groups(file) == want
+
+
 def _reads_as_the_exact_loop(data, block):
     """`_hourly_waits_file` of a file of `data`, read `block` bytes at a time, gives the table or the message
-    of `_parse_file(hourly_waits, ...)`; returns whether the strict path took every row, which leaves the
-    exact loop a header in synth's form, no row and no error (a line that is not UTF-8 fails as it is read)."""
+    of `_parse_file(hourly_waits, ...)`, and `_file_groups` the exact loop's samples; returns whether the strict
+    path took every row, which leaves the exact loop a header in synth's form, no row and no error (a line that is
+    not UTF-8 fails as it is read)."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp, "wait_times.csv")
         path.write_bytes(data)
         mp.setattr(ingest, "_BLOCK", block)
         want = _table_or_error(partial(_parse_file, hourly_waits), path)
+        _has_the_samples_of_the_exact_loop(path)
         read = _spy_on_the_exact_loop(mp)
         assert _table_or_error(_hourly_waits_file, path) == want
     return read in ([header] for header in _STRICT_HEADERS) and not isinstance(want, str)
@@ -963,6 +976,7 @@ def test_a_run_longer_than_a_match_is_read_by_the_strict_path(tmp_path, monkeypa
     path.write_text(HEADER + "".join(rows), encoding="utf-8")
     want = _parse_file(hourly_waits, path)
     monkeypatch.setattr(ingest, "_BLOCK", 1009)
+    _has_the_samples_of_the_exact_loop(path)
     read = _spy_on_the_exact_loop(monkeypatch)
     assert _hourly_waits_file(path) == want
     assert read == [HEADER]
@@ -987,6 +1001,7 @@ def test_a_file_in_three_blocks_is_read_by_the_strict_path_unless_quoted(tmp_pat
     path.write_bytes(header + rows)
     want, lines = _parse_file(hourly_waits, path), path.read_text(encoding="utf-8").splitlines(keepends=True)
     monkeypatch.setattr(ingest, "_BLOCK", path.stat().st_size // 3)
+    _has_the_samples_of_the_exact_loop(path)
     read = _spy_on_the_exact_loop(monkeypatch)
     assert _hourly_waits_file(path) == want
     # The exact loop reads the header, then no row, every row after a quoted header, or the last block alone.
@@ -1044,6 +1059,7 @@ def test_the_exact_loop_takes_over_at_the_first_block_the_strict_path_cannot_tak
         path.write_bytes(data_bytes)
         mp.setattr(ingest, "_BLOCK", size)
         want = _table_or_error(partial(_parse_file, hourly_waits), path)
+        _has_the_samples_of_the_exact_loop(path)
         read = _spy_on_the_exact_loop(mp)
         assert _table_or_error(_hourly_waits_file, path) == want
     assert read == lines[:1] + lines[starts[block]:starts[block] + len(read) - 1]
@@ -1105,6 +1121,7 @@ def test_a_synth_week_with_crlf_line_ends_is_read_by_the_strict_path(tmp_path, m
     crlf.write_bytes(data.replace(b"\n", b"\r\n"))
     want = _parse_file(hourly_waits, lf)
     assert _parse_file(hourly_waits, crlf) == want
+    _has_the_samples_of_the_exact_loop(crlf)
     read = _spy_on_the_exact_loop(monkeypatch)
     assert _hourly_waits_file(crlf) == want
     assert read == [HEADER.replace("\n", "\r\n")]
