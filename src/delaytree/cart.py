@@ -1,21 +1,23 @@
 """Greedy binary classification-tree induction with Gini information gain.
 
-Continuous features split at midpoints of adjacent distinct values;
-categorical features enumerate every canonical level subset. A node stops
-splitting when it is pure, holds fewer than min_samples rows, sits at
-max_depth, or no candidate reaches min_gain.
+Continuous features split at the midpoint of two adjacent distinct values,
+or at the lower one when the midpoint is not below the upper; categorical
+features enumerate every canonical level subset. A node stops splitting
+when it is pure, holds fewer than min_samples rows, sits at max_depth, or
+no candidate reaches min_gain.
 
 Training encodes the rows once, on entry: each class label (as a string,
-e.g. a delay pattern label) becomes its index in the sorted distinct
-labels, so index order is the lexicographic tie-break order; each
-categorical feature becomes a column of declared-level indexes and each
-continuous feature a column of floats. A node is a list of row indexes
-plus a per-class count list. Thresholds are scanned over the node's rows
-sorted by value, with running sums of squared class counts; level subsets
-are visited depth first, which is lexicographic order, each subset's counts
-its prefix subset's plus one level's. Rules and class distributions (keyed
-by the labels) are built only for the chosen split and for the leaves.
-best_split is the root of a depth-1 tree, so one code path finds a split.
+e.g. a delay pattern label) becomes its index in the sorted distinct labels,
+so index order is the lexicographic tie-break order; each categorical
+feature becomes a column of declared-level indexes and each continuous
+feature a column of floats. A node is a list of row indexes plus the class
+counts its parent's scan took, so `value <= threshold` cuts where the scan
+did. Thresholds are scanned over the node's rows sorted by value, with
+running sums of squared class counts; level subsets are visited depth first,
+which is lexicographic order, each subset's counts its prefix subset's plus
+one level's. Rules and class distributions (keyed by the labels) are built
+only for the chosen split and for the leaves. best_split is the root of a
+depth-1 tree, so one code path finds a split.
 
 Impurities are evaluated as exact integer ratios rounded once to float:
 gini = 1 - sum(counts^2)/N^2 and the gain's closed form over a common
@@ -166,23 +168,25 @@ class _Encoded(NamedTuple):
     """Rows encoded once for training.
 
     classes: the distinct labels, sorted; y: each row's index into
-    classes; columns: per spec, the rows' declared-level indexes
-    (categorical) or floats (continuous).
+    classes; counts: the rows per class; columns: per spec, the rows'
+    declared-level indexes (categorical) or floats (continuous).
     """
 
     specs: tuple
     classes: list
     y: list
+    counts: list
     columns: list
 
 
 def _encode(rows, specs) -> _Encoded:
     specs = tuple(specs)
     labels = [str(row[1]) for row in rows]
-    classes = sorted(set(labels))
+    tally = Counter(labels)
+    classes = sorted(tally)
     code = {label: i for i, label in enumerate(classes)}
     columns = [_encode_column(spec, [row[0][spec.name] for row in rows]) for spec in specs]
-    return _Encoded(specs, classes, [code[label] for label in labels], columns)
+    return _Encoded(specs, classes, [code[label] for label in labels], [tally[c] for c in classes], columns)
 
 
 def _encode_column(spec, values) -> list:
@@ -199,21 +203,14 @@ def _encode_column(spec, values) -> list:
     return [level_index[value] for value in values]
 
 
-def _class_counts(y, idx, k: int) -> list:
-    counts = [0] * k
-    for i in idx:
-        counts[y[i]] += 1
-    return counts
-
-
 def _distribution(classes, counts) -> ClassDistribution:
     return ClassDistribution({classes[c]: n for c, n in enumerate(counts) if n}, sum(counts))
 
 
 def _threshold_scan(column, y, idx, counts):
-    """(gain, threshold, left counts) at every midpoint between consecutive
-    distinct values of the node's rows, ascending. The sums of squared
-    counts on each side are kept as running totals."""
+    """(gain, threshold, left counts) between every two consecutive distinct
+    values of the node's rows, ascending, by the module's threshold rule.
+    The sums of squared counts on each side are kept as running totals."""
     order = sorted(idx, key=column.__getitem__)
     values = [column[i] for i in order]
     n = len(order)
@@ -227,7 +224,8 @@ def _threshold_scan(column, y, idx, counts):
         right[c] -= 1
         sr -= 2 * right[c] + 1
         if here != after:
-            yield _gain_from_squares(sp, sl, sr, n, nl, n - nl), (here + after) / 2.0, left
+            mid = (here + after) / 2.0
+            yield _gain_from_squares(sp, sl, sr, n, nl, n - nl), mid if here <= mid < after else here, left
 
 
 def _subset_scan(column, y, idx, counts):
@@ -275,32 +273,31 @@ def _rule(spec, key, present) -> SplitRule:
 def enumerate_splits(rows, feature: str, schema: FeatureSchema) -> list[SplitCandidate]:
     """All binary split candidates for one feature at this node.
 
-    Continuous: one candidate per midpoint between consecutive distinct
-    values. Categorical: every canonical nonempty proper subset of the
-    levels present (canonical = the subset omits the last declared level
-    present, so a partition appears exactly once), in lexicographic order
-    of declared level indexes. A constant feature yields no candidates.
+    Continuous: one candidate per pair of consecutive distinct values.
+    Categorical: every canonical nonempty proper subset of the levels
+    present (canonical = the subset omits the last declared level present,
+    so a partition appears exactly once), in lexicographic order of declared
+    level indexes. A constant feature yields no candidates.
     """
     spec = schema.spec(feature)
     data = _encode(rows, [spec])
     column = data.columns[0]
     idx = range(len(column))
-    counts = _class_counts(data.y, idx, len(data.classes))
     present = sorted(set(column))
     return [
         SplitCandidate(
             _rule(spec, key, present),
             gain,
             _distribution(data.classes, left),
-            _distribution(data.classes, [p - c for p, c in zip(counts, left)]),
+            _distribution(data.classes, [p - c for p, c in zip(data.counts, left)]),
         )
-        for gain, key, left in _SCANS[spec.kind](column, data.y, idx, counts)
+        for gain, key, left in _SCANS[spec.kind](column, data.y, idx, data.counts)
     ]
 
 
 def _best_candidate(data: _Encoded, idx, counts):
-    """(gain, feature position, key) of the node's best candidate, or None
-    if no candidate has strictly positive gain.
+    """(gain, feature position, key, left counts) of the node's best
+    candidate, or None if no candidate has strictly positive gain.
 
     Candidates are scanned in tie-break order (schema feature order, then
     ascending threshold / lexicographic subset), and only a strictly
@@ -310,10 +307,10 @@ def _best_candidate(data: _Encoded, idx, counts):
     best = None
     top = 0.0
     for f, spec in enumerate(data.specs):
-        for gain, key, _ in _SCANS[spec.kind](data.columns[f], data.y, idx, counts):
+        for gain, key, left in _SCANS[spec.kind](data.columns[f], data.y, idx, counts):
             if gain > top:
                 top = gain
-                best = (gain, f, key)
+                best = (gain, f, key, list(left))
     return best
 
 
@@ -362,20 +359,17 @@ def grow_tree(ds, cfg: TrainConfig = TrainConfig()) -> DecisionTree:
         raise ValueError("cannot grow a tree on an empty dataset")
     schema = ds.schema
     data = _encode(rows, schema)
-    k = len(data.classes)
     done: list[TreeNode] = []
-    # (row indexes, depth) of a node to grow, or (rule, gain, distribution)
-    # of a split whose two children are the last two entries of `done`.
-    work: list[tuple] = [(list(range(len(rows))), 0)]
+    # (row indexes, class counts, depth) of a node to grow, or a Split
+    # whose two children are still None and are the last two of `done`.
+    work: list[tuple] = [(list(range(len(rows))), data.counts, 0)]
     while work:
         item = work.pop()
-        if len(item) == 3:
+        if isinstance(item, Split):
             right = done.pop()
-            left = done.pop()
-            done.append(Split(*item, left, right))
+            done.append(Split(*item[:3], done.pop(), right))
             continue
-        idx, depth = item
-        counts = _class_counts(data.y, idx, k)
+        idx, counts, depth = item
         dist = _distribution(data.classes, counts)
         found = None
         if (
@@ -387,11 +381,11 @@ def grow_tree(ds, cfg: TrainConfig = TrainConfig()) -> DecisionTree:
         if found is None or found[0] < cfg.min_gain:
             done.append(Leaf(dist.majority_label(), dist))
             continue
-        gain, f, key = found
+        gain, f, key, left_counts = found
         rule, left, right = _apply(data, f, key, idx)
-        work.append((rule, gain, dist))
-        work.append((right, depth + 1))
-        work.append((left, depth + 1))
+        work.append(Split(rule, gain, dist, None, None))
+        work.append((right, [p - c for p, c in zip(counts, left_counts)], depth + 1))
+        work.append((left, left_counts, depth + 1))
     return DecisionTree(
         done.pop(),
         schema,

@@ -21,6 +21,7 @@ import random
 from collections import namedtuple
 from contextlib import suppress
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -177,6 +178,9 @@ def _feed_texts(cfg: SynthConfig):
     levels = [[_shifted_waits(cfg, rule)[bridge] for bridge, _ in slots] for rule in (None, *rules)]
     cases = [(cfg.base_pattern(), levels[0], levels[1] if rules else None)]
     cases += [(rule.target, ruled, levels[0]) for rule, ruled in zip(rules, levels[1:])]
+    # A case depends only on the features the rules name (if none, any key will do): each new key is matched once.
+    key_of = itemgetter(*sorted({FeatureVector._fields.index(name) for r in rules for name in r.condition}) or [0])
+    case_of = {}
     snow, rain, clear = Condition.SNOW.label, Condition.RAIN.label, Condition.CLEAR.label
     diurnal = [(hour_interval_of(hour), 8.0 * math.sin(math.pi * (hour - 7) / 14.0)) for hour in hours]
 
@@ -201,8 +205,10 @@ def _feed_texts(cfg: SynthConfig):
             weather += (temp, visibility, precip, condition)
 
             # The hour's features in FEATURE_SCHEMA order, as features.build_feature_vector gives them.
-            fv = FeatureVector(month, season, interval, weekend, us, ca, temp, visibility, precip, condition)
-            intended, hour_levels, flip_levels = cases[next((i for i, r in enumerate(rules, 1) if r.matches(fv)), 0)]
+            values = (month, season, interval, weekend, us, ca, temp, visibility, precip, condition)
+            if (key := key_of(values)) not in case_of:
+                case_of[key] = cases[next((i for i, r in enumerate(rules, 1) if r.matches(FeatureVector(*values))), 0)]
+            intended, hour_levels, flip_levels = case_of[key]
             flipped = uniform() < label_flip and bool(rules)
             if flipped:
                 hour_levels = flip_levels

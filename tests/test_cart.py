@@ -3,6 +3,7 @@ independent means: exact-rational evaluation of the impurity formulas, and
 the exhaustive brute-force split search in tests/helpers.py."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from delaytree import cart
 from delaytree.cart import ClassDistribution, Leaf, Split, TrainConfig, TrainingSet
 from delaytree.features import CATEGORICAL, CONTINUOUS, FEATURE_SCHEMA, FeatureSchema, FeatureSpec
-from delaytree.report import export_tree
+from delaytree.report import export_tree, import_tree
 
 from helpers import (
     GAIN_0004_SIDES,
@@ -412,6 +413,57 @@ def test_grow_full_growth_every_split_matches_oracle():
             stack.append((node.left, _node_rows(rows, node.rule, True)))
             stack.append((node.right, _node_rows(rows, node.rule, False)))
     assert checked >= 5
+
+
+# Bases whose neighbouring doubles have a midpoint that rounds onto the upper
+# one (1.0 and its neighbours, subnormals next to 0.0) or whose sum overflows
+# (1.6e308 and 1.7e308 of one sign).
+_EDGE_BASES = (0.0, 1.0, -1.0, 1.6e308, 1.7e308, -1.6e308, -1.7e308)
+
+
+@st.composite
+def _edge_double(draw):
+    value = draw(st.sampled_from(_EDGE_BASES))
+    for _ in range(draw(st.integers(0, 3))):
+        value = math.nextafter(value, draw(st.sampled_from((-math.inf, math.inf))))
+    return value
+
+
+_EDGE_SCHEMA = FeatureSchema(
+    [FeatureSpec("x", CONTINUOUS), FeatureSpec("k", CATEGORICAL, ("a", "b", "c")), FeatureSpec("y", CONTINUOUS)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_edge_double(), st.sampled_from("abc"), _edge_double(), st.sampled_from("ABC")),
+                min_size=1, max_size=12))
+def test_thresholds_cut_where_the_scan_did_between_adjacent_and_huge_doubles(drawn):
+    rows = [({"x": x, "k": k, "y": y}, label) for x, k, y, label in drawn]
+    # A split that cuts off at least one row bounds the depth by len(rows) - 1,
+    # so the tree is checked at depth len(rows) first: a threshold that sends
+    # every row to one side fails the recount below instead of growing forever.
+    tree = cart.grow_tree(TrainingSet(_EDGE_SCHEMA, rows), TrainConfig(1, 0.0, len(rows)))
+    stack = [(tree.root, rows)]
+    while stack:
+        node, node_rows = stack.pop()
+        assert node.distribution == ClassDistribution.from_labels([label for _, label in node_rows])
+        if isinstance(node, Leaf):
+            continue
+        rule = node.rule
+        if isinstance(rule, cart.ThresholdRule):
+            values = [features[rule.feature] for features, _ in node_rows]
+            here = max(v for v in values if v <= rule.threshold)
+            after = min(v for v in values if v > rule.threshold)
+            mid = (here + after) / 2.0
+            assert math.isfinite(rule.threshold)
+            assert rule.threshold == (mid if here <= mid < after else here)
+        oracle = brute_force_best_split(node_rows, _EDGE_SCHEMA)
+        assert cart.best_split(node_rows, _EDGE_SCHEMA) == oracle
+        assert (rule, node.gain, node.left.distribution, node.right.distribution) == oracle
+        stack.append((node.left, _node_rows(node_rows, rule, True)))
+        stack.append((node.right, _node_rows(node_rows, rule, False)))
+    assert cart.grow_tree(TrainingSet(_EDGE_SCHEMA, rows), TrainConfig(1, 0.0, None)) == tree
+    assert import_tree(export_tree(tree, "json")) == tree
 
 
 def test_grow_deeper_than_the_recursion_limit(chain_tree):

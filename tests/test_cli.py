@@ -1029,3 +1029,27 @@ def test_a_synth_write_error_names_its_file_and_keeps_the_earlier_files(tmp_path
     assert done.stderr == f"data error: {data / 'wait_times.csv'}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
     assert done.returncode == 2
     assert {path.name: path.read_bytes() for path in data.iterdir()} == before
+
+
+def test_train_ends_where_the_midpoint_of_two_temperatures_rounds_onto_the_upper_one(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    # (1.0000000000000002 + 1.0000000000000004) / 2 rounds to 1.0000000000000004,
+    # which would send both rows left and split the same node forever.
+    lines = [",".join(OBSERVATIONS_HEADER)]
+    for hour, waits, temperature in (("08", (20.0, 5.0, 5.0), "1.0000000000000002"),
+                                     ("09", (5.0, 5.0, 5.0), "1.0000000000000004")):
+        lines.append(",".join([f"2016-09-06T{hour}:00", "to_us", "passenger", *map(repr, waits), pattern_of(waits),
+                               "9", "Fall", "Early_morning", "0", "0", "0", temperature, "10", "0.0", "Clear"]))
+    obs, tree = tmp_path / "observations.csv", tmp_path / "tree.json"
+    obs.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    for argv in (["train", "--data", str(obs), "--vehicle", "passenger", "--direction", "to_us",
+                  "--min-samples", "1", "--min-gain", "0", "--out", str(tree)],
+                 ["render", "--tree", str(tree), "--format", "text"]):
+        done = subprocess.run([sys.executable, "-m", "delaytree", *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(tree.read_text())["nodes"][0]["rule"]["threshold"] == 1.0000000000000002

@@ -243,6 +243,7 @@ def test_generate_writes_the_text_csv_writer_writes(vehicle, direction, waits, j
 # The rules the differential test may plant, by name: each shifts one bridge
 # (the first or the last of its vehicle) across a category bound.
 _RULE_CONDITIONS = {
+    "every_hour": ({}, 0),
     "weekend": ({"weekend": (1,)}, 0),
     "wet": ({"condition": ("Snow", "Rain")}, -1),
     "us_holiday": ({"us_holiday": (1,)}, 0),
